@@ -1,4 +1,4 @@
-"""Ablation — state deduplication / certification memoisation (PR 3).
+"""Ablation — state deduplication.
 
 Measures dedup-on vs dedup-off on the worst litmus families (the
 four-thread IRIW, the three-location 3.2W/3.LB shapes) and the Chase-Lev
@@ -6,11 +6,10 @@ deque workload, across the explorers:
 
 * ``promising`` (promise-first): its promise frontier is a *tree* (every
   promise sequence yields a distinct memory), so the visited set almost
-  never fires — the measured win there is the certification layer (one
-  interned sequential-graph build per configuration instead of two
-  searches).  This is itself a reproduction-relevant observation: the
-  paper's promise-first strategy already removes the interleaving
-  redundancy that dedup would otherwise catch.
+  never fires; what remains is the per-thread completion memo.  This is
+  itself a reproduction-relevant observation: the paper's promise-first
+  strategy already removes the interleaving redundancy that dedup would
+  otherwise catch.
 
 * ``promising-naive`` and ``flat`` (full interleaving): symmetric
   schedules reconverge constantly, so the visited set *is* the
@@ -67,7 +66,6 @@ def _run(model: str, program, locs, dedup: bool):
         config = ExploreConfig(
             shared_locations=locs,
             dedup=dedup,
-            cert_memo=dedup,
             max_states=OFF_BUDGET if not dedup else 500_000,
         )
         runner = explore_naive if model == "promising-naive" else explore
@@ -166,7 +164,7 @@ def test_write_artifact_and_summary(table_printer):
         "aggregate_completing_pairs": aggregate,
         "interleaved_explorers_speedup": interleaved_speedup,
         "note": (
-            "promise-first rows measure the certification layer (the promise "
+            "promise-first rows measure the completion memo (the promise "
             "frontier is a tree, so state dedup cannot fire there); "
             "naive/flat rows measure the visited set itself"
         ),

@@ -31,12 +31,6 @@
 # REPRO_OBS_DISABLED=1, writing the ratio to BENCH_obs.json (the ≤5%
 # bound is enforced by scripts/check_bench_regression.py).
 #
-# The backend stage (scripts/bench_backend.py) races the packed execution
-# backend against the object reference on the large-state-space sweep
-# (naive explorer, IRIW-family workloads), writing per-family speedups
-# and outcome digests to BENCH_backend.json (the ≥10x aggregate and
-# digest bit-identity are enforced by scripts/check_bench_regression.py).
-#
 # The distrib stage (scripts/bench_distrib.py) runs the corpus through
 # the SQLite work-queue coordinator at 1/2/4 fleet workers plus a warm
 # cache-served rerun, writing scaling rows, digests and the
@@ -140,19 +134,6 @@ echo "report written to BENCH_dedup.json"
 
 echo "== observability overhead (instrumented vs REPRO_OBS_DISABLED=1; writes BENCH_obs.json) =="
 python scripts/bench_obs.py
-
-echo "== execution backends (packed vs object on the stress sweep; writes BENCH_backend.json) =="
-python scripts/bench_backend.py
-
-python - <<'EOF2'
-import json
-report = json.load(open("BENCH_backend.json"))
-agg = report["aggregate"]
-print(f"packed vs object (gated rows): {agg['speedup']}x "
-      f"({agg['object_seconds']}s -> {agg['packed_seconds']}s)")
-print(f"claims: {report['claims']}")
-EOF2
-echo "report written to BENCH_backend.json"
 
 echo "== distributed scaling (SQLite queue, 1/2/4 fleet workers; writes BENCH_distrib.json) =="
 python scripts/bench_distrib.py

@@ -38,17 +38,6 @@ by default), then compares the fresh results job-by-job:
   flag set.  Regeneration is ``scripts/bench_obs.py``'s job (via
   ``bench.sh``).
 
-* **Backend artifact** — the committed ``BENCH_backend.json`` must parse
-  against the backend-sweep schema and record the PR 7/PR 10 claims: a
-  packed-vs-object aggregate speedup of at least
-  ``--min-backend-speedup`` (default 10) over the gated naive rows,
-  *every* gated row (naive, promise-first and Flat alike) at or above
-  its own recorded ``min_speedup`` floor — so a single-family regression
-  cannot hide under the aggregate — and bit-identical outcome digests
-  between the two backends on every row (gated and context alike — the
-  backend may never change semantics).  Regeneration is
-  ``scripts/bench_backend.py``'s job (via ``bench.sh``).
-
 * **Distributed artifact** — the committed ``BENCH_distrib.json`` must
   parse against the distrib-scaling schema and record the PR 8 claims:
   every scaling row's batch digest bit-identical to the pooled
@@ -166,22 +155,6 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
         "--skip-obs",
         action="store_true",
         help="skip BENCH_obs.json validation entirely",
-    )
-    parser.add_argument(
-        "--backend-baseline",
-        default=str(REPO_ROOT / "BENCH_backend.json"),
-        help="tracked backend-sweep report to schema-validate",
-    )
-    parser.add_argument(
-        "--min-backend-speedup",
-        type=float,
-        default=10.0,
-        help="lowest acceptable recorded packed-vs-object aggregate speedup",
-    )
-    parser.add_argument(
-        "--skip-backend",
-        action="store_true",
-        help="skip BENCH_backend.json validation entirely",
     )
     parser.add_argument(
         "--distrib-baseline",
@@ -457,99 +430,6 @@ def validate_obs_report(path: Path, max_overhead: float) -> list[str]:
     return failures
 
 
-#: ``BENCH_backend.json`` required layout, in lockstep with
-#: ``scripts/bench_backend.py``.
-BACKEND_SCHEMA = {
-    "schema_version": None,
-    "name": None,
-    "generated_unix": None,
-    "repeats": None,
-    "min_speedup": None,
-    "families": None,
-    "aggregate": ("object_seconds", "packed_seconds", "speedup"),
-    "claims": ("digests_identical", "speedup_at_least_min", "per_row_floors_met"),
-}
-
-BACKEND_ROW_KEYS = (
-    "name",
-    "model",
-    "gated",
-    "min_speedup",
-    "memo_hits",
-    "memo_misses",
-    "object_seconds",
-    "packed_seconds",
-    "speedup",
-    "digest_object",
-    "digest_packed",
-    "digest_match",
-)
-
-
-def validate_backend_report(path: Path, min_speedup: float) -> list[str]:
-    """Schema + recorded-claims validation of ``BENCH_backend.json``."""
-    failures: list[str] = []
-    try:
-        report = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"backend baseline {path} unreadable: {exc}"]
-    if not isinstance(report, dict):
-        return [f"backend baseline {path} is not a JSON object"]
-    for key, subkeys in BACKEND_SCHEMA.items():
-        if key not in report:
-            failures.append(f"backend baseline missing key {key!r}")
-            continue
-        if subkeys is None:
-            continue
-        block = report[key]
-        if not isinstance(block, dict):
-            failures.append(f"backend baseline {key!r} must be an object")
-            continue
-        for subkey in subkeys:
-            if subkey not in block:
-                failures.append(f"backend baseline missing {key}.{subkey}")
-    if failures:
-        return failures
-    rows = report["families"]
-    if not isinstance(rows, list) or not rows:
-        return ["backend baseline must record at least one family row"]
-    gated = 0
-    for row in rows:
-        missing = [k for k in BACKEND_ROW_KEYS if k not in row]
-        if missing:
-            failures.append(f"backend baseline row missing {missing}")
-            continue
-        label = f"backend {row['name']} ({row['model']})"
-        # Semantics are non-negotiable on every row, context included.
-        if row["digest_object"] != row["digest_packed"] or not row["digest_match"]:
-            failures.append(
-                f"{label}: packed and object outcome digests differ — the "
-                "packed backend changed an outcome set"
-            )
-        if row["gated"]:
-            gated += 1
-            if not isinstance(row["speedup"], (int, float)) or row["speedup"] <= 0:
-                failures.append(f"{label}: speedup must be a positive number")
-                continue
-            floor = row["min_speedup"]
-            if not isinstance(floor, (int, float)) or floor <= 0:
-                failures.append(f"{label}: gated row needs a positive min_speedup floor")
-            elif row["speedup"] < floor:
-                failures.append(
-                    f"{label}: speedup {row['speedup']}x below its {floor}x "
-                    "per-row floor"
-                )
-    if gated == 0:
-        failures.append("backend baseline has no gated rows to aggregate")
-    speedup = report["aggregate"]["speedup"]
-    if not isinstance(speedup, (int, float)) or speedup < min_speedup:
-        failures.append(f"backend aggregate speedup {speedup!r} below the {min_speedup:.0f}x bar")
-    for claim in ("digests_identical", "speedup_at_least_min", "per_row_floors_met"):
-        if report["claims"][claim] is not True:
-            failures.append(f"backend baseline claim {claim} must be true")
-    return failures
-
-
 #: ``BENCH_distrib.json`` required layout, in lockstep with
 #: ``scripts/bench_distrib.py``.
 DISTRIB_SCHEMA = {
@@ -774,20 +654,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             failures.append(f"obs baseline not found: {obs_path}")
             print(f"obs      : {obs_path} MISSING")
-
-    # -- backend artifact ---------------------------------------------------
-    if not args.skip_backend:
-        backend_path = Path(args.backend_baseline)
-        if backend_path.exists():
-            backend_failures = validate_backend_report(backend_path, args.min_backend_speedup)
-            failures.extend(backend_failures)
-            print(
-                f"backend  : {backend_path} "
-                f"({'OK' if not backend_failures else f'{len(backend_failures)} problem(s)'})"
-            )
-        else:
-            failures.append(f"backend baseline not found: {backend_path}")
-            print(f"backend  : {backend_path} MISSING")
 
     # -- distributed artifact -----------------------------------------------
     if not args.skip_distrib:

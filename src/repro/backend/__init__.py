@@ -1,54 +1,13 @@
-"""Execution backends: swappable state representations for exploration.
+"""The execution backend: compiled programs and integer-tuple states.
 
-See :mod:`repro.backend.base` for the seam contract.  The factories
-below are what the explorers call; they validate the backend name
-against :data:`~repro.explore.config.BACKENDS`.
+Every explorer runs on :mod:`repro.backend.packed`.  The interpreted
+rules it is checked against stay where they are: the step rules in
+:mod:`repro.promising.steps`, the reference certification
+(:func:`~repro.promising.certification.certify_thread`), machine steps
+(:func:`~repro.promising.machine.machine_transitions`) and the Flat
+transition relation (:func:`~repro.flat.explorer.successors`).
 """
 
-from .base import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    EXPLORE_PHASE_SECONDS,
-    ExecutionBackend,
-    validate_backend,
-)
-from .object import ObjectFlatBackend, ObjectPromisingBackend
 from .packed import PackedFlatBackend, PackedPromisingBackend
 
-
-def make_promising_backend(name, program, config, stats):
-    """Backend for the promising explorers (promise-first and naive)."""
-    validate_backend(name)
-    cls = ObjectPromisingBackend if name == "object" else PackedPromisingBackend
-    return cls(program, config, stats)
-
-
-def make_flat_backend(name, program, config, stats, successors_fn, thread_transitions_fn):
-    """Backend for the Flat-style explorer.
-
-    ``successors_fn`` is the explorer's whole-state labelled transition
-    relation and ``thread_transitions_fn`` its per-thread factorisation
-    (signature ``(thread, state, config) -> iterable of (label, thread,
-    write)``); both are injected so the backend package never imports
-    the explorer it serves.  The object backend drives the former, the
-    packed backend memoises the latter.
-    """
-    validate_backend(name)
-    if name == "object":
-        return ObjectFlatBackend(program, config, stats, successors_fn)
-    return PackedFlatBackend(program, config, stats, successors_fn, thread_transitions_fn)
-
-
-__all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "EXPLORE_PHASE_SECONDS",
-    "ExecutionBackend",
-    "ObjectFlatBackend",
-    "ObjectPromisingBackend",
-    "PackedFlatBackend",
-    "PackedPromisingBackend",
-    "make_flat_backend",
-    "make_promising_backend",
-    "validate_backend",
-]
+__all__ = ["PackedFlatBackend", "PackedPromisingBackend"]

@@ -1,11 +1,11 @@
-"""The ``packed`` execution backend: compiled programs, integer states.
+"""The execution backend: compiled programs, integer states.
 
-The object backend spends its time re-deriving structure from dataclass
-graphs on every visit: statements are decomposed per step enumeration,
-state snapshots are deep tuples whose hashes walk every register and
-message on every visited-set or memo probe, and a thread configuration
-recurring across interleavings is re-certified (or at best re-hashed)
-each time.  This backend removes all of that:
+Walking the reference dataclass graphs directly re-derives structure on
+every visit: statements are decomposed per step enumeration, state
+snapshots are deep tuples whose hashes walk every register and message
+on every visited-set or memo probe, and a thread configuration recurring
+across interleavings is re-certified (or at best re-hashed) each time.
+The explorers therefore run on this backend, which removes all of that:
 
 * the program is compiled once per job (:mod:`repro.isa.compile`),
   giving every reachable statement a dense id and precomputing its head
@@ -32,8 +32,9 @@ each time.  This backend removes all of that:
 
 Successor *order* is preserved exactly (candidates before promises,
 promises sorted by location/value, as in
-:func:`~repro.promising.machine.machine_transitions`), so even seeded
-``sample`` runs walk the same traces as the object backend.
+:func:`~repro.promising.machine.machine_transitions`), so seeded
+``sample`` runs walk the same traces as a search driven by the
+reference machine steps.
 """
 
 from __future__ import annotations
@@ -45,13 +46,21 @@ from typing import Optional
 from ..explore import DepthFirst, SearchKernel
 from ..isa.compile import CompiledProgram, compile_program
 from ..lang.program import Program
+from ..obs import metrics
 from ..obs.tracing import PhaseAccumulator
 from ..outcomes import Outcome
 from ..promising.certification import CertificationResult, certify_compiled
 from ..promising.intern import IdInterner
 from ..promising.machine import MachineState, Thread
 from ..promising.steps import promise_step
-from .base import EXPLORE_PHASE_SECONDS
+
+#: Wall time per explorer phase (the registry returns the one counter for
+#: the name, so every explorer reports into the same series).
+EXPLORE_PHASE_SECONDS = metrics.counter(
+    "explore_phase_seconds_total",
+    "Wall time spent per explorer phase (certify/enumerate/intern).",
+    labels=("model", "phase"),
+)
 
 #: Packed machine state: thread-config ids then the memory id.
 Packed = tuple
@@ -59,8 +68,6 @@ Packed = tuple
 
 class PackedPromisingBackend:
     """Promising-model backend over compiled programs and id tuples."""
-
-    name = "packed"
 
     def __init__(self, program: Program, config, stats) -> None:
         self.program = program
@@ -85,8 +92,6 @@ class PackedPromisingBackend:
         #: resulting id never needs a messages-tuple hash twice.
         self._appends: dict[tuple, int] = {}
         #: Certification memo keyed by small ``(tid, tcfg, mem)`` tuples.
-        #: Always on: memoisation is what the packed representation *is*
-        #: (``cert_memo=False`` remains an object-backend ablation).
         self._certs: dict[tuple, CertificationResult] = {}
         self._cert_hits = 0
         self._cert_misses = 0
@@ -240,10 +245,9 @@ class PackedPromisingBackend:
         """Per-thread completion sets as tuples of interned register ids.
 
         ``None`` when some thread has no completing execution (the
-        candidate final memory is infeasible); the memo/enumeration
-        discipline — and therefore the ``completion_memo_hits`` /
-        enumeration counters — matches the object backend's
-        ``completion_sets`` exactly.
+        candidate final memory is infeasible).  With dedup on, a
+        ``(thread, tcfg, memory)`` triple is enumerated once per run and
+        recalled afterwards (``completion_memo_hits``).
         """
         stats = self.stats
         phase_start = time.perf_counter()
@@ -307,15 +311,16 @@ class PackedPromisingBackend:
     def _enumerate(self, tid: int, cfg: int, mem: int, dedup: bool) -> tuple:
         """Compiled run-to-completion enumeration of one thread.
 
-        The packed counterpart of
-        :func:`~repro.backend.object.enumerate_completions`: nodes are
-        ``(stmt id, thread state)`` pairs expanded through the compiled
-        candidate tables (non-promise steps only), deduplicated — when
-        enabled — under ``(stmt id, packed regs)`` keys.  Node classes,
-        expansion order and kernel counters match the object backend's
-        enumeration exactly.  Returns the final register files as a
-        sorted tuple of interned ids (decoded on demand by
-        :meth:`completion_sets`).
+        Non-promise phase of §7: memory is fixed, so the thread runs
+        alone.  Nodes are ``(stmt id, thread state)`` pairs expanded
+        through the compiled candidate tables (non-promise steps only,
+        i.e. :func:`~repro.promising.steps.non_promise_steps`),
+        deduplicated — when enabled — under ``(stmt id, packed regs)``
+        keys.  Always exhaustive (plain DFS), even when the outer search
+        samples: a sampled run must under-approximate the reachable
+        memories, never fabricate partial register files.  Returns the
+        final register files as a sorted tuple of interned ids (decoded
+        on demand by :meth:`completion_sets`).
         """
         sid = self._tcfg_sid[cfg]
         _stmt, ts = self._tcfgs.objects[cfg]
@@ -451,24 +456,20 @@ class PackedFlatBackend:
       :mod:`repro.flat.explorer` as ``thread_transitions_fn``) runs once
       per distinct ``(thread, storage)`` pair and is replayed from an
       integer memo table — including its restart labels, so the restart
-      counter matches the object backend on every visit;
+      counter counts every visit, exactly as the reference
+      :func:`~repro.flat.explorer.successors` would;
     * storage writes memoise per ``(storage, loc, value)`` (the version
       bump is deterministic).
 
     Transition order is preserved exactly (threads in index order; per
     thread: fetch, then window entries in order), so seeded ``sample``
-    runs walk the same traces as the object backend.
+    runs walk the same traces as a search over the reference relation.
     """
 
-    name = "packed"
-
-    def __init__(
-        self, program, config, stats, successors_fn, thread_transitions_fn
-    ) -> None:
+    def __init__(self, program, config, stats, thread_transitions_fn) -> None:
         self.program = program
         self.config = config
         self.stats = stats
-        self._successors_fn = successors_fn
         self._thread_transitions = thread_transitions_fn
         #: Continuation/window statements -> dense ids (thread-key coding).
         self._stmt_ids: dict = {}

@@ -14,12 +14,11 @@ transition-enumeration callback and a :class:`Strategy`:
 The promising explorers (:mod:`repro.promising.exhaustive`) and the
 Flat explorer (:mod:`repro.flat.explorer`) are built on this kernel;
 their configs extend :class:`BaseSearchConfig`.  State representation is
-delegated to a pluggable execution backend (:mod:`repro.backend`,
-selected by ``config.backend`` from :data:`BACKENDS`); the kernel only
-ever sees opaque packed states and the backend's ``key``.
+delegated to the execution backend (:mod:`repro.backend`); the kernel
+only ever sees opaque packed states and the backend's ``key``.
 """
 
-from .config import BACKENDS, BaseSearchConfig, DEFAULT_BACKEND, DEFAULT_STRATEGY
+from .config import BaseSearchConfig, DEFAULT_STRATEGY
 from .kernel import KernelStats, SearchKernel, SearchStats
 from .strategy import (
     STRATEGIES,
@@ -33,9 +32,7 @@ from .strategy import (
 )
 
 __all__ = [
-    "BACKENDS",
     "BaseSearchConfig",
-    "DEFAULT_BACKEND",
     "DEFAULT_STRATEGY",
     "KernelStats",
     "SearchKernel",

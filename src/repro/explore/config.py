@@ -20,19 +20,6 @@ from ..lang.kinds import Arch
 #: Strategy applied when a config does not name one.
 DEFAULT_STRATEGY = "dfs"
 
-#: Execution backends an explorer can run on.  ``"object"`` is the
-#: reference backend (the historical dataclass-walking enumeration);
-#: ``"packed"`` compiles the program once and represents machine states
-#: as flat integer tuples.  The names live here (not in
-#: :mod:`repro.backend`) so config/CLI/service layers can validate a
-#: backend without importing the backend implementations.
-BACKENDS = ("object", "packed")
-
-#: Backend applied when a config does not name one.  Must stay
-#: ``"object"`` — harness cache fingerprints omit the field at this
-#: default so pre-existing on-disk caches remain valid.
-DEFAULT_BACKEND = "object"
-
 
 @dataclass
 class BaseSearchConfig:
@@ -64,10 +51,6 @@ class BaseSearchConfig:
     sample_depth: int = 4096
     #: PRNG seed of a ``sample`` run (same seed ⇒ same outcome set).
     seed: int = 0
-    #: Execution backend: ``"object"`` (reference) or ``"packed"``
-    #: (compiled program + integer-tuple states).  Exhaustive runs
-    #: produce identical outcome sets on either.
-    backend: str = DEFAULT_BACKEND
 
     def for_arch(self, arch: Arch):
         # ``dataclasses.replace`` rather than a field-by-field copy, so a
@@ -83,4 +66,4 @@ class BaseSearchConfig:
         return is_exhaustive(self.strategy)
 
 
-__all__ = ["BACKENDS", "BaseSearchConfig", "DEFAULT_BACKEND", "DEFAULT_STRATEGY"]
+__all__ = ["BaseSearchConfig", "DEFAULT_STRATEGY"]

@@ -192,9 +192,8 @@ class SearchKernel:
     ) -> "SearchKernel":
         """Kernel whose visited-set identity comes from an execution backend.
 
-        ``backend`` is any object with the :class:`ExecutionBackend
-        <repro.backend.base.ExecutionBackend>` shape (duck-typed — this
-        module must not import the backend implementations); its
+        ``backend`` is an execution backend (:mod:`repro.backend`,
+        duck-typed — this module must not import it); its
         ``key(packed)`` becomes the kernel's ``key_fn``.  ``dedup=False``
         drops the visited set exactly like passing ``key_fn=None``
         directly (the ablation mode).

@@ -66,7 +66,7 @@ class FlatStats(SearchStats):
     states: int = 0
     transitions: int = 0
     restarts: int = 0
-    #: Backend-representation diagnostics (left 0 by the object backend).
+    #: Backend-representation diagnostics (id tables and step memo).
     interned_keys: int = 0
     intern_hits: int = 0
     step_memo_hits: int = 0
@@ -371,7 +371,12 @@ def thread_transitions(
 
 
 def successors(state: FlatState, config: FlatConfig) -> Iterator[tuple[str, FlatState]]:
-    """All transitions enabled in ``state`` (with a restart counter tag)."""
+    """All transitions enabled in ``state`` (with a restart counter tag).
+
+    The reference whole-state relation: the explorer runs the memoised
+    per-thread factorisation in the packed backend, and the tests hold
+    its successor lists to this one.
+    """
     for tid, thread in enumerate(state.threads):
         for label, new_thread, write in thread_transitions(thread, state, config):
             threads = list(state.threads)
@@ -397,13 +402,11 @@ def explore_flat(program: Program, config: Optional[FlatConfig] = None) -> FlatR
         prepared = unroll_program(program, config.loop_bound)
 
     # Lazy import: repro.backend imports flat.machine, so the module
-    # edge must point backend -> flat only.  The labelled transition
+    # edge must point backend -> flat only.  The per-thread transition
     # relation is injected, keeping the backend package explorer-free.
-    from ..backend import make_flat_backend
+    from ..backend.packed import PackedFlatBackend
 
-    backend = make_flat_backend(
-        config.backend, prepared, config, stats, successors, thread_transitions
-    )
+    backend = PackedFlatBackend(prepared, config, stats, thread_transitions)
     outcomes = OutcomeSet()
 
     def expand(packed) -> list:

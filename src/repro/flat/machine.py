@@ -131,10 +131,11 @@ class FlatState:
         the versioned storage discriminate every reachable state; keeping
         it out of the key lets symmetric interleavings share one entry.
 
-        This is the ``object`` execution backend's visited-set key; the
-        ``packed`` backend (:class:`repro.backend.packed.PackedFlatBackend`)
-        interns it to a dense integer id once per distinct state, so its
-        visited set probes ints instead of re-hashing this deep tuple.
+        The execution backend
+        (:class:`repro.backend.packed.PackedFlatBackend`) interns states
+        to dense integer ids instead, so its visited set probes ints; the
+        tests use this key to compare its decoded states with the
+        reference :func:`~repro.flat.explorer.successors`.
         """
         return (self.threads, self.storage)
 

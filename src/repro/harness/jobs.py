@@ -51,7 +51,12 @@ if TYPE_CHECKING:  # litmus imports harness (runner); keep ours lazy.
 #: ``samples``, ``sample_depth``, ``seed``, ``deadline_seconds``), so a
 #: sampled (or otherwise bounded) run keys a *different* cache entry and
 #: can never shadow an exhaustive result.
-FINGERPRINT_VERSION = 2
+#: v3: explorer configs lost their backend-selection and
+#: certification-memo switches (one execution backend, certification
+#: always memoised), which changes every promising-model config repr; the
+#: bump makes the break explicit so old entries miss and recompute
+#: instead of ever being served wrong.
+FINGERPRINT_VERSION = 3
 
 #: Models a job can request.
 MODELS = ("promising", "promising-naive", "axiomatic", "flat")
@@ -224,16 +229,7 @@ class Job:
             cfg = self.effective_axiomatic_config()
         else:
             cfg = self.effective_flat_config()
-        # The execution backend changes the state representation, never the
-        # outcome set (conformance-tested), and defaulted to "object" before
-        # the field existed — omit it at the default so fingerprints (and
-        # thus the result cache) are unchanged for every pre-seam job, while
-        # a non-default backend still keys its own cache entries.
-        cfg_items = sorted(
-            (f.name, repr(getattr(cfg, f.name)))
-            for f in dataclasses.fields(cfg)
-            if not (f.name == "backend" and getattr(cfg, f.name) == "object")
-        )
+        cfg_items = sorted((f.name, repr(getattr(cfg, f.name))) for f in dataclasses.fields(cfg))
         regs, locs = self.observables()
         parts = [
             f"v{FINGERPRINT_VERSION}",

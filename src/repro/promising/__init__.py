@@ -13,7 +13,6 @@ from .steps import (
 )
 from .certification import (
     DEFAULT_FUEL,
-    CertificationCache,
     CertificationResult,
     can_complete_without_promising,
     certified,
@@ -50,7 +49,6 @@ __all__ = [
     "sequential_steps",
     "thread_local_steps",
     "DEFAULT_FUEL",
-    "CertificationCache",
     "CertificationResult",
     "can_complete_without_promising",
     "certified",

@@ -319,8 +319,8 @@ def _certify(
     """Shared body of :func:`find_and_certify` / :func:`certify_thread`.
 
     ``want_can_complete`` additionally derives the fixed-memory
-    completion answer from the same graph; it is opt-in so the seed-cost
-    path (the ``cert_memo=False`` ablation) does not pay for it.
+    completion answer from the same graph; it is opt-in so the plain
+    promise enumeration does not pay for it.
     """
     fast = _certify_fastpath(stmt, ts)
     if fast is not None:
@@ -441,60 +441,6 @@ def certify_compiled(
     )
 
 
-class CertificationCache:
-    """Per-exploration memo for :func:`certify_thread`.
-
-    ``find_and_certify`` dominates exploration profiles and is re-invoked
-    with recurring arguments: the promise-first explorer asks both the
-    "which promises" and the "can it finish" question of every thread at
-    every frontier state, and the naive explorer certifies the same
-    thread configuration across all interleavings that only move *other*
-    threads.  The memo key is the full thread configuration — ``(tid,
-    statement, thread-state key, memory key)`` — which is exactly the
-    input the sequential graph depends on (``arch`` and ``fuel`` are
-    fixed per cache, i.e. per exploration run).
-
-    The cache is deliberately per-run, not module-global: a sweep over
-    thousands of litmus jobs must not retain certification graphs across
-    tests.
-    """
-
-    __slots__ = ("arch", "fuel", "_memo", "hits", "calls")
-
-    def __init__(self, arch: Arch, fuel: int = DEFAULT_FUEL) -> None:
-        self.arch = arch
-        self.fuel = fuel
-        self._memo: dict[tuple, CertificationResult] = {}
-        self.hits = 0
-        self.calls = 0
-
-    def certify(self, stmt: Stmt, ts: TState, memory: Memory, tid: TId) -> CertificationResult:
-        key = (tid, stmt, ts.cache_key(), memory.cache_key())
-        return self.certify_keyed(key, stmt, ts, memory, tid)
-
-    def certify_keyed(
-        self, key, stmt: Stmt, ts: TState, memory: Memory, tid: TId
-    ) -> CertificationResult:
-        """Memoised certification under a caller-supplied key.
-
-        The key must identify the configuration at least as finely as the
-        default ``(tid, stmt, ts.cache_key(), memory.cache_key())``.  The
-        packed execution backend supplies its small integer-tuple keys
-        here, so the memo probe never re-hashes a deep state snapshot.
-        """
-        self.calls += 1
-        result = self._memo.get(key)
-        if result is not None:
-            self.hits += 1
-            return result
-        result = certify_thread(stmt, ts, memory, self.arch, tid, self.fuel)
-        self._memo[key] = result
-        return result
-
-    def __len__(self) -> int:
-        return len(self._memo)
-
-
 def can_complete_without_promising(
     stmt: Stmt,
     ts: TState,
@@ -530,7 +476,6 @@ def can_complete_without_promising(
 
 __all__ = [
     "DEFAULT_FUEL",
-    "CertificationCache",
     "CertificationResult",
     "CompiledSequentialGraph",
     "certified",

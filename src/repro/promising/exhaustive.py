@@ -24,12 +24,12 @@ under-approximation; the per-thread run-to-completion enumeration stays
 exhaustive regardless of the outer strategy (it must not invent partial
 register files).
 
-Both explorers run on a pluggable *execution backend*
-(:mod:`repro.backend`, selected by ``config.backend``): the drive logic
+Both explorers run on the execution backend
+(:class:`~repro.backend.packed.PackedPromisingBackend`): the drive logic
 below never touches ``TState``/``Memory`` directly — it certifies,
 enumerates and steps through the backend, which owns the state
-representation (reference object graphs, or compiled integer tuples)
-and the intern/cert/phase accounting that goes with it.
+representation (compiled programs, interned integer tuples) and the
+intern/cert/phase accounting that goes with it.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ class ExploreConfig(BaseSearchConfig):
     #: Locations that must be kept in memory even if thread-private
     #: (e.g. locations observed by a litmus final-state condition).
     shared_locations: tuple[Loc, ...] = ()
-    #: Memoise certification (one sequential-graph build answers the
-    #: certified / promises / can-complete questions per configuration).
-    #: Disabling falls back to the seed's separate searches.
-    cert_memo: bool = True
 
 
 @dataclass
@@ -99,9 +95,8 @@ class ExplorationStats(SearchStats):
     #: Hash-consing statistics of the run's intern pool.
     interned_keys: int = 0
     intern_hits: int = 0
-    #: Packed-backend step-table reuse: successor lists replayed from the
-    #: integer memo instead of re-enumerated (0 on the object backend,
-    #: which has no step tables).
+    #: Step-table reuse: successor lists replayed from the backend's
+    #: integer memo instead of re-enumerated.
     step_memo_hits: int = 0
     step_memo_misses: int = 0
 
@@ -164,9 +159,9 @@ def explore(program: Program, config: Optional[ExploreConfig] = None) -> Explora
 
     # Lazy import: repro.backend imports this package's siblings, so the
     # module edge must point backend -> promising only.
-    from ..backend import make_promising_backend
+    from ..backend.packed import PackedPromisingBackend
 
-    backend = make_promising_backend(config.backend, prepared, config, stats)
+    backend = PackedPromisingBackend(prepared, config, stats)
     outcomes = OutcomeSet()
 
     def expand(packed) -> list:
@@ -175,8 +170,7 @@ def explore(program: Program, config: Optional[ExploreConfig] = None) -> Explora
         # Can every thread finish under the current memory without any new
         # promise?  If so the current memory is a candidate final memory:
         # the backend enumerates per-thread completions and crosses them
-        # into the outcome set in its own representation (decoded register
-        # dicts on ``object``, interned id tuples on ``packed``).
+        # into the outcome set on interned id tuples.
         if all(can_finish):
             stats.final_memories += 1
             backend.accumulate_outcomes(outcomes, packed)
@@ -225,9 +219,9 @@ def explore_naive(program: Program, config: Optional[ExploreConfig] = None) -> E
     prepared, localised = _prepare(program, config)
     stats.localised_locations = localised
 
-    from ..backend import make_promising_backend
+    from ..backend.packed import PackedPromisingBackend
 
-    backend = make_promising_backend(config.backend, prepared, config, stats)
+    backend = PackedPromisingBackend(prepared, config, stats)
     outcomes = OutcomeSet()
 
     def expand(packed) -> list:

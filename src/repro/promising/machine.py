@@ -5,10 +5,11 @@ thread, lets it take a thread step (an execute step or a promise), and
 requires the resulting thread configuration to be certified (rule r24).
 
 This module is the reference, un-optimised semantics.  The interactive
-debugger (:mod:`repro.promising.interactive`) and the naive exhaustive
-explorer are built directly on it; the fast explorer
-(:mod:`repro.promising.exhaustive`) uses the promise-first strategy
-instead but produces the same outcomes (Theorem 7.1).
+debugger (:mod:`repro.promising.interactive`) is built directly on it,
+and the tests hold the execution backend's naive successor lists
+(:mod:`repro.backend.packed`) to :func:`machine_transitions`; the fast
+explorer (:mod:`repro.promising.exhaustive`) uses the promise-first
+strategy instead but produces the same outcomes (Theorem 7.1).
 """
 
 from __future__ import annotations
@@ -20,12 +21,7 @@ from ..lang.ast import Stmt
 from ..lang.kinds import Arch
 from ..lang.program import Program, TId
 from ..outcomes import Outcome
-from .certification import (
-    DEFAULT_FUEL,
-    CertificationCache,
-    certified,
-    find_and_certify,
-)
+from .certification import DEFAULT_FUEL, certified, find_and_certify
 from .intern import InternPool
 from .state import Memory, TState, initial_tstate
 from .steps import (
@@ -167,8 +163,8 @@ def thread_candidate_steps(
 
     Thread-local steps plus normal writes, in the order the machine-step
     rule enumerates them; each still needs the certification filter.
-    Shared by :func:`machine_transitions` and the execution backends
-    (:mod:`repro.backend`) so both enumerate candidates identically.
+    The compiled candidate tables (:mod:`repro.isa.compile`) enumerate
+    in the same order.
     """
     return thread_local_steps(
         thread.stmt, thread.tstate, memory, arch, tid
@@ -179,37 +175,23 @@ def machine_transitions(
     state: MachineState,
     fuel: int = DEFAULT_FUEL,
     include_promises: bool = True,
-    cert_cache: Optional[CertificationCache] = None,
 ) -> list[MachineTransition]:
     """All certified machine transitions from ``state`` (rule machine-step).
 
     Execute steps and normal writes are filtered by the certification
     check; promise steps come from :func:`find_and_certify` and are
     certified by construction (Theorem 6.4).
-
-    With a :class:`CertificationCache`, every certification question goes
-    through the shared memo — successor configurations checked here are
-    typically re-certified when they are explored as states of their own,
-    and thread configurations recur across interleavings that only move
-    *other* threads, so the naive explorer hits the memo constantly.
     """
     transitions: list[MachineTransition] = []
     for tid, thread in enumerate(state.threads):
         for step in thread_candidate_steps(thread, state.memory, state.arch, tid):
-            if cert_cache is not None:
-                ok = cert_cache.certify(step.stmt, step.tstate, step.memory, tid).certified
-            else:
-                ok = certified(step.stmt, step.tstate, step.memory, state.arch, tid, fuel)
-            if not ok:
+            if not certified(step.stmt, step.tstate, step.memory, state.arch, tid, fuel):
                 continue
             transitions.append(MachineTransition(tid, step, state.replace_thread(tid, step)))
         if include_promises:
-            if cert_cache is not None:
-                result = cert_cache.certify(thread.stmt, thread.tstate, state.memory, tid)
-            else:
-                result = find_and_certify(
-                    thread.stmt, thread.tstate, state.memory, state.arch, tid, fuel
-                )
+            result = find_and_certify(
+                thread.stmt, thread.tstate, state.memory, state.arch, tid, fuel
+            )
             for msg in sorted(result.promises, key=lambda m: (m.loc, m.val)):
                 step = promise_step(thread.stmt, thread.tstate, state.memory, msg)
                 transitions.append(MachineTransition(tid, step, state.replace_thread(tid, step)))

@@ -60,6 +60,19 @@ from ..promising.exhaustive import ExploreConfig
 #: field is renamed or removed, not when purely additive).
 SERVICE_SCHEMA_VERSION = 1
 
+#: Keys ``/v1/explore`` accepts under ``options`` (anything else is a 400).
+OPTION_KEYS = (
+    "deadline_seconds",
+    "include_outcomes",
+    "loop_bound",
+    "max_states",
+    "sample_depth",
+    "samples",
+    "seed",
+    "strategy",
+    "timeout",
+)
+
 _log = get_logger("service.core")
 
 _SERVICE_REQUESTS = metrics.counter(
@@ -411,6 +424,14 @@ class ExplorationService:
         options = payload.get("options") or {}
         if not isinstance(options, dict):
             raise ServiceError("'options' must be an object")
+        # A misspelt or retired key must not silently run on defaults
+        # (e.g. "max_state" running unbounded).
+        unknown_options = sorted(set(options) - set(OPTION_KEYS))
+        if unknown_options:
+            raise ServiceError(
+                f"unknown option(s) {', '.join(map(repr, unknown_options))}; "
+                f"accepted: {', '.join(OPTION_KEYS)}"
+            )
         loop_bound = options.get("loop_bound", 2)
         if not isinstance(loop_bound, int) or not 1 <= loop_bound <= self.config.loop_bound_limit:
             raise ServiceError(f"'loop_bound' must be an int in 1..{self.config.loop_bound_limit}")
@@ -480,12 +501,6 @@ class ExplorationService:
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ServiceError("'seed' must be an integer")
 
-        from ..explore import BACKENDS
-
-        backend = options.get("backend", "object")
-        if not isinstance(backend, str) or backend not in BACKENDS:
-            raise ServiceError(f"unknown backend {backend!r}; choose from {', '.join(BACKENDS)}")
-
         models = payload.get("models", ["promising"])
         if isinstance(models, str):
             models = [m.strip() for m in models.split(",") if m.strip()]
@@ -547,7 +562,6 @@ class ExplorationService:
             samples=samples,
             sample_depth=sample_depth,
             seed=seed,
-            backend=backend,
         )
         if max_states is not None:
             search_kwargs["max_states"] = max_states
@@ -1023,6 +1037,7 @@ class ExplorationService:
 
 
 __all__ = [
+    "OPTION_KEYS",
     "SERVICE_SCHEMA_VERSION",
     "ExplorationService",
     "NormalizedRequest",

@@ -79,15 +79,11 @@ def _search_kwargs(args: argparse.Namespace) -> dict:
         samples=getattr(args, "samples", 256),
         sample_depth=getattr(args, "sample_depth", 4096),
         seed=getattr(args, "seed", 0),
-        backend=getattr(args, "backend", "object"),
     )
 
 
 def _explore_config(args: argparse.Namespace) -> ExploreConfig:
-    return ExploreConfig(
-        cert_memo=not getattr(args, "no_cert_memo", False),
-        **_search_kwargs(args),
-    )
+    return ExploreConfig(**_search_kwargs(args))
 
 
 def _flat_config(args: argparse.Namespace) -> "FlatConfig":
@@ -377,19 +373,31 @@ def _add_distrib_args(parser: argparse.ArgumentParser) -> None:
                         help="abort if no distributed item completes for this long")
 
 
+class _ExactParser(argparse.ArgumentParser):
+    """An argument parser that never expands abbreviated long flags.
+
+    With argparse's default ``allow_abbrev=True`` a prefix resolves to
+    whichever flag it abbreviates, so a retired ``--backend packed``
+    silently parses as ``--backend-url packed``.  Subparsers are built
+    from the parent's class, so every subcommand inherits this.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ExactParser(
         prog="promising-arm",
         description="Promising-ARM/RISC-V exhaustive and interactive exploration tool",
     )
-    from ..explore import BACKENDS, STRATEGIES
+    from ..explore import STRATEGIES
 
     parser.add_argument("--arch", default="arm", help="arm (default) or riscv")
     parser.add_argument("--loop-bound", type=int, default=2, help="loop unrolling bound")
     parser.add_argument("--no-dedup", action="store_true",
                         help="disable state deduplication (ablation; slower, same outcomes)")
-    parser.add_argument("--no-cert-memo", action="store_true",
-                        help="disable certification memoisation (ablation)")
     parser.add_argument("--strategy", choices=STRATEGIES, default="dfs",
                         help="search strategy: dfs/bfs enumerate exhaustively, "
                              "sample runs seeded bounded random walks "
@@ -400,11 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="step bound of one random walk before restart")
     parser.add_argument("--seed", type=int, default=0,
                         help="PRNG seed of --strategy sample (same seed, same outcomes)")
-    parser.add_argument("--backend", choices=BACKENDS, default="object",
-                        help="execution backend: object walks the reference "
-                             "dataclass states; packed compiles the program once "
-                             "and explores interned integer-tuple states "
-                             "(same outcomes, much faster on large state spaces)")
     parser.add_argument("--log-format", choices=LOG_FORMATS, default="text",
                         help="structured log output: text (default) or json "
                              "(one JSON object per line on stderr)")

@@ -1,11 +1,11 @@
-"""State deduplication, hash-consing, and certification memoisation.
+"""State deduplication, hash-consing, and single-graph certification.
 
-The PR 3 reduction layer must be *semantics-preserving*: every knob
-(``dedup``, ``cert_memo``) changes only how much work the explorers do,
-never which outcomes they find.  The tests here pin that equivalence on a
-randomized sample of the cycle corpus, the stability/equality laws of the
-``cache_key`` methods, and the single-graph certification entry point
-against the seed's separate searches.
+The reduction layer must be *semantics-preserving*: the ``dedup`` knob
+changes only how much work the explorers do, never which outcomes they
+find.  The tests here pin that equivalence on a randomized sample of the
+cycle corpus, the stability/equality laws of the ``cache_key`` methods,
+and the single-graph certification entry point against the seed's
+separate searches.
 """
 
 import random
@@ -16,7 +16,6 @@ from repro.flat.explorer import FlatConfig, explore_flat
 from repro.lang.kinds import Arch
 from repro.litmus import generate_cycle_battery, get_test
 from repro.promising import (
-    CertificationCache,
     ExploreConfig,
     Interner,
     InternPool,
@@ -51,7 +50,7 @@ class TestDedupPreservesOutcomes:
         on = explore(test.program, ExploreConfig(shared_locations=locs))
         off = explore(
             test.program,
-            ExploreConfig(shared_locations=locs, dedup=False, cert_memo=False),
+            ExploreConfig(shared_locations=locs, dedup=False),
         )
         assert set(on.outcomes) == set(off.outcomes), test.name
         assert not on.stats.truncated and not off.stats.truncated
@@ -62,7 +61,7 @@ class TestDedupPreservesOutcomes:
         on = explore_naive(test.program, ExploreConfig(shared_locations=locs))
         off = explore_naive(
             test.program,
-            ExploreConfig(shared_locations=locs, dedup=False, cert_memo=False),
+            ExploreConfig(shared_locations=locs, dedup=False),
         )
         assert set(on.outcomes) == set(off.outcomes), test.name
         # Without the visited set, symmetric interleavings are re-explored.
@@ -76,16 +75,6 @@ class TestDedupPreservesOutcomes:
         assert set(on.outcomes) == set(off.outcomes)
         assert on.stats.dedup_hits > 0 and off.stats.dedup_hits == 0
         assert off.stats.states > on.stats.states
-
-    def test_cert_memo_alone_preserves_outcomes(self):
-        test = get_test("MP+dmb+addr")
-        locs = tuple(test.observable_locations())
-        memo = explore(test.program, ExploreConfig(shared_locations=locs, cert_memo=True))
-        plain = explore(test.program, ExploreConfig(shared_locations=locs, cert_memo=False))
-        assert set(memo.outcomes) == set(plain.outcomes)
-        # The memo path answers certified/promises/can-finish from one
-        # graph build: half the certification invocations.
-        assert memo.stats.cert_calls * 2 == plain.stats.cert_calls
 
 
 class TestCacheKeys:
@@ -168,23 +157,3 @@ class TestCertifyThread:
         merged = certify_thread(stmt, promised.tstate, promised.memory, Arch.ARM, 0)
         assert merged.certified
         assert merged.can_complete is True  # the promise is fulfilable in place
-
-    def test_cache_memoises_and_counts(self):
-        cache = CertificationCache(Arch.ARM)
-        stmt = seq(load("r1", 8), store(0, 42))
-        ts = initial_tstate()
-        memory = Memory()
-        first = cache.certify(stmt, ts, memory, 0)
-        second = cache.certify(stmt, ts, memory, 0)
-        assert first is second
-        assert cache.calls == 2 and cache.hits == 1 and len(cache) == 1
-
-    def test_cache_discriminates_memory_and_tid(self):
-        cache = CertificationCache(Arch.ARM)
-        stmt = store(0, 1)
-        ts = initial_tstate()
-        cache.certify(stmt, ts, Memory(), 0)
-        grown, _ = Memory().append(Msg(8, 7, 1))
-        cache.certify(stmt, ts, grown, 0)
-        cache.certify(stmt, ts, Memory(), 1)
-        assert cache.hits == 0 and len(cache) == 3

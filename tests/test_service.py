@@ -25,6 +25,7 @@ from repro.service import (
     TokenBuckets,
     percentile,
 )
+from repro.service.core import OPTION_KEYS
 from repro.service.http import run_server
 
 MP_SOURCE = (
@@ -115,6 +116,16 @@ class TestNormalize:
             self.normalize({"test": "SB", "options": {"timeout": 10_000}})
         request = self.normalize({"test": "SB", "options": {"timeout": 5}})
         assert request.timeout == 5.0
+
+    def test_unknown_options_are_rejected(self):
+        # A retired key or a typo must never run unbounded on defaults.
+        for options in ({"backend": "packed"}, {"max_state": 10}):
+            with pytest.raises(ServiceError) as excinfo:
+                self.normalize({"test": "SB", "options": options})
+            assert excinfo.value.status == 400
+            message = str(excinfo.value)
+            assert repr(next(iter(options))) in message
+            assert all(key in message for key in OPTION_KEYS)
 
     def test_oversized_source_is_413(self):
         with pytest.raises(ServiceError) as excinfo:

@@ -1,5 +1,6 @@
 """Tests for the comparison utilities and the command-line interface."""
 
+import pytest
 
 from repro.lang.kinds import Arch
 from repro.litmus import get_test
@@ -39,6 +40,15 @@ class TestCli:
         assert args.command == "run" and args.test == "MP"
         args = parser.parse_args(["agreement", "--max-tests", "5"])
         assert args.max_tests == 5
+
+    def test_abbreviated_flags_are_rejected(self):
+        # A prefix must never resolve to another flag: `--backend` would
+        # otherwise parse as `fuzz --backend-url` and be silently ignored.
+        parser = build_parser()
+        for argv in (["fuzz", "--backend", "packed"], ["run", "--ax"], ["--strat", "bfs", "run"]):
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args(argv)
+            assert excinfo.value.code == 2, argv
 
     def test_parser_serve_subcommand(self):
         parser = build_parser()
