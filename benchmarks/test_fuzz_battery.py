@@ -48,7 +48,7 @@ def test_full_corpus_promising_equals_axiomatic(tmp_path, table_printer):
         (Arch.ARM, Arch.RISCV),
         workers=_workers(),
         cache=tmp_path / "cache",
-        report_path=tmp_path / "BENCH_fuzz_full.json",
+        report_path=tmp_path / "fuzz-full.json",
     )
     table_printer(
         "differential fuzz: full corpus, promising vs axiomatic",
@@ -118,7 +118,7 @@ def test_expected_verdicts_from_axiomatic_oracle(tmp_path):
 
 
 def test_fuzz_report_artifact(tmp_path):
-    report_path = tmp_path / "BENCH_fuzz.json"
+    report_path = tmp_path / "fuzz.json"
     fuzz = run_fuzz(
         families=("MP", "CoRR"),
         models=("promising", "axiomatic"),

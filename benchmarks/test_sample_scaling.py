@@ -16,20 +16,14 @@ violation would be a real bug, which is exactly what statistical
 litmus-style running is for.
 
 Because the walks are seeded, a run with more samples replays the same
-walk prefix: the outcome sets at 8/32/128 samples form a chain, which is
-the coverage-vs-samples curve the artifact records.
-
-The results land in ``BENCH_sample.json`` at the repo root (override
-with ``BENCH_SAMPLE_PATH``); ``scripts/bench.sh`` refreshes the tracked
-copy and ``scripts/check_bench_regression.py`` validates it.
+walk prefix: the outcome sets at 8/32/128 samples form a chain, so
+coverage is monotone in the number of samples.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -95,7 +89,6 @@ def test_exhaustive_truncates(model, budget):
         {
             "model": model,
             "max_states": budget,
-            "truncated": True,
             "n_outcomes": len(result.outcomes),
             "elapsed_seconds": round(elapsed, 3),
         }
@@ -123,13 +116,8 @@ def _sample_row(model: str, samples: int) -> dict:
     return {
         "model": model,
         "samples": samples,
-        "sample_depth": SAMPLE_DEPTH,
-        "seed": SEED,
-        "samples_run": result.stats["samples_run"],
         "n_outcomes": len(result.outcomes),
-        "unique_states": result.stats["unique_sample_states"],
         "coverage_estimate": result.stats["coverage_estimate"],
-        "condition_violations": violations,
         "elapsed_seconds": round(elapsed, 3),
         "outcome_digests": sorted(
             json.dumps(
@@ -151,7 +139,7 @@ def test_naive_sample():
     _rows["sample_runs"].append(_sample_row("promising-naive", SAMPLE_COUNTS[1]))
 
 
-def test_write_artifact_and_claims(table_printer):
+def test_sampling_claims(table_printer):
     assert _rows["exhaustive"] and _rows["sample_runs"], "runs must execute first"
     flat_runs = sorted(
         (r for r in _rows["sample_runs"] if r["model"] == "flat"),
@@ -162,42 +150,15 @@ def test_write_artifact_and_claims(table_printer):
     for smaller, larger in zip(flat_runs, flat_runs[1:]):
         assert set(smaller["outcome_digests"]) <= set(larger["outcome_digests"])
 
+    # Every walk batch completes (outcomes found, 0 violations, asserted
+    # per row above) faster than its truncated exhaustive counterpart.
     by_model = {r["model"]: r for r in _rows["exhaustive"]}
-    claims = {}
-    for row in _rows["sample_runs"]:
-        exhaustive = by_model[row["model"]]
-        claims[row["model"]] = bool(
-            exhaustive["truncated"]
-            and row["n_outcomes"] >= 1
-            and row["condition_violations"] == 0
-            and row["elapsed_seconds"] < exhaustive["elapsed_seconds"]
-        )
-    assert all(claims.values()), claims
-
-    artifact = {
-        "schema_version": 1,
-        "name": "sample-scaling",
-        "generated_unix": time.time(),
-        "workload": {
-            "name": _workload().name,
-            "n_threads": N_THREADS,
-            "description": _workload().description,
-        },
-        "sample_depth": SAMPLE_DEPTH,
-        "seed": SEED,
-        "exhaustive": _rows["exhaustive"],
-        "sample_runs": [
-            {k: v for k, v in row.items() if k != "outcome_digests"}
-            for row in _rows["sample_runs"]
-        ],
-        "claims": {
-            "sample_completes_where_exhaustive_truncates": claims,
-            "coverage_is_monotone_in_samples": True,
-        },
-    }
-    default_path = Path(__file__).parent.parent / "BENCH_sample.json"
-    path = Path(os.environ.get("BENCH_SAMPLE_PATH", default_path))
-    path.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
+    slower = [
+        (row["model"], row["samples"])
+        for row in _rows["sample_runs"]
+        if row["elapsed_seconds"] >= by_model[row["model"]]["elapsed_seconds"]
+    ]
+    assert not slower, slower
 
     exhaustive_cells = [
         [

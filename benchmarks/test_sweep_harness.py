@@ -27,7 +27,7 @@ BATTERY_SIZE = 40
 def test_cold_vs_warm_sweep(benchmark, tmp_path, table_printer):
     tests = generate_battery(max_tests=BATTERY_SIZE)
     cache = ResultCache(tmp_path / "cache")
-    report_path = tmp_path / "BENCH_sweep.json"
+    report_path = tmp_path / "sweep.json"
 
     cold = benchmark.pedantic(
         lambda: run_sweep(tests, ("promising", "axiomatic"), Arch.ARM,

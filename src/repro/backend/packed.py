@@ -17,8 +17,8 @@ The explorers therefore run on this backend, which removes all of that:
   interned to dense integer ids (:class:`~repro.promising.intern.IdInterner`),
   with the first-seen objects kept as the canonical decoded forms;
 * a machine state is the flat tuple ``(tcfg_0, …, tcfg_{T-1}, mem)`` of
-  those ids — ``cache_key()`` degenerates to the identity function and
-  every visited/memo table keys on small immutable int tuples;
+  those ids — it is its own visited-set key, and every visited/memo
+  table keys on small immutable int tuples;
 * certification builds its sequential graphs directly on interned
   ``(stmt id, packed regs, mem id)`` nodes
   (:func:`~repro.promising.certification.certify_compiled`) and the
@@ -153,14 +153,17 @@ class PackedPromisingBackend:
         threads = tuple(Thread(*objs[i]) for i in packed[:-1])
         return MachineState(threads, self._mems.objects[packed[-1]], self.arch)
 
-    def key(self, packed: Packed) -> Packed:
-        return packed
-
     def initial(self) -> Packed:
         return self.encode(MachineState.initial(self.program, self.arch))
 
     # -- certification ------------------------------------------------------
     def _certify(self, tid: int, cfg: int, mem: int) -> CertificationResult:
+        """Memoised certification of one thread config under one memory.
+
+        A result cut short by ``cert_fuel`` marks the run truncated, for
+        both explorers alike.  The memo lives for one run, so every key's
+        miss comes before its hits and flagging on the miss suffices.
+        """
         key = (tid, cfg, mem)
         result = self._certs.get(key)
         if result is not None:
@@ -180,20 +183,19 @@ class PackedPromisingBackend:
             mem_id=mem,
             appends=self._appends,
         )
+        if not result.complete:
+            self.stats.truncated = True
         self._certs[key] = result
         return result
 
     def certify_all(self, packed: Packed):
         """Certify every thread; returns (per-thread results, can-finish)."""
-        stats = self.stats
         phase_start = time.perf_counter()
         mem = packed[-1]
         per_thread = []
         can_finish = []
         for tid in range(len(packed) - 1):
             cert = self._certify(tid, packed[tid], mem)
-            if not cert.complete:
-                stats.truncated = True
             per_thread.append(cert)
             can_finish.append(cert.can_complete)
         self.phases.add("certify", time.perf_counter() - phase_start)
@@ -245,27 +247,23 @@ class PackedPromisingBackend:
         """Per-thread completion sets as tuples of interned register ids.
 
         ``None`` when some thread has no completing execution (the
-        candidate final memory is infeasible).  With dedup on, a
-        ``(thread, tcfg, memory)`` triple is enumerated once per run and
-        recalled afterwards (``completion_memo_hits``).
+        candidate final memory is infeasible).  A ``(thread, tcfg,
+        memory)`` triple is enumerated once per run and recalled
+        afterwards (``completion_memo_hits``).
         """
         stats = self.stats
         phase_start = time.perf_counter()
         mem = packed[-1]
         per_thread: list[tuple] = []
         feasible = True
-        dedup = self.config.dedup
         for tid in range(len(packed) - 1):
-            if dedup:
-                memo_key = (tid, packed[tid], mem)
-                ids = self._completions.get(memo_key)
-                if ids is not None:
-                    stats.completion_memo_hits += 1
-                else:
-                    ids = self._enumerate(tid, packed[tid], mem, dedup=True)
-                    self._completions[memo_key] = ids
+            memo_key = (tid, packed[tid], mem)
+            ids = self._completions.get(memo_key)
+            if ids is not None:
+                stats.completion_memo_hits += 1
             else:
-                ids = self._enumerate(tid, packed[tid], mem, dedup=False)
+                ids = self._enumerate(tid, packed[tid], mem)
+                self._completions[memo_key] = ids
             if not ids:
                 feasible = False
                 break
@@ -308,15 +306,15 @@ class PackedPromisingBackend:
                     Outcome(tuple(objects[i] for i in combo), items)
                 )
 
-    def _enumerate(self, tid: int, cfg: int, mem: int, dedup: bool) -> tuple:
+    def _enumerate(self, tid: int, cfg: int, mem: int) -> tuple:
         """Compiled run-to-completion enumeration of one thread.
 
         Non-promise phase of §7: memory is fixed, so the thread runs
         alone.  Nodes are ``(stmt id, thread state)`` pairs expanded
         through the compiled candidate tables (non-promise steps only,
         i.e. :func:`~repro.promising.steps.non_promise_steps`),
-        deduplicated — when enabled — under ``(stmt id, packed regs)``
-        keys.  Always exhaustive (plain DFS), even when the outer search
+        deduplicated under ``(stmt id, packed regs)`` keys.  Always
+        exhaustive (plain DFS), even when the outer search
         samples: a sampled run must under-approximate the reachable
         memories, never fabricate partial register files.  Returns the
         final register files as a sorted tuple of interned ids (decoded
@@ -343,14 +341,11 @@ class PackedPromisingBackend:
                 )
             ]
 
-        key_fn = None
-        if dedup:
-            key_fn = lambda node: (node[0], node[1].pack(registers))  # noqa: E731
         kernel = SearchKernel(
             expand,
             strategy=DepthFirst(),
             max_states=self.config.max_states,
-            key_fn=key_fn,
+            key_fn=lambda node: (node[0], node[1].pack(registers)),
         )
         kernel.run([(sid, ts)])
         stats = self.stats
@@ -450,8 +445,7 @@ class PackedFlatBackend:
       id, reservation), with the first-seen :class:`FlatThread` kept as
       the canonical decoded form;
     * storages intern to dense ids; a state is the flat int tuple
-      ``(thread_0, …, thread_{T-1}, storage)`` and ``key()`` is the
-      identity;
+      ``(thread_0, …, thread_{T-1}, storage)``, its own visited-set key;
     * the per-thread labelled transition relation (injected from
       :mod:`repro.flat.explorer` as ``thread_transitions_fn``) runs once
       per distinct ``(thread, storage)`` pair and is replayed from an
@@ -541,9 +535,6 @@ class PackedFlatBackend:
             self._storages.objects[packed[-1]],
             self._initial,
         )
-
-    def key(self, packed: Packed) -> Packed:
-        return packed
 
     def initial(self) -> Packed:
         from ..flat.machine import initial_state

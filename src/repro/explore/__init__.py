@@ -15,7 +15,7 @@ The promising explorers (:mod:`repro.promising.exhaustive`) and the
 Flat explorer (:mod:`repro.flat.explorer`) are built on this kernel;
 their configs extend :class:`BaseSearchConfig`.  State representation is
 delegated to the execution backend (:mod:`repro.backend`); the kernel
-only ever sees opaque packed states and the backend's ``key``.
+only ever sees opaque packed states, each its own visited-set key.
 """
 
 from .config import BaseSearchConfig, DEFAULT_STRATEGY

@@ -152,9 +152,8 @@ class SearchKernel:
         Wall-clock budget measured with ``time.monotonic`` (NTP steps on
         the wall clock must never fire a deadline early or late).
     key_fn:
-        Hashable-identity function for the visited set (typically a
-        hash-consing ``cache_key``).  ``None`` disables dedup — the
-        ablation mode, or a strategy that must re-traverse freely.
+        Hashable-identity function for the visited set (a packed state
+        tuple is its own key).
     """
 
     def __init__(
@@ -164,47 +163,20 @@ class SearchKernel:
         strategy: Strategy,
         max_states: int,
         deadline_seconds: Optional[float] = None,
-        key_fn: Optional[Callable[[object], object]] = None,
+        key_fn: Callable[[object], object],
     ) -> None:
         self.successors = successors
         self.strategy = strategy
         self.max_states = max_states
         self.deadline_seconds = deadline_seconds
         #: Sampling strategies must be free to revisit states, so only
-        #: exhaustive strategies get a visited set; ``key_fn`` stays
-        #: available either way (``sample`` uses it to count the unique
-        #: states behind its coverage estimate).
+        #: exhaustive strategies get a visited set; ``sample`` uses
+        #: ``key_fn`` to count the unique states behind its coverage
+        #: estimate.
         self.key_fn = key_fn
-        self.visited: Optional[set] = set() if key_fn is not None and strategy.exhaustive else None
+        self.visited: Optional[set] = set() if strategy.exhaustive else None
         self.stats = KernelStats()
         self._deadline: Optional[float] = None
-
-    @classmethod
-    def for_backend(
-        cls,
-        backend,
-        successors: Callable[[object], Iterable],
-        *,
-        strategy: Strategy,
-        max_states: int,
-        deadline_seconds: Optional[float] = None,
-        dedup: bool = True,
-    ) -> "SearchKernel":
-        """Kernel whose visited-set identity comes from an execution backend.
-
-        ``backend`` is an execution backend (:mod:`repro.backend`,
-        duck-typed — this module must not import it); its
-        ``key(packed)`` becomes the kernel's ``key_fn``.  ``dedup=False``
-        drops the visited set exactly like passing ``key_fn=None``
-        directly (the ablation mode).
-        """
-        return cls(
-            successors,
-            strategy=strategy,
-            max_states=max_states,
-            deadline_seconds=deadline_seconds,
-            key_fn=backend.key if dedup else None,
-        )
 
     def deadline_exceeded(self) -> bool:
         if self._deadline is None:

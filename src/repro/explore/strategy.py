@@ -53,9 +53,9 @@ class _Worklist(Strategy):
         stats = kernel.stats
         frontier: deque = deque()
         visited = kernel.visited
+        key_fn = kernel.key_fn
         for root in roots:
-            if visited is not None:
-                visited.add(kernel.key_fn(root))
+            visited.add(key_fn(root))
             frontier.append(root)
         while frontier:
             state = self._pop(frontier)
@@ -65,12 +65,11 @@ class _Worklist(Strategy):
                 break
             for successor in kernel.successors(state):
                 stats.transitions += 1
-                if visited is not None:
-                    key = kernel.key_fn(successor)
-                    if key in visited:
-                        stats.dedup_hits += 1
-                        continue
-                    visited.add(key)
+                key = key_fn(successor)
+                if key in visited:
+                    stats.dedup_hits += 1
+                    continue
+                visited.add(key)
                 frontier.append(successor)
 
 
@@ -127,8 +126,7 @@ class RandomWalks(Strategy):
                     stats.truncated = True
                     exhausted = True
                     break
-                if kernel.key_fn is not None:
-                    seen.add(kernel.key_fn(state))
+                seen.add(kernel.key_fn(state))
                 successors = list(kernel.successors(state))
                 stats.transitions += len(successors)
                 if not successors:
@@ -144,13 +142,9 @@ class RandomWalks(Strategy):
                 stats.sample_depth_hits += 1
             if completed:
                 stats.samples_run += 1
-        if kernel.key_fn is not None:
-            # Without a key function coverage simply was not measured —
-            # leave the estimate None rather than reporting 0.0, which
-            # would read as "fully saturated".
-            stats.unique_sample_states = len(seen)
-            if stats.states:
-                stats.coverage_estimate = round(len(seen) / stats.states, 6)
+        stats.unique_sample_states = len(seen)
+        if stats.states:
+            stats.coverage_estimate = round(len(seen) / stats.states, 6)
 
 
 #: Registry of strategy names accepted by configs, the CLI, and the service.

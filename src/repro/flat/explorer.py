@@ -49,7 +49,7 @@ class FlatConfig(BaseSearchConfig):
     """Configuration of the Flat-style explorer.
 
     The search-kernel fields (``arch``, ``loop_bound``, ``max_states``,
-    ``deadline_seconds``, ``dedup``, ``strategy``, ``samples``,
+    ``deadline_seconds``, ``strategy``, ``samples``,
     ``sample_depth``, ``seed``) come from :class:`BaseSearchConfig`.
     """
 
@@ -415,13 +415,13 @@ def explore_flat(program: Program, config: Optional[FlatConfig] = None) -> FlatR
             return []
         return backend.successors(packed)
 
-    kernel = SearchKernel.for_backend(
-        backend,
+    kernel = SearchKernel(
         expand,
         strategy=strategy_for(config),
         max_states=config.max_states,
         deadline_seconds=config.deadline_seconds,
-        dedup=config.dedup,
+        # A packed state tuple is its own visited-set key.
+        key_fn=lambda packed: packed,
     )
     kernel.run([backend.initial()])
     stats.states += kernel.stats.states

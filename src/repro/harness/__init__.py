@@ -11,8 +11,8 @@ serializable :class:`Job`\\ s pushed through a scheduler with:
 * a persistent on-disk :class:`ResultCache` keyed by content fingerprint
   (program + condition + projection + configuration), so warm reruns skip
   all already-computed outcome sets;
-* structured JSON sweep reports (per-job timing, outcome counts,
-  verdicts, mismatches, cache hit rate) for ``BENCH_*.json`` artifacts.
+* structured JSON sweep reports (per-job timing, outcome counts and
+  digests, verdicts, mismatches, cache hit rate).
 """
 
 from .jobs import (

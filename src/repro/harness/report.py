@@ -1,10 +1,9 @@
-"""Structured JSON sweep reports (``BENCH_*.json``-style artifacts).
+"""Structured JSON sweep and fuzz reports.
 
-A report records everything needed to track the reproduction's perf
-trajectory across PRs: per-job timings and statuses, outcome counts,
-verdicts, cross-model mismatches, and the cache hit rate of the run.
-The schema is versioned and covered by the test suite so downstream
-tooling can rely on it.
+A report records per-job timings and statuses, outcome counts and
+digests, verdicts, cross-model mismatches, and the cache hit rate of the
+run.  The schema is versioned and covered by the test suite so
+downstream tooling can rely on it.
 """
 
 from __future__ import annotations
@@ -40,9 +39,9 @@ DEDUP_COUNTERS = (
 def outcome_set_digest(outcomes) -> Optional[str]:
     """Stable content hash of a projected outcome set.
 
-    Lets report consumers (``scripts/check_bench_regression.py``) detect a
-    semantic change without shipping the full outcome payload in every
-    report row.
+    Lets report consumers (the golden-digest checks in
+    ``tests/test_golden.py`` and CI) detect a semantic change without
+    shipping the full outcome payload in every report row.
     """
     if outcomes is None:
         return None

@@ -27,7 +27,6 @@ from .logging import (
 )
 from .metrics import (
     DEFAULT_SECONDS_BUCKETS,
-    OBS_DISABLED_ENV,
     Counter,
     Gauge,
     Histogram,
@@ -43,7 +42,6 @@ from .tracing import PhaseAccumulator, Span, current_span_path, span
 __all__ = [
     "DEFAULT_SECONDS_BUCKETS",
     "LOG_FORMATS",
-    "OBS_DISABLED_ENV",
     "Counter",
     "Gauge",
     "Histogram",

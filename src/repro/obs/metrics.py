@@ -9,8 +9,7 @@ Design constraints, in priority order:
 
 * **Cheap.**  An increment is one dict lookup plus a float add, and the
   hot loops (the search kernel) accumulate locally and flush *once per
-  run*, so instrumentation overhead on a sweep stays within the bound
-  guarded by ``BENCH_obs.json``.
+  run*, so instrumentation costs O(1) per search, not per state.
 * **Mergeable.**  Worker processes run their own registry; a
   :meth:`MetricsRegistry.snapshot` travels back over the multiprocessing
   boundary (attached to ``JobResult``) and folds into the parent's
@@ -19,16 +18,12 @@ Design constraints, in priority order:
 * **Scrapeable.**  :meth:`MetricsRegistry.render_prometheus` emits the
   text exposition format (the service's ``GET /metrics``).
 
-A process-wide default registry is module state (:func:`get_registry`);
-setting ``REPRO_OBS_DISABLED=1`` in the environment swaps every
-instrument for a shared no-op, which is what the overhead benchmark's
-baseline leg runs under.
+A process-wide default registry is module state (:func:`get_registry`).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -228,73 +223,15 @@ class Histogram(_Instrument):
         self.labels(**labels).observe(value)
 
 
-class _NullChild:
-    """No-op series: the disabled registry hands this out everywhere."""
-
-    value = 0.0
-    sum = 0.0
-    count = 0
-    counts: list = []
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-class _NullInstrument:
-    """No-op instrument returned by a disabled registry."""
-
-    kind = "null"
-    buckets: tuple = ()
-    _CHILD = _NullChild()
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.help = ""
-        self.label_names = ()
-
-    def labels(self, **labels: str) -> _NullChild:
-        return self._CHILD
-
-    def series(self) -> dict:
-        return {}
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0, **labels: str) -> None:
-        pass
-
-    def set(self, value: float, **labels: str) -> None:
-        pass
-
-    def observe(self, value: float, **labels: str) -> None:
-        pass
-
-    def value(self, **labels: str) -> float:
-        return 0.0
-
-
 class MetricsRegistry:
     """Named instruments with get-or-create registration."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._instruments: dict[str, _Instrument] = {}
         self._lock = threading.Lock()
 
     # -- registration --------------------------------------------------------
     def _register(self, cls, name: str, help: str, labels: Iterable[str], **kwargs):
-        if not self.enabled:
-            return _NullInstrument(name)
         label_names = tuple(labels)
         with self._lock:
             existing = self._instruments.get(name)
@@ -367,7 +304,7 @@ class MetricsRegistry:
         the snapshot's own metadata, so a parent process needs no prior
         knowledge of what its workers measured.
         """
-        if not snapshot or not self.enabled:
+        if not snapshot:
             return
         for name, entry in snapshot.items():
             kind = entry.get("kind")
@@ -471,11 +408,7 @@ def diff_snapshots(before: Mapping, after: Mapping) -> dict:
     return delta
 
 
-#: Kill-switch honoured at import time: the overhead benchmark's baseline
-#: leg (and any deployment that wants zero instrumentation) sets this.
-OBS_DISABLED_ENV = "REPRO_OBS_DISABLED"
-
-_REGISTRY = MetricsRegistry(enabled=os.environ.get(OBS_DISABLED_ENV, "") not in ("1", "true"))
+_REGISTRY = MetricsRegistry()
 
 
 def get_registry() -> MetricsRegistry:
@@ -502,7 +435,6 @@ def histogram(
 
 __all__ = [
     "DEFAULT_SECONDS_BUCKETS",
-    "OBS_DISABLED_ENV",
     "Counter",
     "Gauge",
     "Histogram",

@@ -19,7 +19,6 @@ from .certification import (
     certify_thread,
     find_and_certify,
 )
-from .intern import Interner, InternPool
 from .machine import MachineState, MachineTransition, Thread, machine_transitions, run_deterministic
 from .exhaustive import (
     ExplorationResult,
@@ -54,8 +53,6 @@ __all__ = [
     "certified",
     "certify_thread",
     "find_and_certify",
-    "Interner",
-    "InternPool",
     "MachineState",
     "MachineTransition",
     "Thread",

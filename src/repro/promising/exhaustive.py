@@ -51,7 +51,7 @@ class ExploreConfig(BaseSearchConfig):
     """Configuration of the promising explorers.
 
     The search-kernel fields (``arch``, ``loop_bound``, ``max_states``,
-    ``deadline_seconds``, ``dedup``, ``strategy``, ``samples``,
+    ``deadline_seconds``, ``strategy``, ``samples``,
     ``sample_depth``, ``seed``) come from :class:`BaseSearchConfig`; only
     the promising-specific knobs live here.
     """
@@ -181,13 +181,13 @@ def explore(program: Program, config: Optional[ExploreConfig] = None) -> Explora
 
         return backend.promise_successors(packed, per_thread)
 
-    kernel = SearchKernel.for_backend(
-        backend,
+    kernel = SearchKernel(
         expand,
         strategy=strategy_for(config),
         max_states=config.max_states,
         deadline_seconds=config.deadline_seconds,
-        dedup=config.dedup,
+        # A packed state tuple is its own visited-set key.
+        key_fn=lambda packed: packed,
     )
     kernel.run([backend.initial()])
     stats.promise_states += kernel.stats.states
@@ -233,13 +233,12 @@ def explore_naive(program: Program, config: Optional[ExploreConfig] = None) -> E
             stats.deadlocked_states += 1
         return successors
 
-    kernel = SearchKernel.for_backend(
-        backend,
+    kernel = SearchKernel(
         expand,
         strategy=strategy_for(config),
         max_states=config.max_states,
         deadline_seconds=config.deadline_seconds,
-        dedup=config.dedup,
+        key_fn=lambda packed: packed,
     )
     kernel.run([backend.initial()])
     stats.promise_states += kernel.stats.states

@@ -160,7 +160,7 @@ def find_witness(
     if any(has_loops(t) for t in program.threads):
         prepared = unroll_program(program, loop_bound)
     initial = MachineState.initial(prepared, arch)
-    visited = {initial.key()}
+    visited = {initial.cache_key()}
     stack: list[tuple[MachineState, list[TraceEntry]]] = [(initial, [])]
     states = 0
     while stack:
@@ -171,7 +171,7 @@ def find_witness(
         if state.is_final and predicate(state.outcome()):
             return trace
         for index, transition in enumerate(machine_transitions(state, cert_fuel)):
-            key = transition.state.key()
+            key = transition.state.cache_key()
             if key in visited:
                 continue
             visited.add(key)

@@ -22,7 +22,6 @@ from ..lang.kinds import Arch
 from ..lang.program import Program, TId
 from ..outcomes import Outcome
 from .certification import DEFAULT_FUEL, certified, find_and_certify
-from .intern import InternPool
 from .state import Memory, TState, initial_tstate
 from .steps import (
     ThreadStep,
@@ -95,7 +94,8 @@ class MachineState:
             self.memory.final_values(),
         )
 
-    def key(self) -> tuple:
+    def cache_key(self) -> tuple:
+        """Canonical hashable identity, computed once and cached."""
         if self._key is None:
             self._key = (
                 tuple(t.key() for t in self.threads),
@@ -103,27 +103,11 @@ class MachineState:
             )
         return self._key
 
-    def cache_key(self, pool: Optional[InternPool] = None) -> tuple:
-        """Canonical hashable identity, optionally hash-consed.
-
-        With a pool, the per-thread keys and the whole-state key are
-        interned so equal states across different interleavings share one
-        representative tuple (and the pool's counters record the reuse).
-        """
-        if pool is None:
-            return self.key()
-        if self._key is None:
-            self._key = (
-                tuple(pool.tstates.intern(t.key()) for t in self.threads),
-                pool.memories.intern(self.memory.cache_key()),
-            )
-        return pool.machines.intern(self._key)
-
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, MachineState) and self.key() == other.key()
+        return isinstance(other, MachineState) and self.cache_key() == other.cache_key()
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash(self.cache_key())
 
     # -- stepping ---------------------------------------------------------
     def replace_thread(self, tid: TId, step: ThreadStep) -> "MachineState":

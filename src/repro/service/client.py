@@ -1,8 +1,8 @@
 """Pooled keep-alive HTTP client for the exploration service (API v1).
 
-Used by the test suite, the CI smoke jobs, ``scripts/bench_service.py``,
-and — through :class:`~repro.distrib.http_backend.HttpWorkBackend` — by
-every ``promising-arm work`` fleet member on an HTTP queue.  Pure stdlib
+Used by the test suite, the CI smoke jobs, and — through
+:class:`~repro.distrib.http_backend.HttpWorkBackend` — by every
+``promising-arm work`` fleet member on an HTTP queue.  Pure stdlib
 (``http.client``), with three properties the one-shot PR 4 client lacked:
 
 * **connection pooling** — responses are read to completion and their
@@ -16,9 +16,6 @@ every ``promising-arm work`` fleet member on an HTTP queue.  Pure stdlib
 * **stale-connection recovery** — a parked connection the server closed
   while idle fails fast on reuse and is transparently replaced, never
   surfacing to the caller.
-
-``api_prefix=""`` produces a legacy (unversioned) client; the server
-still answers those paths, tagged with a ``Deprecation`` header.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ import threading
 import time
 from typing import Optional, Sequence, Union
 
-#: Version prefix every endpoint helper targets by default.
+#: Version prefix every endpoint helper targets.
 API_PREFIX = "/v1"
 
 #: Statuses that mean "try again later", not "you are wrong".
@@ -72,27 +69,19 @@ class ServiceClient:
         port: int = 8765,
         timeout: float = 120.0,
         *,
-        api_prefix: str = API_PREFIX,
         client_id: Optional[str] = None,
         pool_size: int = 8,
         max_retries: int = 4,
         retry_base_delay: float = 0.05,
         retry_max_delay: float = 5.0,
         rng: Optional[random.Random] = None,
-        keep_alive: bool = True,
     ) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.api_prefix = api_prefix
         #: Sent as ``X-Client-Id`` — the identity the server's per-client
         #: token quotas key on (``None`` = the shared anonymous bucket).
         self.client_id = client_id
-        #: ``False`` = pre-v2 behaviour: every request carries
-        #: ``Connection: close`` and pays a fresh TCP handshake.  Kept as
-        #: an explicit mode so the benchmark can measure both policies
-        #: side by side on the same machine.
-        self.keep_alive = keep_alive
         self.pool_size = pool_size
         self.max_retries = max_retries
         self.retry_base_delay = retry_base_delay
@@ -195,8 +184,6 @@ class ServiceClient:
         """One request (plus retries); returns ``(status, headers, body)``."""
         body = None if payload is None else json.dumps(payload)
         headers = {} if body is None else {"Content-Type": "application/json"}
-        if not self.keep_alive:
-            headers["Connection"] = "close"
         if request_id is not None:
             headers["X-Request-Id"] = request_id
         if self.client_id is not None:
@@ -236,7 +223,7 @@ class ServiceClient:
         return data
 
     def _path(self, endpoint: str) -> str:
-        return f"{self.api_prefix}{endpoint}"
+        return f"{API_PREFIX}{endpoint}"
 
     def wait_until_ready(self, deadline: float = 30.0, interval: float = 0.05) -> dict:
         """Poll ``/healthz`` until the service answers (or raise)."""

@@ -16,8 +16,7 @@ frameworks, no new dependencies — serving one versioned surface:
   filesystem, fencing tokens intact over the wire;
 * ``POST /v1/shutdown`` — graceful drain and stop (CI, the benchmark).
 
-Unversioned paths (the PR 4 protocol) keep answering, tagged with a
-``Deprecation`` header, so old clients survive the cutover.
+Unversioned paths answer 404.
 
 Connections are **keep-alive** with pipelining: requests are parsed as
 they arrive, each runs concurrently (bounded per connection), and
@@ -90,9 +89,7 @@ _HTTP_CONNECTIONS = metrics.counter(
     "service_http_connections_total", "TCP connections accepted by the service front-end."
 )
 _HTTP_REQUESTS = metrics.counter(
-    "service_http_requests_total",
-    "HTTP requests served, by API surface (v1 or deprecated legacy paths).",
-    labels=("api",),
+    "service_http_requests_total", "HTTP requests served by the service front-end."
 )
 
 
@@ -359,9 +356,7 @@ class ServiceServer:
         start = time.perf_counter()
         try:
             with bind(request_id=request_id):
-                status, payload, extra = await self._route(
-                    method, path, headers, body, request_id
-                )
+                status, payload = await self._route(method, path, headers, body, request_id)
                 # Per-request lines are debug: at keep-alive request rates
                 # the aggregate lives in the metrics (request counter +
                 # latency histogram) and only anomalies earn an info line.
@@ -375,9 +370,10 @@ class ServiceServer:
                     seconds=round(time.perf_counter() - start, 6),
                 )
         except Exception:
-            status, payload, extra = 500, {"ok": False, "error": "internal server error"}, {}
+            status, payload = 500, {"ok": False, "error": "internal server error"}
         finally:
             inflight.release()
+        extra = {}
         if isinstance(payload, dict) and "retry_after" in payload:
             extra["Retry-After"] = str(max(1, math.ceil(payload["retry_after"])))
         if not future.done():
@@ -415,63 +411,52 @@ class ServiceServer:
 
     async def _route(
         self, method: str, path: str, headers: dict, body: bytes, request_id: str
-    ) -> tuple[int, Union[dict, str], dict]:
-        versioned = path == API_PREFIX or path.startswith(API_PREFIX + "/")
-        base = path[len(API_PREFIX) :] if versioned else path
-        _HTTP_REQUESTS.inc(api="v1" if versioned else "legacy")
+    ) -> tuple[int, Union[dict, str]]:
+        _HTTP_REQUESTS.inc()
         self.service.stats.http_requests += 1
-        # The legacy (unversioned) surface still answers, but every
-        # response carries a Deprecation marker pointing at /v1.
-        extra: dict = (
-            {}
-            if versioned
-            else {"Deprecation": "true", "Link": f'<{API_PREFIX}>; rel="successor-version"'}
-        )
+        base = path[len(API_PREFIX) :] if path.startswith(API_PREFIX + "/") else None
         if base == "/healthz":
             if method != "GET":
-                return 405, {"ok": False, "error": "use GET /healthz"}, extra
-            return 200, self.service.healthz(), extra
+                return 405, {"ok": False, "error": "use GET /healthz"}
+            return 200, self.service.healthz()
         if base == "/stats":
             if method != "GET":
-                return 405, {"ok": False, "error": "use GET /stats"}, extra
-            return 200, self.service.stats_snapshot(), extra
+                return 405, {"ok": False, "error": "use GET /stats"}
+            return 200, self.service.stats_snapshot()
         if base == "/metrics":
             if method != "GET":
-                return 405, {"ok": False, "error": "use GET /metrics"}, extra
-            return 200, self.service.metrics_text(), extra
+                return 405, {"ok": False, "error": "use GET /metrics"}
+            return 200, self.service.metrics_text()
         if base == "/explore":
             if method != "POST":
-                return 405, {"ok": False, "error": "use POST /explore"}, extra
+                return 405, {"ok": False, "error": "use POST /explore"}
             try:
                 payload = json.loads(body.decode() or "null")
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                return 400, {"ok": False, "error": f"invalid JSON body: {exc}"}, extra
+                return 400, {"ok": False, "error": f"invalid JSON body: {exc}"}
             client_id = sanitize_request_id(headers.get(CLIENT_ID_HEADER))
             status, response = await self.service.handle_explore(payload, client_id=client_id)
             if isinstance(response, dict):
                 response.setdefault("request_id", request_id)
-            return status, response, extra
-        if base.startswith("/queue/") and versioned:
-            # The fleet protocol lives only on the versioned surface —
-            # it post-dates the legacy one, so there is nothing to shim.
+            return status, response
+        if base is not None and base.startswith("/queue/"):
             if method != "POST":
-                return 405, {"ok": False, "error": "queue ops use POST"}, extra
+                return 405, {"ok": False, "error": "queue ops use POST"}
             op = base[len("/queue/") :]
             try:
                 payload = json.loads(body.decode() or "null")
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                return 400, {"ok": False, "error": f"invalid JSON body: {exc}"}, extra
-            status, response = self.queue_api.handle(op, payload)
-            return status, response, extra
+                return 400, {"ok": False, "error": f"invalid JSON body: {exc}"}
+            return self.queue_api.handle(op, payload)
         if base == "/shutdown":
             if method != "POST":
-                return 405, {"ok": False, "error": "use POST /shutdown"}, extra
+                return 405, {"ok": False, "error": "use POST /shutdown"}
             # Stop admitting new cold work immediately; run_server's stop()
             # drains what was accepted before tearing the listener down.
             self.service.begin_drain()
             self._shutdown.set()
-            return 200, {"ok": True, "stopping": True}, extra
-        return 404, {"ok": False, "error": f"no such endpoint {path!r}"}, extra
+            return 200, {"ok": True, "stopping": True}
+        return 404, {"ok": False, "error": f"no such endpoint {path!r}"}
 
 
 def run_server(

@@ -74,7 +74,6 @@ def _search_kwargs(args: argparse.Namespace) -> dict:
     """Kernel-level knobs shared by every explorer config the CLI builds."""
     return dict(
         loop_bound=args.loop_bound,
-        dedup=not getattr(args, "no_dedup", False),
         strategy=getattr(args, "strategy", "dfs"),
         samples=getattr(args, "samples", 256),
         sample_depth=getattr(args, "sample_depth", 4096),
@@ -396,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser.add_argument("--arch", default="arm", help="arm (default) or riscv")
     parser.add_argument("--loop-bound", type=int, default=2, help="loop unrolling bound")
-    parser.add_argument("--no-dedup", action="store_true",
-                        help="disable state deduplication (ablation; slower, same outcomes)")
     parser.add_argument("--strategy", choices=STRATEGIES, default="dfs",
                         help="search strategy: dfs/bfs enumerate exhaustively, "
                              "sample runs seeded bounded random walks "

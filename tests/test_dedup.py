@@ -1,7 +1,7 @@
-"""State deduplication, hash-consing, and single-graph certification.
+"""State deduplication, interning, and single-graph certification.
 
-The reduction layer must be *semantics-preserving*: the ``dedup`` knob
-changes only how much work the explorers do, never which outcomes they
+The reduction layer must be *semantics-preserving*: the visited sets
+change only how much work the explorers do, never which outcomes they
 find.  The tests here pin that equivalence on a randomized sample of the
 cycle corpus, the stability/equality laws of the ``cache_key`` methods,
 and the single-graph certification entry point against the seed's
@@ -12,13 +12,12 @@ import random
 
 import pytest
 
+from repro.explore import SearchKernel
 from repro.flat.explorer import FlatConfig, explore_flat
 from repro.lang.kinds import Arch
 from repro.litmus import generate_cycle_battery, get_test
 from repro.promising import (
     ExploreConfig,
-    Interner,
-    InternPool,
     MachineState,
     Memory,
     Msg,
@@ -31,6 +30,7 @@ from repro.promising import (
     machine_transitions,
     promise_step,
 )
+from repro.promising.intern import IdInterner
 from repro.lang import DMB_SY, R, load, seq, store
 
 
@@ -43,35 +43,49 @@ def corpus_sample(count=8, seed=3):
     return random.Random(seed).sample(tests, count)
 
 
+def disable_pruning(monkeypatch):
+    """Make every later search's visited-set key fresh, so nothing prunes.
+
+    The explorers always deduplicate; a key that never matches turns
+    that off for this test only, so a pruned run can be held to an
+    unpruned one without a production switch.
+    """
+    init = SearchKernel.__init__
+
+    def never_matching(self, successors, **kwargs):
+        kwargs["key_fn"] = lambda _state: object()
+        init(self, successors, **kwargs)
+
+    monkeypatch.setattr(SearchKernel, "__init__", never_matching)
+
+
 class TestDedupPreservesOutcomes:
     @pytest.mark.parametrize("test", corpus_sample(), ids=lambda t: t.name)
-    def test_explore_dedup_off_is_identical(self, test):
-        locs = tuple(test.observable_locations())
-        on = explore(test.program, ExploreConfig(shared_locations=locs))
-        off = explore(
-            test.program,
-            ExploreConfig(shared_locations=locs, dedup=False),
-        )
+    def test_explore_dedup_off_is_identical(self, test, monkeypatch):
+        config = ExploreConfig(shared_locations=tuple(test.observable_locations()))
+        on = explore(test.program, config)
+        disable_pruning(monkeypatch)
+        off = explore(test.program, config)
         assert set(on.outcomes) == set(off.outcomes), test.name
         assert not on.stats.truncated and not off.stats.truncated
+        assert off.stats.dedup_hits == off.stats.thread_dedup_hits == 0
 
     @pytest.mark.parametrize("test", corpus_sample(count=4, seed=5), ids=lambda t: t.name)
-    def test_naive_dedup_off_is_identical(self, test):
-        locs = tuple(test.observable_locations())
-        on = explore_naive(test.program, ExploreConfig(shared_locations=locs))
-        off = explore_naive(
-            test.program,
-            ExploreConfig(shared_locations=locs, dedup=False),
-        )
+    def test_naive_dedup_off_is_identical(self, test, monkeypatch):
+        config = ExploreConfig(shared_locations=tuple(test.observable_locations()))
+        on = explore_naive(test.program, config)
+        disable_pruning(monkeypatch)
+        off = explore_naive(test.program, config)
         assert set(on.outcomes) == set(off.outcomes), test.name
         # Without the visited set, symmetric interleavings are re-explored.
         assert off.stats.promise_states >= on.stats.promise_states
         assert on.stats.dedup_hits > 0 and off.stats.dedup_hits == 0
 
-    def test_flat_dedup_off_is_identical(self):
+    def test_flat_dedup_off_is_identical(self, monkeypatch):
         test = get_test("MP")
         on = explore_flat(test.program, FlatConfig())
-        off = explore_flat(test.program, FlatConfig(dedup=False))
+        disable_pruning(monkeypatch)
+        off = explore_flat(test.program, FlatConfig())
         assert set(on.outcomes) == set(off.outcomes)
         assert on.stats.dedup_hits > 0 and off.stats.dedup_hits == 0
         assert off.stats.states > on.stats.states
@@ -109,27 +123,30 @@ class TestCacheKeys:
         assert grown.cache_key() == (Msg(0, 1, 0),) and t == 1
 
     def test_interner_shares_identity_and_counts_hits(self):
-        interner = Interner()
+        interner = IdInterner()
         # Built dynamically so CPython cannot constant-fold them into one
         # object before the interner ever sees them.
         a = tuple([1, tuple([2, 3])])
         b = tuple([1, tuple([2, 3])])
         assert a is not b
-        assert interner.intern(a) is a
-        assert interner.intern(b) is a  # equal key collapses to the first
+        assert interner.intern(a, a) == 0
+        assert interner.intern(b, b) == 0  # equal key collapses to the first
+        assert interner.objects[0] is a
         assert interner.hits == 1 and interner.unique == 1
+        assert interner.intern((4,), (4,)) == 1  # ids stay dense
 
     def test_machine_state_cache_key_interns_equal_states(self):
         test = get_test("LB")
-        pool = InternPool()
         initial = MachineState.initial(test.program, Arch.ARM)
         transitions = machine_transitions(initial)
         # Take the same transition twice via fresh state objects.
         again = machine_transitions(initial)
-        key_a = transitions[0].state.cache_key(pool)
-        key_b = again[0].state.cache_key(pool)
-        assert key_a is key_b
-        assert pool.machines.hits >= 1
+        a, b = transitions[0].state, again[0].state
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a.cache_key() is a.cache_key()  # computed once, cached
+        interner = IdInterner()
+        assert interner.intern(a.cache_key(), a) == interner.intern(b.cache_key(), b)
+        assert interner.hits == 1
 
 
 class TestCertifyThread:

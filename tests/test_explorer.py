@@ -124,11 +124,11 @@ class TestInteractive:
         program, _env = lb_program()
         session = InteractiveSession(program, Arch.ARM)
         assert session.enabled
-        before = session.state.key()
+        before = session.state.cache_key()
         session.step(0)
-        assert session.state.key() != before
+        assert session.state.cache_key() != before
         session.undo()
-        assert session.state.key() == before
+        assert session.state.cache_key() == before
 
     def test_run_until_completion(self):
         program, _env = lb_program()

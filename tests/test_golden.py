@@ -11,7 +11,11 @@ report row's ``outcome_digest`` (the projected outcome set, hashed by
 * ``fuzz_smoke`` — the CI fuzz-smoke corpus
   (``generate_cycle_battery(max_per_family=4)``) under the three
   exploring models; too slow for tier-1, so CI's fuzz-smoke job diffs
-  its report against it.
+  its report against it;
+* ``sweep`` — ``generate_battery(max_tests=40)`` under promising and
+  axiomatic on ARM, recomputed here.  Copied verbatim from an older
+  sweep report written by the same object backend at the commit the
+  section records; most of its tests appear in neither other section.
 
 A digest that moves is a semantic change, never a refactor: regenerate
 the file only on purpose, and record the commit that did.
@@ -25,25 +29,42 @@ import pytest
 from repro.harness.jobs import MODELS, Job, execute_job
 from repro.harness.report import outcome_set_digest
 from repro.lang.kinds import Arch
-from repro.litmus import all_tests
+from repro.litmus import all_tests, generate_battery
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "digests.json").read_text())
 ARCHS = [Arch.ARM, Arch.RISCV]
 
 
-@pytest.mark.parametrize("arch", ARCHS, ids=[a.value for a in ARCHS])
-@pytest.mark.parametrize("model", MODELS)
-def test_catalogue_matches_golden_digests(model, arch):
+def _digests(tests, model, arch) -> dict:
     actual = {}
-    for test in all_tests():
+    for test in tests:
         result = execute_job(Job(test=test, model=model, arch=arch), capture_errors=False)
         assert not result.truncated, test.name
         actual[f"{test.name}|{model}|{arch.value}"] = outcome_set_digest(result.outcomes)
-    expected = {
+    return actual
+
+
+def _golden(section: str, model: str, arch: Arch) -> dict:
+    return {
         key: digest
-        for key, digest in GOLDEN["catalogue"]["digests"].items()
+        for key, digest in GOLDEN[section]["digests"].items()
         if key.split("|")[1:] == [model, arch.value]
     }
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=[a.value for a in ARCHS])
+@pytest.mark.parametrize("model", MODELS)
+def test_catalogue_matches_golden_digests(model, arch):
+    actual = _digests(all_tests(), model, arch)
+    expected = _golden("catalogue", model, arch)
+    assert actual.keys() == expected.keys()
+    assert {key for key in actual if actual[key] != expected[key]} == set()
+
+
+@pytest.mark.parametrize("model", ["promising", "axiomatic"])
+def test_sweep_battery_matches_golden_digests(model):
+    actual = _digests(generate_battery(max_tests=40), model, Arch.ARM)
+    expected = _golden("sweep", model, Arch.ARM)
     assert actual.keys() == expected.keys()
     assert {key for key in actual if actual[key] != expected[key]} == set()
 
@@ -53,3 +74,6 @@ def test_golden_corpus_part_covers_the_exploring_models():
     assert GOLDEN["backend"] == "object" and len(GOLDEN["commit"]) == 40
     corpus_models = {key.split("|")[1] for key in GOLDEN["fuzz_smoke"]["digests"]}
     assert corpus_models == {"promising", "promising-naive", "flat"}
+    sweep = GOLDEN["sweep"]
+    assert sweep["backend"] == "object" and len(sweep["commit"]) == 40
+    assert len(sweep["digests"]) == 80

@@ -382,24 +382,32 @@ class TestReport:
         assert find_mismatches(jobs, results) == []
 
     def test_truncated_result_carries_a_warning_and_unverified_verdict(self):
-        # A max_states hit must not masquerade as a verified verdict: the
+        # A budget hit must not masquerade as a verified verdict: the
         # result is flagged, the expectation check abstains, and both the
-        # per-job row and the report-level count carry the warning.
-        test = get_test("MP")
-        job = Job(test=test, model="promising", explore_config=ExploreConfig(max_states=1))
-        result = execute_job(job)
-        assert result.ok and result.truncated
-        assert result.warning and "truncated" in result.warning
-        assert result.matches_expectation is None
-        assert "[TRUNCATED]" in result.describe()
-        report = build_report([job], [result])
-        assert report["truncated_jobs"] == 1
-        entry = report["jobs"][0]
-        assert entry["truncated"] is True and entry["warning"]
-        # An untruncated run of the same test stays clean.
-        clean = execute_job(Job(test=test, model="promising"))
-        assert not clean.truncated and clean.warning is None
-        assert clean.matches_expectation is True
+        # per-job row and the report-level count carry the warning.  The
+        # cases: a max_states hit, and certification fuel running out
+        # inside the naive explorer's per-step checks (with one unit of
+        # fuel it finds only 3 of LB's 4 outcomes and answers forbidden).
+        cases = [
+            ("MP", "promising", ExploreConfig(max_states=1)),
+            ("LB", "promising-naive", ExploreConfig(cert_fuel=1)),
+        ]
+        for name, model, config in cases:
+            test = get_test(name)
+            job = Job(test=test, model=model, explore_config=config)
+            result = execute_job(job)
+            assert result.ok and result.truncated, name
+            assert result.warning and "truncated" in result.warning
+            assert result.matches_expectation is None
+            assert "[TRUNCATED]" in result.describe()
+            report = build_report([job], [result])
+            assert report["truncated_jobs"] == 1
+            entry = report["jobs"][0]
+            assert entry["truncated"] is True and entry["warning"]
+            # An untruncated run of the same test stays clean.
+            clean = execute_job(Job(test=test, model=model))
+            assert not clean.truncated and clean.warning is None
+            assert clean.matches_expectation is True
 
     def test_truncation_warning_reaches_sweep_describe(self):
         sweep = run_sweep(

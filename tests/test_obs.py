@@ -373,7 +373,7 @@ def live_service(tmp_path_factory):
 class TestServiceObservability:
     def test_metrics_endpoint_serves_prometheus_text(self, live_service):
         live_service.explore(test="MP", models="promising")
-        status, headers, raw = live_service._raw_request("GET", "/metrics")
+        status, headers, raw = live_service._raw_request("GET", "/v1/metrics")
         assert status == 200
         assert headers["content-type"] == PROMETHEUS_CONTENT_TYPE
         text = raw.decode()

@@ -565,16 +565,18 @@ class TestHttpRoundTrip:
         assert excinfo.value.status == 400
 
     def test_unknown_endpoint_is_404(self, live_service):
-        with pytest.raises(ServiceClientError) as excinfo:
-            live_service._request("GET", "/nope")
-        assert excinfo.value.status == 404
+        # Only the versioned surface answers: unversioned paths are unknown.
+        for method, path in (("GET", "/nope"), ("GET", "/healthz"), ("POST", "/explore")):
+            with pytest.raises(ServiceClientError) as excinfo:
+                live_service._request(method, path)
+            assert excinfo.value.status == 404, path
 
     def test_negative_content_length_is_400(self, live_service):
         import socket
 
         with socket.create_connection((live_service.host, live_service.port)) as sock:
             sock.sendall(
-                b"POST /explore HTTP/1.1\r\n"
+                b"POST /v1/explore HTTP/1.1\r\n"
                 b"Content-Length: -1\r\n\r\n"
             )
             reply = sock.recv(4096).decode()
@@ -585,9 +587,18 @@ class TestHttpRoundTrip:
 
         flood = b"".join(b"x-filler-%d: y\r\n" % i for i in range(200))
         with socket.create_connection((live_service.host, live_service.port)) as sock:
-            sock.sendall(b"GET /healthz HTTP/1.1\r\n" + flood + b"\r\n")
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\n" + flood + b"\r\n")
             reply = sock.recv(4096).decode()
         assert reply.startswith("HTTP/1.1 431")
+
+    def test_deadline_tier_over_http(self, live_service):
+        response = live_service.explore(
+            test="LB", options={"deadline_seconds": 0.000001}
+        )
+        assert response["truncated"] is True
+        assert response["deadline_seconds"] == pytest.approx(1e-6)
+        row = response["results"][0]
+        assert row["truncated"] is True and "sampled" in row
 
 
 class _RawHttp:
@@ -682,35 +693,6 @@ class TestKeepAliveProtocol:
         # Six requests (4 explores + 2 stats) rode existing connections.
         assert after["requests"] - before["requests"] == 5
         assert after["connections"] == before["connections"]
-
-
-class TestVersioningShim:
-    def test_legacy_paths_answer_with_deprecation_header(self, live_service):
-        legacy = ServiceClient(live_service.host, live_service.port, api_prefix="")
-        try:
-            status, headers, _body = legacy._raw_request("GET", "/healthz")
-            assert status == 200
-            assert headers["deprecation"] == "true"
-            assert 'rel="successor-version"' in headers["link"]
-            # The deprecated surface still fully works.
-            response = legacy.explore(test="SB")
-            assert response["ok"]
-        finally:
-            legacy.close()
-
-    def test_versioned_paths_carry_no_deprecation_header(self, live_service):
-        status, headers, _body = live_service._raw_request("GET", "/v1/healthz")
-        assert status == 200
-        assert "deprecation" not in headers
-
-    def test_deadline_tier_over_http(self, live_service):
-        response = live_service.explore(
-            test="LB", options={"deadline_seconds": 0.000001}
-        )
-        assert response["truncated"] is True
-        assert response["deadline_seconds"] == pytest.approx(1e-6)
-        row = response["results"][0]
-        assert row["truncated"] is True and "sampled" in row
 
 
 @pytest.fixture()

