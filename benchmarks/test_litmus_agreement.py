@@ -4,8 +4,9 @@ The paper validates the executable Promising model against the axiomatic
 models on ~6,500 ARM and ~7,000 RISC-V litmus tests, finding experimental
 agreement.  This benchmark runs the reproduction's generated battery plus
 the hand-written catalogue through both implementations, asserts full
-agreement of the projected outcome sets, and reports the throughput
-(tests per second) for each model.
+agreement of the projected outcome sets (through the one battery
+runner, :func:`repro.harness.run_fuzz`, as ``promising-arm sweep`` does),
+and reports the throughput (tests per second) for each model.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import time
 
 import pytest
 
+from repro.harness import run_fuzz
 from repro.lang.kinds import Arch
-from repro.litmus import all_tests, check_agreement, generate_battery, run_axiomatic, run_promising
+from repro.litmus import all_tests, generate_battery, run_axiomatic, run_promising
 
 pytestmark = pytest.mark.bench
 
@@ -30,22 +32,26 @@ def _battery():
     ]
 
 
+def _agreement(tests, arch):
+    return run_fuzz(tests, ("promising", "axiomatic"), (arch,), name="litmus-agreement")
+
+
 def test_agreement_rate_arm(benchmark, table_printer):
     tests = _battery()
-    report = benchmark.pedantic(lambda: check_agreement(tests, Arch.ARM), rounds=1, iterations=1)
+    run = benchmark.pedantic(lambda: _agreement(tests, Arch.ARM), rounds=1, iterations=1)
     table_printer(
         "§7 litmus agreement (ARM)",
-        ["tests", "agreeing", "rate", "time"],
-        [[report.total, report.agreeing, f"{report.agreement_rate * 100:.1f}%",
-          f"{report.elapsed_seconds:.1f}s"]],
+        ["tests", "jobs", "counterexamples", "time"],
+        [[len(tests), run.report["n_jobs"], len(run.counterexamples),
+          f"{run.wall_seconds:.1f}s"]],
     )
-    assert report.agreement_rate == 1.0, report.describe()
+    assert run.ok, run.describe()
 
 
 def test_agreement_rate_riscv(benchmark):
     tests = generate_battery(max_tests=BATTERY_SIZE // 2)
-    report = benchmark.pedantic(lambda: check_agreement(tests, Arch.RISCV), rounds=1, iterations=1)
-    assert report.agreement_rate == 1.0, report.describe()
+    run = benchmark.pedantic(lambda: _agreement(tests, Arch.RISCV), rounds=1, iterations=1)
+    assert run.ok, run.describe()
 
 
 def test_model_throughput(benchmark, table_printer):

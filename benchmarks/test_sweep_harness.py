@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.harness import ResultCache, run_sweep
+from repro.harness import ResultCache, run_fuzz
 from repro.lang.kinds import Arch
 from repro.litmus import generate_battery
 
@@ -24,19 +24,22 @@ pytestmark = pytest.mark.bench
 BATTERY_SIZE = 40
 
 
+def sweep(tests, **kwargs):
+    """What ``promising-arm sweep`` runs: promising vs axiomatic on ARM."""
+    return run_fuzz(tests, ("promising", "axiomatic"), (Arch.ARM,), name="litmus-sweep", **kwargs)
+
+
 def test_cold_vs_warm_sweep(benchmark, tmp_path, table_printer):
     tests = generate_battery(max_tests=BATTERY_SIZE)
     cache = ResultCache(tmp_path / "cache")
     report_path = tmp_path / "sweep.json"
 
     cold = benchmark.pedantic(
-        lambda: run_sweep(tests, ("promising", "axiomatic"), Arch.ARM,
-                          cache=cache, report_path=report_path),
+        lambda: sweep(tests, cache=cache, report_path=report_path),
         rounds=1, iterations=1,
     )
     start = time.perf_counter()
-    warm = run_sweep(tests, ("promising", "axiomatic"), Arch.ARM,
-                     cache=cache, report_path=report_path)
+    warm = sweep(tests, cache=cache, report_path=report_path)
     warm_wall = time.perf_counter() - start
 
     table_printer(
@@ -44,9 +47,9 @@ def test_cold_vs_warm_sweep(benchmark, tmp_path, table_printer):
         ["run", "wall", "cache hit rate", "mismatches"],
         [
             ["cold", f"{cold.wall_seconds:.2f}s",
-             f"{cold.report['cache']['hit_rate'] * 100:.0f}%", len(cold.mismatches)],
+             f"{cold.report['cache']['hit_rate'] * 100:.0f}%", len(cold.counterexamples)],
             ["warm", f"{warm_wall:.2f}s",
-             f"{warm.report['cache']['hit_rate'] * 100:.0f}%", len(warm.mismatches)],
+             f"{warm.report['cache']['hit_rate'] * 100:.0f}%", len(warm.counterexamples)],
         ],
     )
     assert cold.ok and warm.ok
@@ -64,9 +67,9 @@ def test_cold_vs_warm_sweep(benchmark, tmp_path, table_printer):
 
 def test_parallel_sweep_matches_serial(benchmark):
     tests = generate_battery(max_tests=BATTERY_SIZE // 2)
-    serial = run_sweep(tests, ("promising", "axiomatic"), Arch.ARM, workers=1)
+    serial = sweep(tests, workers=1)
     parallel = benchmark.pedantic(
-        lambda: run_sweep(tests, ("promising", "axiomatic"), Arch.ARM, workers=4),
+        lambda: sweep(tests, workers=4),
         rounds=1, iterations=1,
     )
     assert serial.ok and parallel.ok

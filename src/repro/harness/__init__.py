@@ -1,18 +1,20 @@
-"""Batch-execution engine for litmus jobs (the sweep harness).
+"""Batch-execution engine for litmus jobs.
 
 The paper's headline experiment — validating the promising model against
 the axiomatic one on thousands of generated litmus tests (§7) — is
 embarrassingly parallel and repeats largely unchanged work between runs.
-This subsystem turns every sweep in the codebase into a batch of
-serializable :class:`Job`\\ s pushed through a scheduler with:
+:func:`run_fuzz` is the one battery runner (the ``sweep`` and ``fuzz``
+commands both use it): it turns a battery into serializable
+:class:`Job`\\ s pushed through a scheduler with:
 
 * a ``multiprocessing`` worker pool with per-job timeouts and a serial
   fallback (``workers=1``) producing bit-identical results;
 * a persistent on-disk :class:`ResultCache` keyed by content fingerprint
   (program + condition + projection + configuration), so warm reruns skip
   all already-computed outcome sets;
-* structured JSON sweep reports (per-job timing, outcome counts and
-  digests, verdicts, mismatches, cache hit rate).
+* one cross-model comparison policy, :func:`differential_mismatches`;
+* structured JSON reports (per-job timing, outcome counts and digests,
+  verdicts, counterexamples, cache hit rate).
 """
 
 from .jobs import (
@@ -36,11 +38,9 @@ from .report import (
     REPORT_SCHEMA_VERSION,
     build_report,
     describe_dedup,
-    find_mismatches,
     outcome_set_digest,
     write_report,
 )
-from .sweep import DEFAULT_MODELS, SweepResult, build_jobs, run_sweep
 from .fuzz import (
     CONTAINMENT_PAIRS,
     EQUALITY_PAIRS,
@@ -75,13 +75,8 @@ __all__ = [
     "REPORT_SCHEMA_VERSION",
     "build_report",
     "describe_dedup",
-    "find_mismatches",
     "outcome_set_digest",
     "write_report",
-    "DEFAULT_MODELS",
-    "SweepResult",
-    "build_jobs",
-    "run_sweep",
     "CONTAINMENT_PAIRS",
     "EQUALITY_PAIRS",
     "FUZZ_MODELS",

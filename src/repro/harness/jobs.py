@@ -7,9 +7,10 @@ the scheduler can ship them to worker processes, and they carry a stable
 content *fingerprint* (program + condition + projection + effective
 configuration) that keys the persistent result cache.
 
-:func:`execute_job` is the single execution path: every sweep in the
-codebase — ``check_agreement``, ``compare_models``, the CLI, the
-benchmarks — ultimately runs jobs through it, so serial and parallel runs
+:func:`execute_job` is the single execution path: every run in the
+codebase — the battery runner ``run_fuzz``, the single-test runners in
+:mod:`repro.litmus.runner`, ``compare_models``, the service, the fleet
+workers — ultimately runs jobs through it, so serial and parallel runs
 are bit-identical by construction.
 """
 

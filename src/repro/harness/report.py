@@ -1,8 +1,8 @@
-"""Structured JSON sweep and fuzz reports.
+"""Structured JSON reports of battery runs (``sweep`` and ``fuzz``).
 
 A report records per-job timings and statuses, outcome counts and
-digests, verdicts, cross-model mismatches, and the cache hit rate of the
-run.  The schema is versioned and covered by the test suite so
+digests, verdicts, cross-model counterexamples, and the cache hit rate
+of the run.  The schema is versioned and covered by the test suite so
 downstream tooling can rely on it.
 """
 
@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
-from .jobs import Job, JobResult, STATUS_OK, outcome_to_json
+from .jobs import JobResult, STATUS_OK, outcome_to_json
 
 #: Bump on any backwards-incompatible change to the report layout.
 #: v2: per-job ``truncated``/``warning``/``outcome_digest`` fields, plus
@@ -22,7 +22,10 @@ from .jobs import Job, JobResult, STATUS_OK, outcome_to_json
 #: v3: per-job search-strategy fields (``strategy``, ``sampled``,
 #: ``samples``, ``coverage_estimate``) and the top-level ``strategies``
 #: list + ``sampled_jobs`` count.
-REPORT_SCHEMA_VERSION = 3
+#: v4: ``sweep`` runs through the fuzz runner, so its reports carry the
+#: ``extra.fuzz`` block (no ``extra.arch``/``extra.n_tests``) and every
+#: mismatch entry carries ``kind`` and ``source``.
+REPORT_SCHEMA_VERSION = 4
 
 #: Explorer stats counters aggregated into the report's ``dedup`` block.
 DEDUP_COUNTERS = (
@@ -64,7 +67,7 @@ def describe_dedup(report: Mapping) -> str:
 
 
 def job_entry(result: JobResult) -> dict:
-    """The per-job row of a sweep report (no outcome payload: summaries)."""
+    """The per-job row of a report (no outcome payload: summaries)."""
     return {
         "name": result.name,
         "model": result.model,
@@ -92,88 +95,28 @@ def job_entry(result: JobResult) -> dict:
     }
 
 
-def find_mismatches(jobs: Sequence[Job], results: Sequence[JobResult]) -> list[dict]:
-    """Cross-model outcome-set differences, per test.
-
-    For every test appearing under several models (on the same arch), each
-    model pair with both runs ``ok`` but different projected outcome sets
-    yields one mismatch entry.  This is the §7 agreement check in report
-    form — an empty list is the expected result.
-
-    Grouping is by test *identity*, not name: a battery may contain
-    distinct tests sharing a name (e.g. a generated ``LB+data+po`` next
-    to the hand-written catalogue one), and comparing those across models
-    would fabricate mismatches between different programs.
-
-    Truncated explorations (a state/candidate budget was hit) have
-    incomplete outcome sets, so pairs involving one are skipped rather
-    than reported as disagreements; the per-job ``stats`` still show the
-    truncation.  Sampled runs are sound under-approximations, so a pair
-    with exactly one sampled side is checked for *containment* (the
-    sampled outcomes must appear in the exhaustive set) instead of
-    equality, and a pair where both sides sampled proves nothing and is
-    skipped.
-    """
-    by_test: dict[tuple[int, str], list[JobResult]] = {}
-    names: dict[tuple[int, str], str] = {}
-    for job, result in zip(jobs, results):
-        key = (id(job.test), job.arch.value)
-        by_test.setdefault(key, []).append(result)
-        names[key] = job.test.name
-    mismatches = []
-    for (test_key, arch), group in by_test.items():
-        name = names[(test_key, arch)]
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                a, b = group[i], group[j]
-                if a.model == b.model or not (a.ok and b.ok):
-                    continue
-                if a.stats.get("truncated") or b.stats.get("truncated"):
-                    continue
-                if a.sampled and b.sampled:
-                    continue
-                set_a, set_b = set(a.outcomes), set(b.outcomes)
-                if a.sampled:
-                    differ = not set_a <= set_b
-                elif b.sampled:
-                    differ = not set_b <= set_a
-                else:
-                    differ = set_a != set_b
-                if differ:
-                    mismatches.append(
-                        {
-                            "test": name,
-                            "arch": arch,
-                            "models": [a.model, b.model],
-                            "only_first": len(set_a - set_b),
-                            "only_second": len(set_b - set_a),
-                        }
-                    )
-    return mismatches
-
-
 def build_report(
-    jobs: Sequence[Job],
     results: Sequence[JobResult],
+    mismatches: Sequence[dict],
     *,
-    name: str = "sweep",
+    name: str = "battery",
     wall_seconds: Optional[float] = None,
     extra: Optional[Mapping] = None,
     cache=None,
-    mismatches: Optional[Sequence[dict]] = None,
 ) -> dict:
-    """Assemble the JSON-ready report for one sweep.
+    """Assemble the JSON-ready report for one battery run.
+
+    ``mismatches`` are the counterexamples of the cross-model policy
+    (:func:`repro.harness.fuzz.differential_mismatches`).  The report is
+    ``ok`` only when at least one job ran, every job is ``ok`` and there
+    is no counterexample: a battery that timed out, crashed or checked
+    nothing proved nothing.
 
     ``cache`` (a :class:`~repro.harness.cache.ResultCache`, optional) adds
-    persistence accounting — in particular ``store_failures``, so a sweep
+    persistence accounting — in particular ``store_failures``, so a run
     whose results could not be written back (read-only or full cache
     volume) is visible next to the hit rate instead of silently producing
     a cold rerun.
-
-    ``mismatches`` overrides the generic pairwise :func:`find_mismatches`
-    pass — callers with their own comparison policy (the differential
-    fuzzer) supply the already-computed list instead of paying for a
-    pairwise sweep whose result would be discarded.
     """
     statuses: dict[str, int] = {}
     for result in results:
@@ -197,7 +140,7 @@ def build_report(
         "sampled_jobs": sum(1 for r in results if r.sampled),
         "strategies": sorted({r.strategy for r in results if r.strategy}),
         "dedup": dedup,
-        "ok": statuses.get(STATUS_OK, 0) == len(results),
+        "ok": bool(results) and statuses.get(STATUS_OK, 0) == len(results) and not mismatches,
         "cache": {
             "hits": cache_hits,
             "misses": len(results) - cache_hits,
@@ -207,9 +150,7 @@ def build_report(
         },
         "compute_seconds": compute_seconds,
         "wall_seconds": wall_seconds,
-        "mismatches": (
-            list(mismatches) if mismatches is not None else find_mismatches(jobs, results)
-        ),
+        "mismatches": list(mismatches),
         "jobs": [job_entry(r) for r in results],
     }
     if extra:
@@ -230,7 +171,6 @@ __all__ = [
     "REPORT_SCHEMA_VERSION",
     "build_report",
     "describe_dedup",
-    "find_mismatches",
     "job_entry",
     "outcome_set_digest",
     "write_report",

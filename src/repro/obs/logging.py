@@ -136,7 +136,7 @@ def configure_logging(
 
 
 def get_logger(name: Optional[str] = None) -> logging.Logger:
-    """A logger under the ``repro`` tree (``get_logger("harness.sweep")``)."""
+    """A logger under the ``repro`` tree (``get_logger("harness.fuzz")``)."""
     if not name:
         return logging.getLogger(ROOT_LOGGER)
     if name == ROOT_LOGGER or name.startswith(ROOT_LOGGER + "."):

@@ -6,19 +6,22 @@ Sub-commands mirror how the paper's rmem-based tool is used:
   print the allowed final states;
 * ``interactive`` — step through an execution transition by transition;
 * ``catalogue`` — list the built-in litmus tests and their verdicts;
-* ``agreement`` — compare the promising and axiomatic models on the
-  generated litmus battery;
-* ``sweep`` — run a battery across several models through the parallel
-  sweep harness, with a persistent result cache and a JSON report;
+* ``sweep`` — run the generated battery (optionally plus the catalogue)
+  across models on one architecture;
 * ``fuzz`` — differential fuzzing: run the cycle-generated corpus across
-  models and architectures, reporting every cross-model disagreement as a
-  counterexample with its reproducing test source;
+  models and architectures;
 * ``serve`` — start the long-lived exploration service: an HTTP/JSON
   front-end over a process-resident LRU, the persistent result cache,
   and a warm worker pool, with request coalescing and micro-batching;
 * ``work`` — join a distributed fleet: claim leased litmus jobs from a
   shared work backend (``sweep``/``fuzz`` ``--distributed`` enqueue
   them), execute them, and write results into the shared cache.
+
+``sweep`` and ``fuzz`` differ only in the battery they build: both run it
+through :func:`repro.harness.fuzz.run_fuzz` (worker pool or fleet,
+persistent result cache, JSON report) and judge it with one cross-model
+policy, reporting every disagreement as a counterexample with its
+reproducing test source.
 """
 
 from __future__ import annotations
@@ -29,13 +32,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-from ..harness import DEFAULT_MODELS, MODELS, run_fuzz, run_sweep
+from ..harness import MODELS, run_fuzz
 from ..lang.kinds import ARCH_ALIASES, Arch, parse_arch
 from ..obs import LOG_FORMATS, configure_logging
 from ..litmus import (
     all_tests,
     attach_expected,
-    check_agreement,
     generate_battery,
     generate_cycle_battery,
     get_test,
@@ -59,6 +61,15 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    # A negative battery bound would become a Python slice (-1 silently
+    # drops the last test) or an empty corpus; refuse it at parse time.
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
     return value
 
 
@@ -188,66 +199,61 @@ def cmd_catalogue(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_agreement(args: argparse.Namespace) -> int:
-    arch = _arch(args.arch)
-    tests = generate_battery(max_tests=args.max_tests)
-    report = check_agreement(
-        tests,
-        arch,
-        _explore_config(args),
-        workers=args.workers,
-        cache=args.cache_dir,
-        timeout=args.timeout,
-    )
-    print(report.describe())
-    return 0 if not report.disagreements else 1
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    arch = _arch(args.arch)
-    models = tuple(m.strip() for m in args.models.split(",") if m.strip())
+def _parse_models(text: str) -> tuple[str, ...] | None:
+    """The ``--models`` list, or ``None`` after saying why it is unusable."""
+    models = tuple(m.strip() for m in text.split(",") if m.strip())
     unknown = [m for m in models if m not in MODELS]
     if unknown:
         print(f"unknown model(s) {', '.join(unknown)}; choose from {', '.join(MODELS)}")
-        return 2
+        return None
     if not models:
         print(f"no models given; choose from {', '.join(MODELS)}")
-        return 2
-    tests = generate_battery(max_tests=args.max_tests)
-    if args.catalogue:
-        tests = tests + [t for t in all_tests() if t.program.n_threads <= 3]
+        return None
+    return models
+
+
+def _run_battery(args: argparse.Namespace, tests, models, archs, *, name: str, cache) -> int:
+    """Run and judge one battery, print its summary, return the exit code."""
     from ..axiomatic import AxiomaticConfig
 
-    sweep = run_sweep(
+    result = run_fuzz(
         tests,
         models,
-        arch,
+        archs,
         workers=args.workers,
         timeout=args.timeout,
-        cache=args.cache_dir,
+        cache=cache,
         report_path=args.report,
+        name=name,
         explore_config=_explore_config(args),
         axiomatic_config=AxiomaticConfig(loop_bound=args.loop_bound),
         flat_config=_flat_config(args),
         distrib=_distrib_config(args),
     )
-    print(sweep.describe())
+    print(result.describe())
     if args.report:
         print(f"report written to {args.report}")
-    return 0 if sweep.ok else 1
+    return 0 if result.ok else 1
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    models = _parse_models(args.models)
+    if models is None:
+        return 2
+    tests = generate_battery(max_tests=args.max_tests)
+    if args.catalogue:
+        tests = tests + [t for t in all_tests() if t.program.n_threads <= 3]
+    return _run_battery(
+        args, tests, models, (_arch(args.arch),), name="litmus-sweep", cache=args.cache_dir
+    )
 
 
 _ARCH_NAMES = tuple(ARCH_ALIASES)
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    models = tuple(m.strip() for m in args.models.split(",") if m.strip())
-    unknown = [m for m in models if m not in MODELS]
-    if unknown:
-        print(f"unknown model(s) {', '.join(unknown)}; choose from {', '.join(MODELS)}")
-        return 2
-    if not models:
-        print(f"no models given; choose from {', '.join(MODELS)}")
+    models = _parse_models(args.models)
+    if models is None:
         return 2
     arch_names = [a.strip() for a in args.archs.split(",") if a.strip()]
     unknown_archs = [a for a in arch_names if a.lower() not in _ARCH_NAMES]
@@ -298,24 +304,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                 cache=cache_dir,
                 axiomatic_config=AxiomaticConfig(loop_bound=args.loop_bound),
             )
-
-        fuzz = run_fuzz(
-            tests,
-            models,
-            archs,
-            workers=args.workers,
-            timeout=args.timeout,
-            cache=cache_dir,
-            report_path=args.report,
-            explore_config=_explore_config(args),
-            axiomatic_config=AxiomaticConfig(loop_bound=args.loop_bound),
-            flat_config=_flat_config(args),
-            distrib=_distrib_config(args),
-        )
-    print(fuzz.describe())
-    if args.report:
-        print(f"report written to {args.report}")
-    return 0 if fuzz.ok else 1
+        return _run_battery(args, tests, models, archs, name="fuzz-battery", cache=cache_dir)
 
 
 def cmd_work(args: argparse.Namespace) -> int:
@@ -357,7 +346,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_distrib_args(parser: argparse.ArgumentParser) -> None:
+def _add_battery_args(parser: argparse.ArgumentParser) -> None:
+    """The flags ``sweep`` and ``fuzz`` share: models, execution, report."""
+    parser.add_argument("--models", default="promising,axiomatic",
+                        help="comma-separated: promising,axiomatic,flat,promising-naive")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker processes (0 = one per CPU)")
+    parser.add_argument("--cache-dir", default=None, help="persistent result cache directory")
+    parser.add_argument("--timeout", type=float, default=None,
+                        help="per-job timeout in seconds")
+    parser.add_argument("--report", default=None, help="write a JSON report to this path")
     parser.add_argument("--distributed", action="store_true",
                         help="run the batch on a distributed work backend: --workers "
                              "fleet processes are spawned locally unless "
@@ -426,58 +424,32 @@ def build_parser() -> argparse.ArgumentParser:
     cat_parser = sub.add_parser("catalogue", help="list built-in litmus tests")
     cat_parser.set_defaults(func=cmd_catalogue)
 
-    agree_parser = sub.add_parser("agreement", help="promising vs axiomatic agreement run")
-    agree_parser.add_argument("--max-tests", type=int, default=40)
-    agree_parser.add_argument("--workers", type=int, default=1,
-                              help="worker processes (0 = one per CPU)")
-    agree_parser.add_argument("--cache-dir", default=None, help="persistent result cache directory")
-    agree_parser.add_argument("--timeout", type=float, default=None,
-                              help="per-job timeout in seconds")
-    agree_parser.set_defaults(func=cmd_agreement)
-
     sweep_parser = sub.add_parser(
-        "sweep", help="run a litmus battery across models via the parallel harness"
+        "sweep", help="run the generated litmus battery across models on one architecture"
     )
-    sweep_parser.add_argument("--max-tests", type=int, default=40,
+    sweep_parser.add_argument("--max-tests", type=_non_negative_int, default=40,
                               help="size of the generated battery")
-    sweep_parser.add_argument("--models", default=",".join(DEFAULT_MODELS),
-                              help="comma-separated: promising,axiomatic,flat,promising-naive")
-    sweep_parser.add_argument("--workers", type=int, default=1,
-                              help="worker processes (0 = one per CPU)")
-    sweep_parser.add_argument("--cache-dir", default=None, help="persistent result cache directory")
-    sweep_parser.add_argument("--timeout", type=float, default=None,
-                              help="per-job timeout in seconds")
-    sweep_parser.add_argument("--report", default=None,
-                              help="write a JSON sweep report to this path")
     sweep_parser.add_argument("--catalogue", action="store_true",
                               help="also include the hand-written catalogue tests "
                                    "(those with at most 3 threads)")
-    _add_distrib_args(sweep_parser)
+    _add_battery_args(sweep_parser)
     sweep_parser.set_defaults(func=cmd_sweep)
 
     fuzz_parser = sub.add_parser(
         "fuzz",
         help="differential fuzzing of the cycle-generated corpus across models/archs",
     )
-    fuzz_parser.add_argument("--max-tests", type=int, default=None,
+    fuzz_parser.add_argument("--max-tests", type=_non_negative_int, default=None,
                              help="truncate the generated corpus (default: full)")
-    fuzz_parser.add_argument("--max-per-family", type=int, default=64,
+    fuzz_parser.add_argument("--max-per-family", type=_non_negative_int, default=64,
                              help="cap per cycle family (default 64)")
     fuzz_parser.add_argument("--families", default=None,
                              help="comma-separated cycle families (default: all)")
-    fuzz_parser.add_argument("--models", default="promising,axiomatic",
-                             help="comma-separated: promising,axiomatic,flat,promising-naive")
     fuzz_parser.add_argument("--archs", default="arm,riscv",
                              help="comma-separated architectures (default arm,riscv)")
-    fuzz_parser.add_argument("--workers", type=int, default=1,
-                             help="worker processes (0 = one per CPU)")
-    fuzz_parser.add_argument("--cache-dir", default=None, help="persistent result cache directory")
-    fuzz_parser.add_argument("--timeout", type=float, default=None,
-                             help="per-job timeout in seconds")
-    fuzz_parser.add_argument("--report", default=None, help="write a JSON fuzz report to this path")
     fuzz_parser.add_argument("--expected", action="store_true",
                              help="attach axiomatic-oracle expected verdicts to the corpus")
-    _add_distrib_args(fuzz_parser)
+    _add_battery_args(fuzz_parser)
     fuzz_parser.set_defaults(func=cmd_fuzz)
 
     work_parser = sub.add_parser(

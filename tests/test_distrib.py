@@ -37,10 +37,10 @@ from repro.distrib.backend import (
     STATUS_PENDING,
 )
 from repro.distrib.worker import decode_result, encode_work
-from repro.harness import BatchStats, run_fuzz, run_jobs, run_sweep
+from repro.harness import BatchStats, build_fuzz_jobs, differential_mismatches, run_fuzz, run_jobs
 from repro.harness.jobs import Job, STATUS_ERROR
 from repro.harness.report import build_report, outcome_set_digest
-from repro.harness.sweep import build_jobs
+from repro.lang.kinds import Arch
 from repro.litmus import generate_cycle_battery, get_test
 from repro.obs.metrics import diff_snapshots, get_registry
 from repro.tools.cli import main
@@ -92,9 +92,12 @@ def ledger(request, tmp_path):
     backend.close()
 
 
+def arm_jobs(tests, models=("promising",)):
+    return build_fuzz_jobs(tests, models, (Arch.ARM,))
+
+
 def corpus_jobs(n_tests=4, models=("promising", "axiomatic")):
-    tests = generate_cycle_battery(max_tests=n_tests)
-    return build_jobs(tests, models=models)
+    return arm_jobs(generate_cycle_battery(max_tests=n_tests), models)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +317,7 @@ class TestOpenBackend:
 class TestWorker:
     def test_worker_executes_and_caches(self, tmp_path):
         backend = MemoryBackend()
-        jobs = build_jobs([get_test("MP"), get_test("SB")], models=("promising",))
+        jobs = arm_jobs([get_test("MP"), get_test("SB")])
         for job in jobs:
             backend.enqueue(job.fingerprint(), encode_work(job))
         stats = run_worker(
@@ -416,7 +419,7 @@ class TestCrashReclamation:
         # again) is simulated by claiming with a short lease and walking
         # away; the coordinator requeues it and the fleet completes it.
         queue = tmp_path / "queue.db"
-        jobs = build_jobs([get_test("MP"), get_test("SB")], models=("promising",))
+        jobs = arm_jobs([get_test("MP"), get_test("SB")])
         pre = SqliteBackend(queue)
         victim = jobs[0]
         pre.enqueue(victim.fingerprint(), encode_work(victim))
@@ -489,7 +492,7 @@ class TestCrashReclamation:
 
     def test_terminally_failed_item_surfaces_as_error_result(self):
         backend = MemoryBackend(max_attempts=1)
-        jobs = build_jobs([get_test("MP")], models=("promising",))
+        jobs = arm_jobs([get_test("MP")])
         # Poison the queue entry so the worker's decode fails; with one
         # attempt allowed the item goes terminal and the coordinator
         # reports it as an error result instead of hanging.
@@ -508,7 +511,7 @@ class TestDistributedParity:
 
         tests = generate_cycle_battery(max_per_family=3)
         tests = random.Random(8).sample(tests, min(6, len(tests)))
-        jobs = build_jobs(tests, models=("promising", "axiomatic"))
+        jobs = arm_jobs(tests, ("promising", "axiomatic"))
         pooled = run_jobs(jobs, workers=2, cache=tmp_path / "pool-cache")
         run = run_distributed(
             jobs,
@@ -519,9 +522,9 @@ class TestDistributedParity:
         assert [outcome_set_digest(r.outcomes) for r in run.results] == [
             outcome_set_digest(r.outcomes) for r in pooled
         ]
-        # The schema-v3 reports agree row-for-row on outcome digests.
-        report_a = build_report(jobs, pooled)
-        report_b = build_report(jobs, run.results)
+        # The reports agree row-for-row on outcome digests.
+        report_a = build_report(pooled, differential_mismatches(jobs, pooled)[0])
+        report_b = build_report(run.results, differential_mismatches(jobs, run.results)[0])
         assert [j["outcome_digest"] for j in report_a["jobs"]] == [
             j["outcome_digest"] for j in report_b["jobs"]
         ]
@@ -556,8 +559,8 @@ class TestDistributedParity:
             thread.join(timeout=30)
         assert run.info["workers_spawned"] == 2
         assert run.info["jobs_computed"] == len(jobs)
-        report_a = build_report(jobs, pooled)
-        report_b = build_report(jobs, run.results)
+        report_a = build_report(pooled, differential_mismatches(jobs, pooled)[0])
+        report_b = build_report(run.results, differential_mismatches(jobs, run.results)[0])
         assert [j["outcome_digest"] for j in report_a["jobs"]] == [
             j["outcome_digest"] for j in report_b["jobs"]
         ]
@@ -590,7 +593,7 @@ class TestDistributedParity:
         assert distrib_delta == serial_delta
 
     def test_local_cache_hits_and_in_batch_duplicates_never_hit_the_queue(self, tmp_path):
-        jobs = build_jobs([get_test("MP"), get_test("SB")], models=("promising",))
+        jobs = arm_jobs([get_test("MP"), get_test("SB")])
         cache = tmp_path / "cache"
         run_jobs(jobs, cache=cache)  # warm every fingerprint
         duplicated = jobs + [jobs[0]]
@@ -608,14 +611,16 @@ class TestDistributedParity:
 
     def test_sweep_and_fuzz_route_through_distrib(self, tmp_path):
         tests = [get_test("MP"), get_test("SB")]
-        sweep = run_sweep(
+        models, archs = ("promising", "axiomatic"), (Arch.ARM,)
+        sweep = run_fuzz(
             tests,
-            ("promising", "axiomatic"),
+            models,
+            archs,
             distrib=DistribConfig(backend_url="memory://sweep-route", workers=2),
         )
         assert sweep.ok
         assert sweep.report["extra"]["distrib"]["jobs_computed"] == 4
-        baseline = run_sweep(tests, ("promising", "axiomatic"))
+        baseline = run_fuzz(tests, models, archs)
         assert [j["outcome_digest"] for j in sweep.report["jobs"]] == [
             j["outcome_digest"] for j in baseline.report["jobs"]
         ]
@@ -657,7 +662,7 @@ class TestDistributedParity:
 
 class TestTeardown:
     def test_no_orphaned_workers_after_a_clean_run(self, tmp_path):
-        jobs = build_jobs([get_test("MP")], models=("promising",))
+        jobs = arm_jobs([get_test("MP")])
         run_distributed(
             jobs, config=DistribConfig(backend_url=str(tmp_path / "q.db"), workers=2)
         )
@@ -667,7 +672,7 @@ class TestTeardown:
         # Spawned thread-fleet workers that exit (stop event pre-set)
         # with items outstanding must surface as an error, not a hang.
         backend = MemoryBackend()
-        jobs = build_jobs([get_test("MP")], models=("promising",))
+        jobs = arm_jobs([get_test("MP")])
 
         from repro.distrib import coordinator as coord
 
@@ -694,11 +699,14 @@ class TestTeardown:
         # teardown (plus daemonic workers) must reap every child.
         script = r"""
 import os, signal, sys, threading, multiprocessing, time
-from repro.harness.sweep import build_jobs
+from repro.harness import build_fuzz_jobs
+from repro.lang.kinds import Arch
 from repro.litmus import generate_cycle_battery
 from repro.distrib import DistribConfig, run_distributed
 
-jobs = build_jobs(generate_cycle_battery(max_per_family=4), models=("promising", "axiomatic"))
+jobs = build_fuzz_jobs(
+    generate_cycle_battery(max_per_family=4), ("promising", "axiomatic"), (Arch.ARM,)
+)
 
 def interrupt_once_fleet_is_up():
     while not multiprocessing.active_children():

@@ -38,8 +38,8 @@ class TestCli:
         parser = build_parser()
         args = parser.parse_args(["run", "--test", "MP"])
         assert args.command == "run" and args.test == "MP"
-        args = parser.parse_args(["agreement", "--max-tests", "5"])
-        assert args.max_tests == 5
+        args = parser.parse_args(["sweep", "--max-tests", "5"])
+        assert args.max_tests == 5 and args.models == "promising,axiomatic"
 
     def test_abbreviated_flags_are_rejected(self):
         # A prefix must never resolve to another flag: `--backend` would
@@ -67,11 +67,6 @@ class TestCli:
         assert main(["catalogue"]) == 0
         out = capsys.readouterr().out
         assert "MP+dmb+addr" in out
-
-    def test_agreement_command(self, capsys):
-        assert main(["agreement", "--max-tests", "6"]) == 0
-        out = capsys.readouterr().out
-        assert "agree" in out
 
     def test_run_litmus_file(self, tmp_path, capsys):
         litmus = tmp_path / "mp.litmus"
