@@ -2,10 +2,11 @@
 
 The litmus-job sweep is embarrassingly parallel; this package removes the
 single-machine ceiling.  A :class:`~repro.distrib.backend.WorkBackend` is
-the shared lease ledger (in-memory for tests, SQLite across processes and
-machines), :func:`~repro.distrib.worker.run_worker` is the stateless
-fleet member, and :func:`~repro.distrib.coordinator.run_distributed` is
-the batch driver that sweep/fuzz route through under ``--distributed`` —
+the shared lease ledger (one SQLite file across processes and machines,
+or the same ledger behind a ``promising-arm serve`` over HTTP),
+:func:`~repro.distrib.worker.run_worker` is the stateless fleet member,
+and :func:`~repro.distrib.coordinator.run_distributed` is the batch
+driver that sweep/fuzz route through under ``--distributed`` —
 producing reports bit-identical to the single-pool path.
 """
 
@@ -13,7 +14,6 @@ from .backend import (
     DEFAULT_MAX_ATTEMPTS,
     Claim,
     ItemView,
-    MemoryBackend,
     WorkBackend,
     WorkerInfo,
     open_backend,
@@ -31,7 +31,6 @@ __all__ = [
     "DistribRun",
     "HttpWorkBackend",
     "ItemView",
-    "MemoryBackend",
     "QueueHttpApi",
     "SqliteBackend",
     "WorkBackend",

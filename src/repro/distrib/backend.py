@@ -1,4 +1,4 @@
-"""Pluggable leased work-queue backends.
+"""The leased work-queue protocol and its URL scheme.
 
 A :class:`WorkBackend` is the shared ledger a fleet of stateless workers
 coordinates through: the coordinator enqueues fingerprinted work items,
@@ -14,27 +14,19 @@ only succeed for the worker currently holding the item under that token.
 A reclaimed item re-claimed by anyone — including the original worker —
 gets a fresh token, so a zombie's late ``complete`` is always rejected.
 
-Two implementations ship here and in :mod:`repro.distrib.sqlite`:
-
-* :class:`MemoryBackend` — in-process, for unit tests and the law suite;
-* :class:`~repro.distrib.sqlite.SqliteBackend` — one SQLite file in WAL
-  mode, safe across processes and across machines on a shared
-  filesystem (the litmus7-style "farm the battery over the lab" shape).
-
-Both are driven through the same :func:`open_backend` URL scheme:
-``memory://<name>`` and ``sqlite:///path/to/queue.db`` (a bare
-filesystem path also means SQLite).  A third implementation,
-:class:`~repro.distrib.http_backend.HttpWorkBackend`, speaks the same
-protocol to a ``promising-arm serve`` instance over ``http://host:port``
-— a fleet with no shared filesystem at all.
+The one ledger is :class:`~repro.distrib.sqlite.SqliteBackend`: one
+SQLite file in WAL mode, safe across processes and across machines on a
+shared filesystem (the litmus7-style "farm the battery over the lab"
+shape), named by ``sqlite:///path/to/queue.db`` or a bare filesystem
+path.  :class:`~repro.distrib.http_backend.HttpWorkBackend` speaks the
+same protocol to the ledger a ``promising-arm serve`` instance mounts,
+at ``http://host:port`` — a fleet with no shared filesystem at all.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Protocol, Union, runtime_checkable
+from typing import Iterable, Mapping, Optional, Protocol, Union, runtime_checkable
 
 from ..obs import metrics
 
@@ -160,224 +152,15 @@ class WorkBackend(Protocol):
     def close(self) -> None: ...
 
 
-class MemoryBackend:
-    """In-process reference implementation of the lease ledger.
-
-    Thread-safe (one lock around the ledger) so concurrent-claimant laws
-    can be tested without a filesystem; naturally process-local, which is
-    exactly what unit tests want and fleet deployments must not use.
-    """
-
-    def __init__(
-        self,
-        *,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        self.max_attempts = max_attempts
-        self.clock = clock
-        self._lock = threading.Lock()
-        self._items: dict[str, dict] = {}
-        self._order: list[str] = []
-        self._workers: dict[str, dict] = {}
-
-    # -- queue ---------------------------------------------------------------
-    def enqueue(self, item_id: str, payload: bytes) -> bool:
-        with self._lock:
-            if item_id in self._items:
-                return False
-            self._items[item_id] = {
-                "payload": bytes(payload),
-                "status": STATUS_PENDING,
-                "worker": None,
-                "token": 0,
-                "attempts": 0,
-                "enqueued_at": self.clock(),
-                "lease_expires": None,
-                "result": None,
-                "error": "",
-                "served_from": "",
-            }
-            self._order.append(item_id)
-        QUEUE_ENQUEUED.inc()
-        return True
-
-    def claim(self, worker_id: str, lease_seconds: float) -> Optional[Claim]:
-        with self._lock:
-            for item_id in self._order:
-                item = self._items[item_id]
-                if item["status"] != STATUS_PENDING:
-                    continue
-                item["status"] = STATUS_LEASED
-                item["worker"] = worker_id
-                item["token"] += 1
-                item["attempts"] += 1
-                item["lease_expires"] = self.clock() + lease_seconds
-                QUEUE_CLAIMS.inc()
-                return Claim(
-                    item_id=item_id,
-                    payload=item["payload"],
-                    token=item["token"],
-                    attempts=item["attempts"],
-                    enqueued_at=item["enqueued_at"],
-                )
-        return None
-
-    def _held(self, item_id: str, worker_id: str, token: int) -> Optional[dict]:
-        item = self._items.get(item_id)
-        if (
-            item is None
-            or item["status"] != STATUS_LEASED
-            or item["worker"] != worker_id
-            or item["token"] != token
-        ):
-            return None
-        return item
-
-    def extend(self, item_id: str, worker_id: str, token: int, lease_seconds: float) -> bool:
-        with self._lock:
-            item = self._held(item_id, worker_id, token)
-            if item is None:
-                return False
-            item["lease_expires"] = self.clock() + lease_seconds
-            return True
-
-    def complete(
-        self, item_id: str, worker_id: str, token: int, result: bytes, *, mode: str = "computed"
-    ) -> bool:
-        with self._lock:
-            item = self._held(item_id, worker_id, token)
-            if item is None:
-                return False
-            item["status"] = STATUS_DONE
-            item["result"] = bytes(result)
-            item["served_from"] = mode
-            item["lease_expires"] = None
-            worker = self._workers.get(worker_id)
-            if worker is not None:
-                worker["jobs_done"] += 1
-        QUEUE_COMPLETED.inc(mode=mode)
-        return True
-
-    def fail(
-        self, item_id: str, worker_id: str, token: int, error: str, *, requeue: bool = True
-    ) -> bool:
-        with self._lock:
-            item = self._held(item_id, worker_id, token)
-            if item is None:
-                return False
-            self._fail_locked(item, error, requeue=requeue)
-            return True
-
-    def _fail_locked(self, item: dict, error: str, *, requeue: bool) -> None:
-        if requeue and item["attempts"] < self.max_attempts:
-            item["status"] = STATUS_PENDING
-            item["worker"] = None
-            item["lease_expires"] = None
-            item["error"] = error
-        else:
-            item["status"] = STATUS_FAILED
-            item["lease_expires"] = None
-            item["error"] = error
-            QUEUE_FAILED.inc()
-
-    def requeue_expired(self) -> list[str]:
-        now = self.clock()
-        reclaimed: list[str] = []
-        with self._lock:
-            for item_id in self._order:
-                item = self._items[item_id]
-                if item["status"] != STATUS_LEASED:
-                    continue
-                expires = item["lease_expires"]
-                if expires is not None and expires < now:
-                    self._fail_locked(
-                        item,
-                        f"lease expired after attempt {item['attempts']} "
-                        f"(worker {item['worker']})",
-                        requeue=True,
-                    )
-                    reclaimed.append(item_id)
-        if reclaimed:
-            QUEUE_RECLAIMS.inc(len(reclaimed))
-        return reclaimed
-
-    # -- introspection -------------------------------------------------------
-    def counts(self) -> dict[str, int]:
-        out = {status: 0 for status in ITEM_STATUSES}
-        with self._lock:
-            for item in self._items.values():
-                out[item["status"]] += 1
-        return out
-
-    def collect(self, item_ids: Iterable[str]) -> dict[str, ItemView]:
-        out: dict[str, ItemView] = {}
-        with self._lock:
-            for item_id in item_ids:
-                item = self._items.get(item_id)
-                if item is None or item["status"] not in (STATUS_DONE, STATUS_FAILED):
-                    continue
-                out[item_id] = ItemView(
-                    item_id=item_id,
-                    status=item["status"],
-                    worker=item["worker"],
-                    attempts=item["attempts"],
-                    result=item["result"],
-                    error=item["error"],
-                    served_from=item["served_from"],
-                )
-        return out
-
-    # -- workers -------------------------------------------------------------
-    def register_worker(self, worker_id: str, meta: Optional[Mapping] = None) -> None:
-        now = self.clock()
-        with self._lock:
-            self._workers[worker_id] = {
-                "registered_at": now,
-                "heartbeat_at": now,
-                "jobs_done": self._workers.get(worker_id, {}).get("jobs_done", 0),
-                "meta": dict(meta or {}),
-            }
-
-    def heartbeat(self, worker_id: str) -> None:
-        with self._lock:
-            worker = self._workers.get(worker_id)
-            if worker is not None:
-                worker["heartbeat_at"] = self.clock()
-
-    def workers(self) -> list[WorkerInfo]:
-        with self._lock:
-            return [
-                WorkerInfo(
-                    worker_id=worker_id,
-                    registered_at=row["registered_at"],
-                    heartbeat_at=row["heartbeat_at"],
-                    jobs_done=row["jobs_done"],
-                    meta=dict(row["meta"]),
-                )
-                for worker_id, row in sorted(self._workers.items())
-            ]
-
-    def close(self) -> None:  # symmetric with SqliteBackend
-        pass
-
-
-#: Named in-process queues, so ``open_backend("memory://x")`` hands every
-#: caller in the process the same ledger (what a unit test wants).
-_MEMORY_BACKENDS: dict[str, MemoryBackend] = {}
-_MEMORY_LOCK = threading.Lock()
-
-
 def open_backend(url: Union[str, WorkBackend]) -> WorkBackend:
     """Coerce a ``--backend-url`` argument into a live :class:`WorkBackend`.
 
-    * ``memory://<name>`` — shared in-process queue (tests only);
     * ``sqlite:///path/to/queue.db`` — SQLite ledger on a path;
     * ``http://host:port`` — the queue a ``promising-arm serve`` instance
       mounts at ``/v1/queue/*`` (fleets with no shared filesystem);
-    * any other string — treated as a filesystem path for SQLite.
+    * any other string — treated as a filesystem path for SQLite;
+    * a backend object — returned as is (tests inject clock-controlled
+      ledgers this way).
     """
     if not isinstance(url, str):
         return url
@@ -385,13 +168,6 @@ def open_backend(url: Union[str, WorkBackend]) -> WorkBackend:
         from .http_backend import HttpWorkBackend
 
         return HttpWorkBackend(url)
-    if url.startswith("memory://"):
-        name = url[len("memory://") :] or "default"
-        with _MEMORY_LOCK:
-            backend = _MEMORY_BACKENDS.get(name)
-            if backend is None:
-                backend = _MEMORY_BACKENDS[name] = MemoryBackend()
-            return backend
     from .sqlite import SqliteBackend
 
     if url.startswith("sqlite://"):
@@ -404,8 +180,8 @@ def open_backend(url: Union[str, WorkBackend]) -> WorkBackend:
         return SqliteBackend(path)
     if "://" in url:
         raise ValueError(
-            f"unsupported backend url {url!r}; expected memory://<name>, "
-            "sqlite:///path, http://host:port, or a filesystem path"
+            f"unsupported backend url {url!r}; expected sqlite:///path, "
+            "http://host:port, or a filesystem path"
         )
     return SqliteBackend(url)
 
@@ -415,7 +191,6 @@ __all__ = [
     "DEFAULT_MAX_ATTEMPTS",
     "ITEM_STATUSES",
     "ItemView",
-    "MemoryBackend",
     "STATUS_DONE",
     "STATUS_FAILED",
     "STATUS_LEASED",

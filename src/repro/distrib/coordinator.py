@@ -20,10 +20,7 @@ processes on other machines.
 from __future__ import annotations
 
 import multiprocessing
-import shutil
 import sys
-import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,7 +32,8 @@ from ..harness.scheduler import BatchStats, plan_batch, rebind_duplicates
 from ..obs import metrics
 from ..obs.logging import get_logger, log_event
 from ..obs.tracing import span
-from .backend import QUEUE_DEPTH, STATUS_DONE, WorkBackend, open_backend
+from .backend import QUEUE_DEPTH, STATUS_DONE, open_backend
+from .sqlite import SqliteBackend
 from .worker import (
     DEFAULT_LEASE_SECONDS,
     MODE_COMPUTED,
@@ -57,7 +55,7 @@ class DistribConfig:
     already pointed at the same backend.
     """
 
-    backend_url: Union[str, WorkBackend] = ""
+    backend_url: str = ""
     workers: int = 2
     lease_seconds: float = DEFAULT_LEASE_SECONDS
     poll_seconds: float = 0.05
@@ -99,48 +97,25 @@ def _spawn_context() -> multiprocessing.context.BaseContext:
 
 
 class _Fleet:
-    """Locally spawned workers (processes for URL backends, threads for
-    in-process ones) with one teardown path.
+    """Locally spawned worker processes with one teardown path.
 
-    Worker processes are daemonic *and* explicitly terminated in
+    Each worker opens the ledger by URL and runs jobs on its own main
+    thread, so per-job ``SIGALRM`` deadlines fire as they do under the
+    resident pool.  Workers are daemonic *and* explicitly terminated in
     :meth:`stop`, so neither a clean return nor a coordinator Ctrl-C
     leaves orphaned children behind.
     """
 
     def __init__(self) -> None:
         self.processes: list[multiprocessing.process.BaseProcess] = []
-        self.threads: list[threading.Thread] = []
-        self.stop_event = threading.Event()
 
     def spawn(
         self,
         count: int,
-        backend: WorkBackend,
-        backend_url: Union[str, WorkBackend],
+        backend_url: str,
         cache: Optional[ResultCache],
         config: DistribConfig,
     ) -> None:
-        in_process = not isinstance(backend_url, str) or backend_url.startswith("memory://")
-        if in_process:
-            # An in-process ledger cannot cross a process boundary; run the
-            # fleet as threads instead (SIGALRM deadlines do not fire off
-            # the main thread, which in-process tests accept).
-            for index in range(count):
-                thread = threading.Thread(
-                    target=run_worker,
-                    args=(backend, cache),
-                    kwargs={
-                        "worker_id": f"thread-{index}",
-                        "lease_seconds": config.lease_seconds,
-                        "poll_seconds": config.poll_seconds,
-                        "stop_event": self.stop_event,
-                    },
-                    name=f"distrib-worker-{index}",
-                    daemon=True,
-                )
-                thread.start()
-                self.threads.append(thread)
-            return
         ctx = _spawn_context()
         cache_path = str(cache.path) if cache is not None else None
         for index in range(count):
@@ -161,15 +136,12 @@ class _Fleet:
 
     @property
     def spawned(self) -> int:
-        return len(self.processes) + len(self.threads)
+        return len(self.processes)
 
     def any_alive(self) -> bool:
-        return any(p.is_alive() for p in self.processes) or any(
-            t.is_alive() for t in self.threads
-        )
+        return any(p.is_alive() for p in self.processes)
 
     def stop(self) -> None:
-        self.stop_event.set()
         for process in self.processes:
             if process.is_alive():
                 process.terminate()
@@ -178,8 +150,6 @@ class _Fleet:
             if process.is_alive():
                 process.kill()
                 process.join(timeout=5.0)
-        for thread in self.threads:
-            thread.join(timeout=10.0)
 
 
 def _error_result(job: Job, error: str) -> JobResult:
@@ -208,12 +178,11 @@ def run_distributed(
     """Execute ``jobs`` through a work backend; results in submission order."""
     config = config or DistribConfig()
     cache = open_cache(cache)
-    ephemeral: Optional[str] = None
-    backend_url = config.backend_url
-    if not backend_url:
-        ephemeral = tempfile.mkdtemp(prefix="promising-distrib-")
-        backend_url = str(Path(ephemeral) / "queue.db")
-    backend = open_backend(backend_url)
+    if config.backend_url:
+        backend_url, backend = config.backend_url, open_backend(config.backend_url)
+    else:
+        backend = SqliteBackend.temporary()
+        backend_url = str(backend.path)
 
     results, pending, duplicate_of = plan_batch(jobs, cache)
     item_of: dict[int, str] = {index: jobs[index].fingerprint() for index in pending}
@@ -236,7 +205,7 @@ def run_distributed(
                 workers=config.workers,
             )
             if config.workers > 0 and pending:
-                fleet.spawn(config.workers, backend, backend_url, cache, config)
+                fleet.spawn(config.workers, backend_url, cache, config)
 
             outstanding = set(item_of.values())
             collected: dict[str, object] = {}
@@ -274,8 +243,6 @@ def run_distributed(
             {"worker_id": w.worker_id, "jobs_done": w.jobs_done} for w in backend.workers()
         ]
         backend.close()
-        if ephemeral is not None:
-            shutil.rmtree(ephemeral, ignore_errors=True)
 
     computed = cache_served = failed = 0
     for index in pending:
@@ -296,14 +263,11 @@ def run_distributed(
     # Fold worker metrics deltas in submission order — one deterministic
     # merge regardless of which worker ran what, mirroring the pool path
     # (which folds in completion order but over commutative counter adds;
-    # here the order is pinned outright).  In-process (thread) fleets
-    # share this registry already, so their deltas are only stripped —
-    # merging them would replay increments the registry has seen.
-    out_of_process = isinstance(backend_url, str) and not backend_url.startswith("memory://")
+    # here the order is pinned outright).
     registry = metrics.get_registry()
     for index in pending:
         result = results[index]
-        if result.metrics_delta and out_of_process:
+        if result.metrics_delta:
             registry.merge(result.metrics_delta)
         result.metrics_delta = None
 
@@ -317,8 +281,8 @@ def run_distributed(
             stats.statuses[result.status] = stats.statuses.get(result.status, 0) + 1
 
     info = {
-        "backend": backend_url if isinstance(backend_url, str) else type(backend).__name__,
-        "ephemeral_backend": ephemeral is not None,
+        "backend": backend_url,
+        "ephemeral_backend": not config.backend_url,
         "workers_requested": config.workers,
         "workers_spawned": fleet.spawned,
         "jobs_enqueued": enqueued_new,

@@ -1,13 +1,13 @@
 """The leased work queue over HTTP: one protocol, both ends of the wire.
 
-PR 8's fleets coordinate through a :class:`~repro.distrib.backend.WorkBackend`
-ledger, which until now meant a shared filesystem (SQLite) or a shared
-process (memory).  This module lifts the same protocol onto the service's
+Fleets coordinate through a :class:`~repro.distrib.backend.WorkBackend`
+ledger; on its own that is a SQLite file, so every member needs the
+same filesystem.  This module lifts the same protocol onto the service's
 versioned HTTP surface:
 
 * :class:`QueueHttpApi` — the server-side adapter.  The service mounts it
-  at ``/v1/queue/<op>``; each op is a small JSON body delegated to a real
-  backend (memory or SQLite) living inside the server process.
+  at ``/v1/queue/<op>``; each op is a small JSON body delegated to the
+  SQLite ledger living inside the server process.
 * :class:`HttpWorkBackend` — the client side.  A drop-in
   :class:`~repro.distrib.backend.WorkBackend` whose every method is one
   ``POST`` over the pooled keep-alive :class:`~repro.service.client.ServiceClient`,

@@ -11,12 +11,20 @@ per claim) the write lock is never the bottleneck.
 
 Connections are per-thread (``sqlite3`` objects must not cross threads),
 so a worker's heartbeat thread gets its own handle transparently.
+
+:meth:`SqliteBackend.temporary` makes a private ledger in a fresh
+temporary directory, which :meth:`SqliteBackend.close` removes: the
+coordinator's ephemeral queue and the service's default ``/v1/queue``
+mount.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import shutil
 import sqlite3
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -67,6 +75,17 @@ CREATE TABLE IF NOT EXISTS workers (
 );
 """
 
+#: SQLite busy timeout: how long a connection waits out another
+#: writer's lock before failing.
+BUSY_TIMEOUT_SECONDS = 30.0
+
+
+def _check_lease(lease_seconds: float) -> None:
+    # NaN and infinity would lease an item forever (no reclaim ever
+    # fires); zero or less would hand it out already expired.
+    if not (math.isfinite(lease_seconds) and lease_seconds > 0):
+        raise ValueError(f"lease_seconds must be finite and positive, got {lease_seconds!r}")
+
 
 class SqliteBackend:
     """Cross-process :class:`~repro.distrib.backend.WorkBackend` on one file."""
@@ -77,28 +96,40 @@ class SqliteBackend:
         *,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         clock: Callable[[], float] = time.time,
-        busy_timeout: float = 30.0,
     ) -> None:
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         self.path = Path(path)
         self.max_attempts = max_attempts
         self.clock = clock
-        self.busy_timeout = busy_timeout
         self._local = threading.local()
+        #: A directory this ledger made for itself and removes on close().
+        self._owned_dir: Optional[Path] = None
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn()  # create the schema eagerly so misconfiguration fails here
+
+    @classmethod
+    def temporary(cls) -> "SqliteBackend":
+        """A private ledger in a fresh temporary directory; :meth:`close`
+        removes the directory.  Processes share it by :attr:`path`."""
+        directory = Path(tempfile.mkdtemp(prefix="promising-queue-"))
+        try:
+            backend = cls(directory / "queue.db")
+        except BaseException:
+            shutil.rmtree(directory, ignore_errors=True)
+            raise
+        backend._owned_dir = directory
+        return backend
 
     # -- connection management ----------------------------------------------
     def _conn(self) -> sqlite3.Connection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = sqlite3.connect(
-                str(self.path), timeout=self.busy_timeout, isolation_level=None
+                str(self.path), timeout=BUSY_TIMEOUT_SECONDS, isolation_level=None
             )
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(f"PRAGMA busy_timeout={int(self.busy_timeout * 1000)}")
             try:
                 conn.executescript(_SCHEMA)
             except sqlite3.OperationalError:
@@ -135,6 +166,7 @@ class SqliteBackend:
         return inserted
 
     def claim(self, worker_id: str, lease_seconds: float) -> Optional[Claim]:
+        _check_lease(lease_seconds)
         with self._tx() as conn:
             row = conn.execute(
                 "SELECT item_id, payload, token, attempts, enqueued_at FROM items "
@@ -170,6 +202,7 @@ class SqliteBackend:
     _HELD = "item_id = ? AND status = 'leased' AND worker = ? AND token = ?"
 
     def extend(self, item_id: str, worker_id: str, token: int, lease_seconds: float) -> bool:
+        _check_lease(lease_seconds)
         with self._tx() as conn:
             cursor = conn.execute(
                 f"UPDATE items SET lease_expires = ? WHERE {self._HELD}",
@@ -331,6 +364,9 @@ class SqliteBackend:
         if conn is not None:
             conn.close()
             self._local.conn = None
+        if self._owned_dir is not None:
+            shutil.rmtree(self._owned_dir, ignore_errors=True)
+            self._owned_dir = None
 
 
 __all__ = ["SqliteBackend"]

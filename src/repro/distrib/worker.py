@@ -157,16 +157,14 @@ def run_worker(
     poll_seconds: float = 0.1,
     max_jobs: Optional[int] = None,
     idle_exit_seconds: Optional[float] = None,
-    stop_event: Optional[threading.Event] = None,
-    heartbeats: bool = True,
 ) -> WorkerStats:
     """Drive one worker until the stop condition fires.
 
-    ``max_jobs`` bounds how many items are claimed (tests), ``idle_exit_seconds``
-    retires a worker whose queue has stayed empty that long (fleets that
-    should wind down), and ``stop_event`` is a cooperative kill switch
-    (in-process fleets).  With all three unset the worker serves forever —
-    the standalone ``promising-arm work`` shape.
+    ``max_jobs`` bounds how many items are claimed (tests), and
+    ``idle_exit_seconds`` retires a worker whose queue has stayed empty
+    that long (fleets that should wind down).  With both unset the worker
+    serves until it is terminated — the standalone ``promising-arm work``
+    shape and the coordinator's spawned fleet.
     """
     backend = open_backend(backend)
     cache = open_cache(cache)
@@ -174,19 +172,13 @@ def run_worker(
     backend.register_worker(
         worker_id, meta={"pid": os.getpid(), "host": socket.gethostname()}
     )
-    keeper: Optional[_LeaseKeeper] = None
-    if heartbeats:
-        keeper = _LeaseKeeper(
-            backend, worker_id, lease_seconds, interval=max(0.05, lease_seconds / 3)
-        )
-        keeper.start()
+    keeper = _LeaseKeeper(backend, worker_id, lease_seconds, interval=max(0.05, lease_seconds / 3))
+    keeper.start()
     stats = WorkerStats(worker_id=worker_id)
     log_event(_log, "worker started", worker=worker_id, lease_seconds=lease_seconds)
     idle_since = time.monotonic()
     try:
         while True:
-            if stop_event is not None and stop_event.is_set():
-                break
             if max_jobs is not None and stats.claimed >= max_jobs:
                 break
             claim = backend.claim(worker_id, lease_seconds)
@@ -200,8 +192,7 @@ def run_worker(
                 continue
             idle_since = time.monotonic()
             stats.claimed += 1
-            if keeper is not None:
-                keeper.hold(claim.item_id, claim.token)
+            keeper.hold(claim.item_id, claim.token)
             try:
                 job, timeout = decode_work(claim.payload)
                 hit = cache.get(job) if cache is not None else None
@@ -248,11 +239,9 @@ def run_worker(
                     error=repr(exc),
                 )
             finally:
-                if keeper is not None:
-                    keeper.release()
+                keeper.release()
     finally:
-        if keeper is not None:
-            keeper.stop()
+        keeper.stop()
         log_event(
             _log,
             "worker stopped",

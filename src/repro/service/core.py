@@ -73,6 +73,28 @@ OPTION_KEYS = (
     "timeout",
 )
 
+#: Hard ceiling on any requested per-job deadline, in seconds.
+MAX_TIMEOUT = 600.0
+#: Hard ceiling on any requested loop-unrolling bound.
+LOOP_BOUND_LIMIT = 4
+#: Hard ceiling on any requested ``max_states`` budget.
+MAX_STATES_LIMIT = 5_000_000
+#: Hard ceilings on the random walks one ``sample``-strategy job runs
+#: and on the step bound of each walk.
+MAX_SAMPLES_LIMIT = 65_536
+MAX_SAMPLE_DEPTH_LIMIT = 65_536
+#: Most jobs (models) a single request may expand into.
+MAX_JOBS_PER_REQUEST = 8
+#: Latencies kept for the /stats percentiles (ring buffer).
+LATENCY_WINDOW = 4096
+#: ``Retry-After`` (seconds) suggested on a queue-depth 429.
+ADMISSION_RETRY_AFTER = 1.0
+#: ``Retry-After`` (seconds) suggested on a drain-time 503.
+DRAIN_RETRY_AFTER = 2.0
+#: Longest a graceful drain waits for in-flight work before the server
+#: hard-stops whatever is left.
+DRAIN_TIMEOUT = 30.0
+
 _log = get_logger("service.core")
 
 _SERVICE_REQUESTS = metrics.counter(
@@ -182,51 +204,26 @@ class ServiceConfig:
     #: ``batch_max_size`` of them are waiting, then dispatched together.
     batch_max_delay: float = 0.01
     batch_max_size: int = 16
-    #: Micro-batches allowed to execute concurrently (``0`` = one per
-    #: worker).  More than one prevents head-of-line blocking: a fast
-    #: request arriving behind a slow batch runs on an idle worker
-    #: instead of waiting the slow batch out.
-    max_concurrent_batches: int = 0
     #: Capacity of the process-resident LRU result layer.
     lru_capacity: int = 4096
     #: Directory of the persistent result cache (``None`` = LRU only).
     cache_dir: Optional[str] = None
     #: Per-job deadline applied when a request does not name one.
     default_timeout: Optional[float] = 60.0
-    #: Hard ceiling on any requested per-job deadline.
-    max_timeout: float = 600.0
-    #: Hard ceiling on any requested loop-unrolling bound.
-    loop_bound_limit: int = 4
-    #: Hard ceiling on any requested ``max_states`` budget.
-    max_states_limit: int = 5_000_000
-    #: Hard ceilings on the random walks one ``sample``-strategy job runs
-    #: and on the step bound of each walk.
-    max_samples_limit: int = 65_536
-    max_sample_depth_limit: int = 65_536
     #: Largest accepted litmus source, in bytes.
     max_source_bytes: int = 65_536
-    #: Most jobs (models) a single request may expand into.
-    max_jobs_per_request: int = 8
-    #: Latencies kept for the /stats percentiles (ring buffer).
-    latency_window: int = 4096
     #: Admission control: once this many jobs are queued or in flight,
     #: new explore requests get ``429 + Retry-After`` instead of piling
     #: onto the dispatch queue (``0`` disables the check).
     max_pending_jobs: int = 1024
-    #: ``Retry-After`` (seconds) suggested on a queue-depth 429.
-    admission_retry_after: float = 1.0
-    #: ``Retry-After`` (seconds) suggested on a drain-time 503.
-    drain_retry_after: float = 2.0
-    #: Longest a graceful drain waits for in-flight work before the
-    #: server hard-stops whatever is left.
-    drain_timeout: float = 30.0
     #: Per-client token-bucket capacity for explore requests, keyed on
     #: the identity header (one token per job; ``None`` = quotas off).
     quota_tokens: Optional[float] = None
     #: Tokens refilled per second per client.
     quota_refill_per_second: float = 1.0
-    #: Work-queue ledger mounted at ``/v1/queue/*`` (``memory://<name>``
-    #: or ``sqlite:///path``; ``None`` = a fresh in-memory queue).
+    #: Work-queue ledger mounted at ``/v1/queue/*`` (``sqlite:///path``
+    #: or a bare path; ``None`` = a private SQLite ledger in a temporary
+    #: directory, removed when the server stops).
     queue_url: Optional[str] = None
 
 
@@ -336,8 +333,8 @@ class ExplorationService:
         self._loop = asyncio.get_running_loop()
         if self.config.workers > 1:
             self._pool = WorkerPool(self.config.workers)
-        slots = self.config.max_concurrent_batches or max(1, self.config.workers)
-        self._batch_slots = asyncio.Semaphore(slots)
+        # One micro-batch in flight per worker (see _dispatch_loop).
+        self._batch_slots = asyncio.Semaphore(max(1, self.config.workers))
         self._running = True
         self._draining = False
         self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
@@ -411,8 +408,8 @@ class ExplorationService:
         """Validate a request dict and expand it into harness jobs.
 
         Raises :class:`ServiceError` (a 400) on anything malformed; the
-        limits in :class:`ServiceConfig` bound every knob a client can
-        turn, so one request can never wedge the service.
+        limits above (``MAX_TIMEOUT`` and friends) bound every knob a
+        client can turn, so one request can never wedge the service.
         """
         if not isinstance(payload, dict):
             raise ServiceError("request body must be a JSON object")
@@ -433,18 +430,14 @@ class ExplorationService:
                 f"accepted: {', '.join(OPTION_KEYS)}"
             )
         loop_bound = options.get("loop_bound", 2)
-        if not isinstance(loop_bound, int) or not 1 <= loop_bound <= self.config.loop_bound_limit:
-            raise ServiceError(f"'loop_bound' must be an int in 1..{self.config.loop_bound_limit}")
+        if not isinstance(loop_bound, int) or not 1 <= loop_bound <= LOOP_BOUND_LIMIT:
+            raise ServiceError(f"'loop_bound' must be an int in 1..{LOOP_BOUND_LIMIT}")
+        # The chained bounds checks below also refuse NaN (every
+        # comparison with it is false) and both infinities.
         timeout = options.get("timeout", self.config.default_timeout)
         if timeout is not None:
-            if (
-                not isinstance(timeout, (int, float))
-                or timeout <= 0
-                or timeout > self.config.max_timeout
-            ):
-                raise ServiceError(
-                    f"'timeout' must be a number of seconds in (0, {self.config.max_timeout}]"
-                )
+            if not isinstance(timeout, (int, float)) or not 0 < timeout <= MAX_TIMEOUT:
+                raise ServiceError(f"'timeout' must be a number of seconds in (0, {MAX_TIMEOUT}]")
             timeout = float(timeout)
         include_outcomes = options.get("include_outcomes", True)
         if not isinstance(include_outcomes, bool):
@@ -458,19 +451,17 @@ class ExplorationService:
             if (
                 isinstance(deadline_seconds, bool)
                 or not isinstance(deadline_seconds, (int, float))
-                or deadline_seconds <= 0
-                or deadline_seconds > self.config.max_timeout
+                or not 0 < deadline_seconds <= MAX_TIMEOUT
             ):
                 raise ServiceError(
-                    "'deadline_seconds' must be a number of seconds in "
-                    f"(0, {self.config.max_timeout}]"
+                    f"'deadline_seconds' must be a number of seconds in (0, {MAX_TIMEOUT}]"
                 )
             deadline_seconds = float(deadline_seconds)
         max_states = options.get("max_states")
         if max_states is not None and (
-            not isinstance(max_states, int) or not 1 <= max_states <= self.config.max_states_limit
+            not isinstance(max_states, int) or not 1 <= max_states <= MAX_STATES_LIMIT
         ):
-            raise ServiceError(f"'max_states' must be an int in 1..{self.config.max_states_limit}")
+            raise ServiceError(f"'max_states' must be an int in 1..{MAX_STATES_LIMIT}")
 
         from ..explore import STRATEGIES
 
@@ -485,18 +476,16 @@ class ExplorationService:
         if (
             not isinstance(samples, int)
             or isinstance(samples, bool)
-            or not 1 <= samples <= self.config.max_samples_limit
+            or not 1 <= samples <= MAX_SAMPLES_LIMIT
         ):
-            raise ServiceError(f"'samples' must be an int in 1..{self.config.max_samples_limit}")
+            raise ServiceError(f"'samples' must be an int in 1..{MAX_SAMPLES_LIMIT}")
         sample_depth = options.get("sample_depth", 4096)
         if (
             not isinstance(sample_depth, int)
             or isinstance(sample_depth, bool)
-            or not 1 <= sample_depth <= self.config.max_sample_depth_limit
+            or not 1 <= sample_depth <= MAX_SAMPLE_DEPTH_LIMIT
         ):
-            raise ServiceError(
-                f"'sample_depth' must be an int in 1..{self.config.max_sample_depth_limit}"
-            )
+            raise ServiceError(f"'sample_depth' must be an int in 1..{MAX_SAMPLE_DEPTH_LIMIT}")
         seed = options.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ServiceError("'seed' must be an integer")
@@ -513,10 +502,8 @@ class ExplorationService:
                 f"choose from {', '.join(MODELS)}"
             )
         models = tuple(dict.fromkeys(models))
-        if len(models) > self.config.max_jobs_per_request:
-            raise ServiceError(
-                f"a request may expand into at most {self.config.max_jobs_per_request} jobs"
-            )
+        if len(models) > MAX_JOBS_PER_REQUEST:
+            raise ServiceError(f"a request may expand into at most {MAX_JOBS_PER_REQUEST} jobs")
 
         arch_name = payload.get("arch")
         if arch_name is not None:
@@ -617,7 +604,7 @@ class ExplorationService:
                 raise ServiceError(
                     f"service overloaded: {depth} jobs already pending",
                     status=429,
-                    retry_after=self.config.admission_retry_after,
+                    retry_after=ADMISSION_RETRY_AFTER,
                 )
         if self.quotas is not None:
             wait = self.quotas.take(client_id or "anonymous", cost=len(request.jobs))
@@ -707,7 +694,7 @@ class ExplorationService:
         total_cost["compute_ms"] = round(total_cost["compute_ms"], 3)
         total_cost["served_from"] = served_from_counts
         elapsed = time.perf_counter() - start
-        self.stats.record_latency(elapsed, self.config.latency_window)
+        self.stats.record_latency(elapsed, LATENCY_WINDOW)
         _SERVICE_REQUESTS.inc(outcome="ok")
         _SERVICE_REQUEST_SECONDS.observe(elapsed)
         response = {
@@ -761,7 +748,7 @@ class ExplorationService:
             raise ServiceError(
                 "service draining" if self._running else "service stopping",
                 status=503,
-                retry_after=self.config.drain_retry_after,
+                retry_after=DRAIN_RETRY_AFTER,
             )
         future = self._loop.create_future()
         self._inflight[fingerprint] = future
@@ -791,13 +778,13 @@ class ExplorationService:
     async def _dispatch_loop(self) -> None:
         """Gather cold jobs into micro-batches and run them on the pool.
 
-        Up to ``max_concurrent_batches`` batches execute at once (one per
-        worker by default), so a fast request arriving behind a slow
-        batch is dispatched to an idle worker instead of waiting the slow
-        batch out; within that limit, jobs queueing while every slot is
-        busy accumulate into larger batches, which keeps dispatch
-        overhead amortised under load while an idle service dispatches a
-        lone request after at most ``batch_max_delay``.
+        Up to one batch per worker executes at once, so a fast request
+        arriving behind a slow batch is dispatched to an idle worker
+        instead of waiting the slow batch out; within that limit, jobs
+        queueing while every slot is busy accumulate into larger batches,
+        which keeps dispatch overhead amortised under load while an idle
+        service dispatches a lone request after at most
+        ``batch_max_delay``.
         """
         while self._running:
             await self._queue_event.wait()
@@ -1037,6 +1024,16 @@ class ExplorationService:
 
 
 __all__ = [
+    "ADMISSION_RETRY_AFTER",
+    "DRAIN_RETRY_AFTER",
+    "DRAIN_TIMEOUT",
+    "LATENCY_WINDOW",
+    "LOOP_BOUND_LIMIT",
+    "MAX_JOBS_PER_REQUEST",
+    "MAX_SAMPLE_DEPTH_LIMIT",
+    "MAX_SAMPLES_LIMIT",
+    "MAX_STATES_LIMIT",
+    "MAX_TIMEOUT",
     "OPTION_KEYS",
     "SERVICE_SCHEMA_VERSION",
     "ExplorationService",

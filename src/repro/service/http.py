@@ -39,7 +39,7 @@ from typing import Optional, Union
 
 from ..obs import metrics
 from ..obs.logging import bind, get_logger, log_event, new_request_id, sanitize_request_id
-from .core import ExplorationService, ServiceConfig
+from .core import DRAIN_TIMEOUT, ExplorationService, ServiceConfig
 
 _log = get_logger("service.http")
 
@@ -133,15 +133,17 @@ class ServiceServer:
         self._conn_tasks: set[asyncio.Task] = set()
         # The /v1/queue mount: an explicit backend wins (tests inject
         # clock-controlled ledgers), else the configured URL, else a
-        # fresh in-memory queue private to this server.
-        from ..distrib.backend import MemoryBackend, open_backend
+        # private SQLite ledger in a temporary directory that stop()
+        # removes.
+        from ..distrib.backend import open_backend
         from ..distrib.http_backend import QueueHttpApi
+        from ..distrib.sqlite import SqliteBackend
 
         if queue_backend is None:
             if service.config.queue_url:
                 queue_backend = open_backend(service.config.queue_url)
             else:
-                queue_backend = MemoryBackend()
+                queue_backend = SqliteBackend.temporary()
         self.queue_backend = queue_backend
         self.queue_api = QueueHttpApi(queue_backend)
 
@@ -168,7 +170,7 @@ class ServiceServer:
         # Everything accepted finishes (new cold arrivals get 503 +
         # Retry-After); only a drain-timeout overrun is hard-failed by
         # service.stop() below.
-        await self.service.drain(timeout=self.service.config.drain_timeout)
+        await self.service.drain(timeout=DRAIN_TIMEOUT)
         # Give handlers a moment to flush responses already computed,
         # then close the (now idle) keep-alive connections under them.
         deadline = time.monotonic() + 5.0
@@ -479,16 +481,18 @@ def run_server(
         server = ServiceServer(
             ExplorationService(config), host, port, queue_backend=queue_backend
         )
-        bound_host, bound_port = await server.start()
-        print(
-            f"promising-arm service listening on http://{bound_host}:{bound_port} "
-            f"({server.service.healthz()['pool']} pool, "
-            f"{server.service.config.workers} workers)",
-            flush=True,
-        )
-        if on_ready is not None:
-            on_ready(bound_host, bound_port)
+        # stop() also runs when start() fails (say, the port is taken),
+        # so the pool and the default queue's directory never leak.
         try:
+            bound_host, bound_port = await server.start()
+            print(
+                f"promising-arm service listening on http://{bound_host}:{bound_port} "
+                f"({server.service.healthz()['pool']} pool, "
+                f"{server.service.config.workers} workers)",
+                flush=True,
+            )
+            if on_ready is not None:
+                on_ready(bound_host, bound_port)
             await server.wait_shutdown()
         finally:
             await server.stop()

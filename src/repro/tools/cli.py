@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -61,6 +62,15 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    # NaN, infinity, zero and negatives would each run with no deadline
+    # or lease a queue item forever; refuse them at parse time (exit 2).
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be a finite number of seconds greater than 0")
     return value
 
 
@@ -353,7 +363,7 @@ def _add_battery_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (0 = one per CPU)")
     parser.add_argument("--cache-dir", default=None, help="persistent result cache directory")
-    parser.add_argument("--timeout", type=float, default=None,
+    parser.add_argument("--timeout", type=_positive_seconds, default=None,
                         help="per-job timeout in seconds")
     parser.add_argument("--report", default=None, help="write a JSON report to this path")
     parser.add_argument("--distributed", action="store_true",
@@ -366,7 +376,7 @@ def _add_battery_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--external-workers", action="store_true",
                         help="spawn no local workers; an external fleet "
                              "(promising-arm work) serves the queue")
-    parser.add_argument("--stall-timeout", type=float, default=None,
+    parser.add_argument("--stall-timeout", type=_positive_seconds, default=None,
                         help="abort if no distributed item completes for this long")
 
 
@@ -465,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="shared persistent result cache directory")
     work_parser.add_argument("--worker-id", default=None,
                              help="stable worker identity (default host-pid)")
-    work_parser.add_argument("--lease-seconds", type=float, default=30.0,
+    work_parser.add_argument("--lease-seconds", type=_positive_seconds, default=30.0,
                              help="claim lease length; heartbeats extend it while running")
     work_parser.add_argument("--poll-seconds", type=float, default=0.1,
                              help="idle back-off between claim attempts")
@@ -492,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="most cold jobs dispatched in one micro-batch")
     serve_parser.add_argument("--batch-delay-ms", type=float, default=10.0,
                               help="micro-batch accumulation window in milliseconds")
-    serve_parser.add_argument("--timeout", type=float, default=60.0,
+    serve_parser.add_argument("--timeout", type=_positive_seconds, default=60.0,
                               help="default per-job deadline in seconds")
     serve_parser.add_argument("--max-pending-jobs", type=int, default=1024,
                               help="admission control: answer 429 + Retry-After once this "
@@ -504,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="tokens refilled per second per client")
     serve_parser.add_argument("--queue-url", default=None,
                               help="ledger mounted at /v1/queue for HTTP fleets "
-                                   "(sqlite:///path or memory://name; default: fresh "
-                                   "in-memory queue)")
+                                   "(sqlite:///path or a bare path; default: a private "
+                                   "SQLite queue in a temporary directory)")
     serve_parser.set_defaults(func=cmd_serve)
     return parser
 

@@ -1,8 +1,8 @@
 """Tests for the distributed exploration layer: queue laws, fleet parity.
 
-The guarantees pinned here: the in-memory and SQLite backends obey the
-same claim/lease/complete/requeue laws (fencing tokens make completion
-exactly-once even against zombie workers), concurrent claimants never
+The guarantees pinned here: the SQLite ledger obeys the claim/lease/
+complete/requeue laws both in process and over HTTP (fencing tokens make
+completion exactly-once even against zombie workers), concurrent claimants never
 double-serve an item, a crashed worker's lease is reclaimed and its job
 completes exactly once, and a distributed batch is bit-identical — per
 job, per report digest, and in folded metrics — to the single-pool run
@@ -24,7 +24,6 @@ import pytest
 from repro.distrib import (
     DistribConfig,
     HttpWorkBackend,
-    MemoryBackend,
     SqliteBackend,
     open_backend,
     run_distributed,
@@ -43,6 +42,7 @@ from repro.harness.report import build_report, outcome_set_digest
 from repro.lang.kinds import Arch
 from repro.litmus import generate_cycle_battery, get_test
 from repro.obs.metrics import diff_snapshots, get_registry
+from repro.service import ServiceClientError
 from repro.tools.cli import main
 
 
@@ -57,15 +57,13 @@ class FakeClock:
         self.now += seconds
 
 
-@pytest.fixture(params=["memory", "sqlite", "http"])
+@pytest.fixture(params=["sqlite", "http"])
 def ledger(request, tmp_path):
     clock = FakeClock()
-    if request.param == "memory":
-        backend = MemoryBackend(clock=clock)
-    elif request.param == "sqlite":
+    if request.param == "sqlite":
         backend = SqliteBackend(tmp_path / "queue.db", clock=clock)
     else:
-        # The same laws must hold over the wire: a clock-controlled memory
+        # The same laws must hold over the wire: a clock-controlled SQLite
         # ledger mounted on a live server, driven through HttpWorkBackend.
         from repro.service import ServiceClient, ServiceConfig
         from repro.service.http import run_server
@@ -76,7 +74,7 @@ def ledger(request, tmp_path):
             args=(ServiceConfig(workers=1, batch_max_delay=0.0), "127.0.0.1", 0),
             kwargs={
                 "on_ready": lambda host, port: ready.put((host, port)),
-                "queue_backend": MemoryBackend(clock=clock),
+                "queue_backend": SqliteBackend(tmp_path / "served.db", clock=clock),
             },
             daemon=True,
         )
@@ -101,7 +99,7 @@ def corpus_jobs(n_tests=4, models=("promising", "axiomatic")):
 
 
 # ---------------------------------------------------------------------------
-# Backend laws (identical for both implementations)
+# Backend laws (identical in process and over HTTP)
 # ---------------------------------------------------------------------------
 
 
@@ -223,6 +221,30 @@ class TestBackendLaws:
         views = backend.collect(["p", "l", "d", "missing"])
         assert set(views) == {"l"}
 
+    def test_lease_must_be_finite_and_positive(self, ledger):
+        # NaN or infinity would lease an item forever; zero or less would
+        # hand it out already expired.  A refused claim or extend leaves
+        # the item's status, token and lease as they were.
+        backend, clock = ledger
+        bad_leases = (float("nan"), float("inf"), 0, -1)
+        # A ValueError in process, the same message in a 400 over HTTP.
+        refused = (ValueError, ServiceClientError)
+        reason = "lease_seconds must be finite and positive"
+        backend.enqueue("a", b"x")
+        for lease in bad_leases:
+            with pytest.raises(refused, match=reason):
+                backend.claim("w1", lease)
+        assert backend.counts()[STATUS_PENDING] == 1
+        claim = backend.claim("w1", lease_seconds=10)
+        assert (claim.token, claim.attempts) == (1, 1)
+        for lease in bad_leases:
+            with pytest.raises(refused, match=reason):
+                backend.extend("a", "w1", claim.token, lease)
+        assert backend.counts()[STATUS_LEASED] == 1
+        clock.advance(11)  # the original lease, never extended, runs out
+        assert backend.requeue_expired() == ["a"]
+        assert backend.claim("w2", 30).token == claim.token + 1
+
     def test_worker_registration_heartbeat_and_throughput(self, ledger):
         backend, clock = ledger
         backend.register_worker("w1", meta={"host": "box"})
@@ -273,13 +295,6 @@ class TestConcurrentClaims:
 
 
 class TestOpenBackend:
-    def test_memory_urls_share_one_ledger_per_name(self):
-        a = open_backend("memory://shared-test")
-        b = open_backend("memory://shared-test")
-        c = open_backend("memory://other-test")
-        assert a is b
-        assert a is not c
-
     def test_sqlite_urls_and_bare_paths(self, tmp_path):
         by_url = open_backend(f"sqlite:///{tmp_path}/q.db")
         assert isinstance(by_url, SqliteBackend)
@@ -294,9 +309,10 @@ class TestOpenBackend:
         with pytest.raises(ValueError):
             open_backend("sqlite://")
 
-    def test_backend_objects_pass_through(self):
-        backend = MemoryBackend()
+    def test_backend_objects_pass_through(self, tmp_path):
+        backend = SqliteBackend(tmp_path / "q.db")
         assert open_backend(backend) is backend
+        backend.close()
 
     def test_http_urls_dispatch_without_connecting(self):
         # Nothing listens on this port: the constructor must not connect
@@ -316,7 +332,7 @@ class TestOpenBackend:
 
 class TestWorker:
     def test_worker_executes_and_caches(self, tmp_path):
-        backend = MemoryBackend()
+        backend = SqliteBackend(tmp_path / "q.db")
         jobs = arm_jobs([get_test("MP"), get_test("SB")])
         for job in jobs:
             backend.enqueue(job.fingerprint(), encode_work(job))
@@ -339,7 +355,7 @@ class TestWorker:
 
         # Re-enqueue the same fingerprints on a fresh queue: the shared
         # cache now serves every one without recomputation.
-        warm = MemoryBackend()
+        warm = SqliteBackend(tmp_path / "warm.db")
         for job in jobs:
             warm.enqueue(job.fingerprint(), encode_work(job))
         stats2 = run_worker(
@@ -355,24 +371,28 @@ class TestWorker:
             v.served_from == "cache"
             for v in warm.collect([j.fingerprint() for j in jobs]).values()
         )
+        backend.close()
+        warm.close()
 
-    def test_undecodable_payload_fails_and_requeues(self):
-        backend = MemoryBackend(max_attempts=2)
+    def test_undecodable_payload_fails_and_requeues(self, tmp_path):
+        backend = SqliteBackend(tmp_path / "q.db", max_attempts=2)
         backend.enqueue("junk", b"not a pickle")
         stats = run_worker(backend, None, worker_id="w1", max_jobs=2, poll_seconds=0.01)
         assert stats.failures == 2
         view = backend.collect(["junk"])["junk"]
         assert view.status == STATUS_FAILED
         assert "UnpicklingError" in view.error or "Error" in view.error
+        backend.close()
 
-    def test_idle_exit_retires_a_drained_worker(self):
-        backend = MemoryBackend()
+    def test_idle_exit_retires_a_drained_worker(self, tmp_path):
+        backend = SqliteBackend(tmp_path / "q.db")
         start = time.monotonic()
         stats = run_worker(
             backend, None, worker_id="w1", idle_exit_seconds=0.05, poll_seconds=0.01
         )
         assert stats.claimed == 0
         assert time.monotonic() - start < 10
+        backend.close()
 
     def test_heartbeat_extends_the_running_lease(self, tmp_path):
         # A job that outlives its lease must not be reclaimed from a live
@@ -490,19 +510,24 @@ class TestCrashReclamation:
         assert view.worker != "doomed"
         backend.close()
 
-    def test_terminally_failed_item_surfaces_as_error_result(self):
-        backend = MemoryBackend(max_attempts=1)
+    def test_terminally_failed_item_surfaces_as_error_result(self, tmp_path):
+        queue = tmp_path / "queue.db"
         jobs = arm_jobs([get_test("MP")])
-        # Poison the queue entry so the worker's decode fails; with one
-        # attempt allowed the item goes terminal and the coordinator
+        # Poison the queue entry so the worker's decode fails; once its
+        # attempts run out the item goes terminal and the coordinator
         # reports it as an error result instead of hanging.
+        backend = SqliteBackend(queue)
         backend.enqueue(jobs[0].fingerprint(), b"poison")
         run = run_distributed(
-            jobs, config=DistribConfig(backend_url=backend, workers=1, poll_seconds=0.01)
+            jobs, config=DistribConfig(backend_url=str(queue), workers=1, poll_seconds=0.01)
         )
         assert run.results[0].status == STATUS_ERROR
         assert run.results[0].error
         assert run.info["jobs_failed"] == 1
+        view = backend.collect([jobs[0].fingerprint()])[jobs[0].fingerprint()]
+        assert view.status == STATUS_FAILED
+        assert view.attempts == backend.max_attempts
+        backend.close()
 
 
 class TestDistributedParity:
@@ -600,7 +625,7 @@ class TestDistributedParity:
         stats = BatchStats()
         run = run_distributed(
             duplicated,
-            config=DistribConfig(backend_url="memory://warm-batch", workers=1),
+            config=DistribConfig(backend_url=str(tmp_path / "q.db"), workers=1),
             cache=cache,
             stats=stats,
         )
@@ -616,7 +641,7 @@ class TestDistributedParity:
             tests,
             models,
             archs,
-            distrib=DistribConfig(backend_url="memory://sweep-route", workers=2),
+            distrib=DistribConfig(backend_url=str(tmp_path / "sweep.db"), workers=2),
         )
         assert sweep.ok
         assert sweep.report["extra"]["distrib"]["jobs_computed"] == 4
@@ -628,7 +653,7 @@ class TestDistributedParity:
         fuzz = run_fuzz(
             max_tests=2,
             models=("promising", "axiomatic"),
-            distrib=DistribConfig(backend_url="memory://fuzz-route", workers=2),
+            distrib=DistribConfig(backend_url=str(tmp_path / "fuzz.db"), workers=2),
         )
         assert fuzz.ok
         assert fuzz.report["extra"]["distrib"]["jobs_computed"] == fuzz.report["n_jobs"]
@@ -668,31 +693,22 @@ class TestTeardown:
         )
         assert multiprocessing.active_children() == []
 
-    def test_fleet_death_is_detected_not_hung(self):
-        # Spawned thread-fleet workers that exit (stop event pre-set)
-        # with items outstanding must surface as an error, not a hang.
-        backend = MemoryBackend()
+    def test_fleet_death_is_detected_not_hung(self, tmp_path, monkeypatch):
+        # Spawned workers that exit with items outstanding must surface
+        # as an error, not a hang.  The forked children run the patched
+        # entry point, which returns at once.
+        from repro.distrib import coordinator
+
+        monkeypatch.setattr(coordinator, "_process_worker_main", lambda *args: None)
         jobs = arm_jobs([get_test("MP")])
-
-        from repro.distrib import coordinator as coord
-
-        class PrestoppedFleet(coord._Fleet):
-            def spawn(self, *args, **kwargs):
-                self.stop_event.set()
-                super().spawn(*args, **kwargs)
-
-        original = coord._Fleet
-        coord._Fleet = PrestoppedFleet
-        try:
-            with pytest.raises(RuntimeError, match="outstanding"):
-                run_distributed(
-                    jobs,
-                    config=DistribConfig(
-                        backend_url=backend, workers=1, poll_seconds=0.01
-                    ),
-                )
-        finally:
-            coord._Fleet = original
+        with pytest.raises(RuntimeError, match="outstanding"):
+            run_distributed(
+                jobs,
+                config=DistribConfig(
+                    backend_url=str(tmp_path / "q.db"), workers=1, poll_seconds=0.01
+                ),
+            )
+        assert multiprocessing.active_children() == []
 
     def test_sigint_coordinator_leaves_no_orphans(self, tmp_path):
         # Ctrl-C the coordinator process mid-batch: the finally-path fleet

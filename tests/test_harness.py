@@ -592,6 +592,15 @@ class TestFuzz:
             ["fuzz", "--max-tests", "-1"],
             ["fuzz", "--max-per-family", "-1"],
             ["sweep", "--max-tests", "-1"],
+            # NaN, infinite or non-positive seconds would run with no
+            # deadline, or lease a queue item forever.
+            ["fuzz", "--timeout", "nan"],
+            ["fuzz", "--timeout", "-1"],
+            ["fuzz", "--timeout", "0"],
+            ["sweep", "--timeout", "inf"],
+            ["fuzz", "--stall-timeout", "nan"],
+            ["serve", "--timeout", "0"],
+            ["work", "--backend-url", "queue.db", "--lease-seconds", "nan"],
             # The verb is gone: ``sweep`` runs the same battery.
             ["agreement"],
         ):

@@ -25,8 +25,8 @@ from repro.service import (
     TokenBuckets,
     percentile,
 )
-from repro.service.core import OPTION_KEYS
-from repro.service.http import run_server
+from repro.service.core import ADMISSION_RETRY_AFTER, DRAIN_RETRY_AFTER, OPTION_KEYS
+from repro.service.http import ServiceServer, run_server
 
 MP_SOURCE = (
     "AArch64 MP-service\n"
@@ -108,6 +108,10 @@ class TestNormalize:
             self.normalize({"test": "SB", "options": {"loop_bound": 99}})
         with pytest.raises(ServiceError):
             self.normalize({"test": "SB", "options": {"timeout": -1}})
+        # NaN fails every comparison, so it must not slip past the bounds
+        # and run with no deadline at all.
+        with pytest.raises(ServiceError):
+            self.normalize({"test": "SB", "options": {"timeout": float("nan")}})
         with pytest.raises(ServiceError):
             self.normalize({"test": "SB", "options": {"max_states": 0}})
         # Over-limit timeouts are rejected like every other option, not
@@ -138,7 +142,7 @@ class TestNormalize:
         assert loose.jobs[0].fingerprint() != tight.jobs[0].fingerprint()
 
     def test_deadline_option_bounds(self):
-        for bad in (True, "2", 0, -1.0, 10_000):
+        for bad in (True, "2", 0, -1.0, 10_000, float("nan")):
             with pytest.raises(ServiceError):
                 self.normalize({"test": "SB", "options": {"deadline_seconds": bad}})
         request = self.normalize({"test": "SB", "options": {"deadline_seconds": 2}})
@@ -408,9 +412,7 @@ class TestAdmissionControl:
             await asyncio.sleep(0.05)
             status, response = await service.handle_explore({"test": "MP"})
             assert status == 429 and not response["ok"]
-            assert response["retry_after"] == pytest.approx(
-                service.config.admission_retry_after
-            )
+            assert response["retry_after"] == pytest.approx(ADMISSION_RETRY_AFTER)
             assert service.stats.admission_rejections == 1
             await service.stop()
             await asyncio.wait_for(pending, timeout=5.0)
@@ -481,9 +483,7 @@ class TestGracefulDrain:
             # New cold work is turned away with an explicit come-back-later.
             status, rejected = await service.handle_explore({"test": "LB"})
             assert status == 503 and not rejected["ok"]
-            assert rejected["retry_after"] == pytest.approx(
-                service.config.drain_retry_after
-            )
+            assert rejected["retry_after"] == pytest.approx(DRAIN_RETRY_AFTER)
             assert service.stats.drain_rejections == 1
             # Cache hits still answer during the drain.
             status, cached = await service.handle_explore({"test": "SB"})
@@ -509,6 +509,39 @@ class TestGracefulDrain:
             assert not await service.drain(timeout=0.2)
             await service.stop()
             await asyncio.wait_for(pending, timeout=5.0)
+
+        run_async(scenario())
+
+
+class TestQueueMount:
+    def test_default_mount_is_a_private_sqlite_ledger(self):
+        # With neither queue_backend nor queue_url, the server mounts a
+        # SQLite ledger in a temporary directory of its own, serves the
+        # queue protocol from it, and stop() removes the directory.
+        from repro.distrib import HttpWorkBackend, SqliteBackend
+
+        def round_trip(host, port):
+            with ServiceClient(host, port) as client:
+                assert client.queue_op("info", {})["info"]["backend"] == "SqliteBackend"
+                backend = HttpWorkBackend(f"http://{host}:{port}", client=client)
+                assert backend.enqueue("item", b"payload")
+                claim = backend.claim("w1", 30)
+                assert claim.payload == b"payload"
+                assert backend.complete("item", "w1", claim.token, b"result")
+                view = backend.collect(["item"])["item"]
+                assert (view.status, view.result) == ("done", b"result")
+
+        async def scenario():
+            server = ServiceServer(make_service(), "127.0.0.1", 0)
+            assert isinstance(server.queue_backend, SqliteBackend)
+            directory = server.queue_backend.path.parent
+            host, port = await server.start()
+            try:
+                assert directory.is_dir()
+                await asyncio.get_running_loop().run_in_executor(None, round_trip, host, port)
+            finally:
+                await server.stop()
+            assert not directory.exists()
 
         run_async(scenario())
 
