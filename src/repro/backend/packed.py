@@ -28,7 +28,13 @@ The explorers therefore run on this backend, which removes all of that:
 * dynamic behaviour still comes from the *reference* step rule bodies
   (:mod:`repro.promising.steps`) — run once per distinct ``(thread,
   thread-config, memory)`` triple, encoded, and replayed from integer
-  memo tables on every later visit.
+  memo tables on every later visit;
+* certification and completion answers are memoised on a *canonical
+  thread key* (:meth:`PackedPromisingBackend._thread_key`): the thread's
+  statement, its state with timestamps replaced by their ranks, and only
+  the messages at the locations it can access.  Configurations that
+  differ in foreign messages, or in where their own messages sit in
+  memory, share one sequential-graph build.
 
 Successor *order* is preserved exactly (candidates before promises,
 promises sorted by location/value, as in
@@ -46,6 +52,7 @@ from typing import Optional
 from ..explore import DepthFirst, SearchKernel
 from ..isa.compile import CompiledProgram, compile_program
 from ..lang.program import Program
+from ..lang.transform import accessed_locations
 from ..obs import metrics
 from ..obs.tracing import PhaseAccumulator
 from ..outcomes import Outcome
@@ -91,13 +98,19 @@ class PackedPromisingBackend:
         #: normal-write steps extend memory deterministically, so the
         #: resulting id never needs a messages-tuple hash twice.
         self._appends: dict[tuple, int] = {}
-        #: Certification memo keyed by small ``(tid, tcfg, mem)`` tuples.
+        #: Per thread, the locations it can access (``None`` when some
+        #: address depends on registers): the projection of memory that
+        #: :meth:`_thread_key` keeps.
+        self._footprints = [
+            locs if static else None for locs, static in map(accessed_locations, program.threads)
+        ]
+        #: Certification memo keyed by :meth:`_thread_key`.
         self._certs: dict[tuple, CertificationResult] = {}
         self._cert_hits = 0
         self._cert_misses = 0
         self._steps: dict[tuple, tuple] = {}
         self._promise_steps: dict[tuple, tuple] = {}
-        #: (tid, tcfg, mem) -> sorted tuple of interned register-file ids.
+        #: :meth:`_thread_key` -> sorted tuple of interned register-file ids.
         self._completions: dict[tuple, tuple] = {}
         #: register-assignment tuple -> dense id; objects are the tuples.
         self._regs = IdInterner()
@@ -157,35 +170,106 @@ class PackedPromisingBackend:
         return self.encode(MachineState.initial(self.program, self.arch))
 
     # -- certification ------------------------------------------------------
+    def _thread_key(self, tid: int, cfg: int, mem: int) -> tuple:
+        """Memo key of thread ``tid`` at config ``cfg`` under memory ``mem``.
+
+        ``(tid, sid, relabelled state, kept messages)``: the kept messages
+        are those at the thread's static footprint, in timestamp order;
+        the state has every timestamp (``prom``, register views, ``coh``,
+        the six views, ``fwdb`` and ``xclb`` times and views) replaced by
+        its rank among the kept ones, 0 staying 0.  Certification
+        (§4.3, §B, Theorem 6.4) and the §7 completion phase are
+        thread-local, and their answers are equal for any two
+        configurations with equal keys:
+
+        1. Every timestamp in the thread state is 0 or the timestamp of a
+           message at the footprint.  Views only take the timestamps
+           this thread read or wrote, or maxima of those; ``prom`` holds
+           the thread's own messages, at locations it writes.
+        2. The rules the sequential build and the completion DFS run
+           read memory only at footprint locations: ``read_steps``
+           (``writes_to``, ``no_write_to_in``), ``fulfil_steps``,
+           ``_atomic`` and ``write_steps``.  They compare timestamps only
+           with each other and with ``|M|``, and so does the promise
+           harvest (``pre_view <= max_ts``).
+        3. Extend the rank map with ``|M|+k -> |K|+k`` for the build's own
+           writes.  It preserves every one of those comparisons, and the
+           order in which ``writes_to`` lists candidates, so the
+           relabelled build is the same graph in the same discovery
+           order, with the same fuel cut-off.
+        4. The answers hold no timestamps: promises are ``Msg(loc, val,
+           tid)`` and completion sets hold register values only.  So the
+           answer is equal field by field, ``visited`` included.
+
+        Initial values, arch and ``cert_fuel`` are constant within a run
+        (the memos are per run), so the key leaves them out.  A thread
+        with a register-dependent address, or a state holding a
+        timestamp outside the rank map (where 1. fails), keeps the raw
+        ``(tid, cfg, mem)`` key, which is sound in every case; raw keys
+        have three fields and canonical keys four, so the two never
+        collide in one dict.
+        """
+        footprint = self._footprints[tid]
+        if footprint is None:
+            return (tid, cfg, mem)
+        rank = {0: 0}
+        kept = []
+        for t, msg in enumerate(self._mems.objects[mem].messages, 1):
+            if msg.loc in footprint:
+                kept.append(msg)
+                rank[t] = len(kept)
+        ts = self._tcfgs.objects[cfg][1]
+        xclb = ts.xclb
+        try:
+            state = (
+                tuple(sorted(rank[t] for t in ts.prom)),
+                tuple(sorted((r, v, rank[n]) for r, (v, n) in ts.regs.items())),
+                tuple(sorted((loc, rank[n]) for loc, n in ts.coh.items())),
+                rank[ts.vrOld],
+                rank[ts.vwOld],
+                rank[ts.vrNew],
+                rank[ts.vwNew],
+                rank[ts.vCAP],
+                rank[ts.vRel],
+                tuple(
+                    sorted((loc, rank[f.time], rank[f.view], f.xcl) for loc, f in ts.fwdb.items())
+                ),
+                None if xclb is None else (rank[xclb.time], rank[xclb.view]),
+            )
+        except KeyError:
+            return (tid, cfg, mem)
+        return (tid, self._tcfg_sid[cfg], state, tuple(kept))
+
     def _certify(self, tid: int, cfg: int, mem: int) -> CertificationResult:
         """Memoised certification of one thread config under one memory.
 
         A result cut short by ``cert_fuel`` marks the run truncated, for
-        both explorers alike.  The memo lives for one run, so every key's
-        miss comes before its hits and flagging on the miss suffices.
+        both explorers alike, on a hit as well as on a miss: a canonical
+        key's hit may answer a configuration other than the one whose
+        miss computed it.
         """
-        key = (tid, cfg, mem)
+        key = self._thread_key(tid, cfg, mem)
         result = self._certs.get(key)
         if result is not None:
             self._cert_hits += 1
-            return result
-        self._cert_misses += 1
-        _stmt, ts = self._tcfgs.objects[cfg]
-        result = certify_compiled(
-            self.compiled,
-            self._tcfg_sid[cfg],
-            ts,
-            self._mems.objects[mem],
-            self.arch,
-            tid,
-            self.config.cert_fuel,
-            self._mems,
-            mem_id=mem,
-            appends=self._appends,
-        )
+        else:
+            self._cert_misses += 1
+            _stmt, ts = self._tcfgs.objects[cfg]
+            result = certify_compiled(
+                self.compiled,
+                self._tcfg_sid[cfg],
+                ts,
+                self._mems.objects[mem],
+                self.arch,
+                tid,
+                self.config.cert_fuel,
+                self._mems,
+                mem_id=mem,
+                appends=self._appends,
+            )
+            self._certs[key] = result
         if not result.complete:
             self.stats.truncated = True
-        self._certs[key] = result
         return result
 
     def certify_all(self, packed: Packed):
@@ -247,9 +331,11 @@ class PackedPromisingBackend:
         """Per-thread completion sets as tuples of interned register ids.
 
         ``None`` when some thread has no completing execution (the
-        candidate final memory is infeasible).  A ``(thread, tcfg,
-        memory)`` triple is enumerated once per run and recalled
-        afterwards (``completion_memo_hits``).
+        candidate final memory is infeasible).  Each :meth:`_thread_key`
+        is enumerated once per run and recalled afterwards
+        (``completion_memo_hits``).  Truncation is flagged only when
+        :meth:`_enumerate` computes: a hit's first computation ran in
+        this run, on this ``stats`` object, and flagged it then.
         """
         stats = self.stats
         phase_start = time.perf_counter()
@@ -257,7 +343,7 @@ class PackedPromisingBackend:
         per_thread: list[tuple] = []
         feasible = True
         for tid in range(len(packed) - 1):
-            memo_key = (tid, packed[tid], mem)
+            memo_key = self._thread_key(tid, packed[tid], mem)
             ids = self._completions.get(memo_key)
             if ids is not None:
                 stats.completion_memo_hits += 1
@@ -361,7 +447,9 @@ class PackedPromisingBackend:
 
     # -- naive (fully interleaved) exploration -------------------------------
     def successors(self, packed: Packed) -> list[Packed]:
+        """Certified machine steps; certification time books as ``certify``."""
         phase_start = time.perf_counter()
+        certify_s = 0.0
         mem = packed[-1]
         out: list[Packed] = []
         steps = self._steps
@@ -370,7 +458,8 @@ class PackedPromisingBackend:
             pairs = steps.get(memo_key)
             if pairs is None:
                 self._step_misses += 1
-                pairs = self._machine_steps(tid, packed[tid], mem)
+                pairs, seconds = self._machine_steps(tid, packed[tid], mem)
+                certify_s += seconds
                 steps[memo_key] = pairs
             else:
                 self._step_hits += 1
@@ -379,15 +468,21 @@ class PackedPromisingBackend:
                 suffix = packed[tid + 1 : -1]
                 for new_cfg, new_mem in pairs:
                     out.append(prefix + (new_cfg,) + suffix + (new_mem,))
-        self.phases.add("enumerate", time.perf_counter() - phase_start)
+        self.phases.add("certify", certify_s)
+        self.phases.add("enumerate", time.perf_counter() - phase_start - certify_s)
         return out
 
-    def _machine_steps(self, tid: int, cfg: int, mem: int) -> tuple:
-        """Certified steps of one thread config, in machine-step order."""
+    def _machine_steps(self, tid: int, cfg: int, mem: int) -> tuple[tuple, float]:
+        """Certified steps of one thread config, in machine-step order.
+
+        Also returns the seconds spent in :meth:`_certify`.
+        """
+        clock = time.perf_counter
         sid = self._tcfg_sid[cfg]
         stmt, ts = self._tcfgs.objects[cfg]
         memory = self._mems.objects[mem]
         pairs = []
+        certify_s = 0.0
         for succ_sid, step in self.compiled.candidate_steps(
             sid, ts, memory, self.arch, tid
         ):
@@ -396,9 +491,14 @@ class PackedPromisingBackend:
                 step_mem = mem
             else:
                 step_mem = self._encode_memory(step.memory)
-            if self._certify(tid, step_cfg, step_mem).certified:
+            start = clock()
+            certified = self._certify(tid, step_cfg, step_mem).certified
+            certify_s += clock() - start
+            if certified:
                 pairs.append((step_cfg, step_mem))
+        start = clock()
         cert = self._certify(tid, cfg, mem)
+        certify_s += clock() - start
         for msg in sorted(cert.promises, key=lambda m: (m.loc, m.val)):
             step = promise_step(stmt, ts, memory, msg)
             pairs.append(
@@ -407,7 +507,7 @@ class PackedPromisingBackend:
                     self._append_id(mem, msg, step.memory),
                 )
             )
-        return tuple(pairs)
+        return tuple(pairs), certify_s
 
     def is_final(self, packed: Packed) -> bool:
         final = self._tcfg_final

@@ -245,7 +245,7 @@ def explore_naive(program: Program, config: Optional[ExploreConfig] = None) -> E
     stats.promise_transitions += kernel.stats.transitions
     kernel.finish(stats)
 
-    backend.finalise(stats, model="promising_naive")
+    backend.finalise(stats, model="promising-naive")
     stats.elapsed_seconds = time.perf_counter() - start
     return ExplorationResult(outcomes, stats, program)
 

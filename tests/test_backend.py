@@ -9,6 +9,11 @@ architectures:
   field by field (certified, promises, complete, can_complete, visited);
 * completion sets equal a DFS over
   :func:`~repro.promising.steps.non_promise_steps`;
+* both hold on canonical thread keys: answers recalled for a
+  configuration that differs from the computed one only in foreign
+  messages or timestamp placement are the reference answers too, and
+  the key separates what the rules can observe (values and order at the
+  footprint, views) while keeping the raw key for dynamic addresses;
 * promise-first successors and accumulated outcomes equal those built
   from the reference certification and ``promise_step``;
 * naive successors equal :func:`~repro.promising.machine.machine_transitions`
@@ -36,9 +41,10 @@ from repro.flat import (
     thread_transitions,
 )
 from repro.flat import successors as flat_successors
-from repro.lang import LocationEnv, R, if_, load, make_program, seq, store
+from repro.lang import LocationEnv, R, dependency_idiom, if_, load, make_program, seq, store
 from repro.lang.kinds import VSUCC, Arch
-from repro.litmus import generate_battery, get_test
+from repro.lang.transform import accessed_locations
+from repro.litmus import generate_battery, generate_cycle_battery, get_test
 from repro.outcomes import Outcome, OutcomeSet
 from repro.promising import (
     ExploreConfig,
@@ -50,7 +56,8 @@ from repro.promising import (
     promise_step,
 )
 from repro.promising.exhaustive import ExplorationStats
-from repro.promising.machine import MachineState, machine_transitions
+from repro.promising.machine import MachineState, Thread, machine_transitions
+from repro.promising.state import Memory, Msg, initial_tstate
 
 ARCHS = [Arch.ARM, Arch.RISCV]
 ARCH_IDS = [a.value for a in ARCHS]
@@ -62,6 +69,13 @@ PROMISING_SLICE = ["MP", "SB", "LB+addrs", "WRC+pos", "LSE-atomicity", "2+2W"]
 FLAT_SLICE = ["MP", "SB", "CoRW2"]
 # A deterministic slice of the generated (fuzz) corpus.
 GENERATED = generate_battery(max_tests=4)
+# Cycle-corpus tests with threads whose footprint misses a location
+# another thread writes: the inputs where canonical thread keys hit.
+CYCLES = {
+    t.name: t
+    for t in generate_cycle_battery(max_per_family=1)
+    if t.name in ("WRC+po+po", "ISA2+po+po+po", "IRIW+po+po", "3.2W+po+po+po")
+}
 
 
 def _promising(program, arch=Arch.ARM):
@@ -118,20 +132,37 @@ def _reference_cross(state, arch) -> set:
 # ---------------------------------------------------------------------------
 
 
+def _partial_footprint(program) -> bool:
+    """Does some thread have a static footprint short of every location?"""
+    footprints = [accessed_locations(stmt) for stmt in program.threads]
+    every = frozenset().union(*(locs for locs, _static in footprints))
+    return any(static and locs != every for locs, static in footprints)
+
+
 def _assert_cert_equivalence(program, arch, limit):
     """Packed ``certify_all``/``completion_sets`` == the references, pointwise.
 
     For every reachable machine state the packed answer must agree with
     the reference sequential-graph build on every certification field
     (down to the graph's visited count) and, at candidate final memories,
-    on the exact per-thread completion sets.
+    on the exact per-thread completion sets.  One backend answers every
+    state, so its canonical-key memo is under test too: when a thread's
+    footprint misses some location, some answers must be recalled for a
+    ``(tid, cfg, mem)`` triple the backend had never certified before.
     """
     backend = _promising(program, arch)
     fuel = backend.config.cert_fuel
     checked_completions = 0
+    certified_triples = set()
+    recalled = 0
     for state in _reachable(program, arch, limit=limit):
         enc = backend.encode(state)
+        fresh = {(tid, enc[tid], enc[-1]) for tid in range(len(enc) - 1)}
+        fresh -= certified_triples
+        certified_triples |= fresh
+        misses = backend._cert_misses
         packed, can_finish = backend.certify_all(enc)
+        recalled += len(fresh) - (backend._cert_misses - misses)
         for tid, (thread, p) in enumerate(zip(state.threads, packed)):
             ref = certify_thread(thread.stmt, thread.tstate, state.memory, arch, tid, fuel)
             context = f"{program.name} thread {tid}"
@@ -151,17 +182,89 @@ def _assert_cert_equivalence(program, arch, limit):
             )
             checked_completions += 1
     assert checked_completions > 0, "slice never reached a final memory"
+    if _partial_footprint(program):
+        assert recalled > 0, f"{program.name}: no answer came from a canonical key"
 
 
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
-@pytest.mark.parametrize("name", ["MP", "WRC+pos", "LSE-atomicity", "2+2W"])
+@pytest.mark.parametrize("name", ["MP", "WRC+pos", "IRIW+pos", "LSE-atomicity", "2+2W", *CYCLES])
 def test_certification_equivalence_laws(name, arch):
-    _assert_cert_equivalence(get_test(name).program, arch, limit=60)
+    test = CYCLES.get(name) or get_test(name)
+    _assert_cert_equivalence(test.program, arch, limit=60)
 
 
 @pytest.mark.parametrize("test", GENERATED, ids=[t.name for t in GENERATED])
 def test_certification_equivalence_on_generated_corpus(test):
     _assert_cert_equivalence(test.program, Arch.ARM, limit=40)
+
+
+def _three_threads(address_dependency=False):
+    """T0 accesses x and y only; T1 writes z, which T0 never accesses."""
+    env = LocationEnv()
+    x, y, z = env["x"], env["y"], env["z"]
+    addr = dependency_idiom(y, "r2") if address_dependency else y
+    threads = [
+        seq(store(x, 1), load("r0", addr)),
+        store(z, 1),
+        seq(load("r1", z), store(y, 1)),
+    ]
+    return make_program(threads, env=env, name="three-threads"), (x, y, z)
+
+
+def _triple(backend, messages, tstate=None, tid=0):
+    """``(tid, cfg, mem)`` of thread ``tid`` in ``tstate`` (default: initial)."""
+    initial = MachineState.initial(backend.program, backend.arch)
+    threads = list(initial.threads)
+    if tstate is not None:
+        threads[tid] = Thread(threads[tid].stmt, tstate)
+    memory = Memory(backend.program.initial, messages)
+    enc = backend.encode(MachineState(tuple(threads), memory, backend.arch))
+    return tid, enc[tid], enc[-1]
+
+
+def _tstate(**fields):
+    ts = initial_tstate()
+    for name, value in fields.items():
+        setattr(ts, name, value)
+    return ts
+
+
+def test_canonical_thread_key_laws():
+    program, (x, y, z) = _three_threads()
+    backend = _promising(program)
+
+    def key(messages, tstate=None):
+        return backend._thread_key(*_triple(backend, messages, tstate))
+
+    x1, y1, y2, z1 = Msg(x, 1, 0), Msg(y, 1, 2), Msg(y, 2, 2), Msg(z, 1, 1)
+    # Foreign messages drop out, and T0's own promise keeps its rank
+    # wherever it sits in memory.
+    own_at = {t: _tstate(prom=frozenset({t})) for t in (1, 2)}
+    assert key([x1], own_at[1]) == key([z1, x1], own_at[2]) == key([x1, z1], own_at[1])
+    # What the rules can observe keeps keys apart.
+    assert key([y1]) != key([y2])
+    assert key([x1, y1]) != key([y1, x1])
+    assert key([y1]) != key([y1], _tstate(vrNew=1))
+    # A register-dependent address keeps the raw key.
+    program, _locs = _three_threads(address_dependency=True)
+    backend = _promising(program)
+    triple = _triple(backend, [z1])
+    assert backend._thread_key(*triple) == triple
+
+
+def test_recalled_incomplete_certification_still_truncates():
+    # A canonical hit answers a configuration other than the one that
+    # computed it, so the truncation flag must not ride on the miss.
+    program, (_x, _y, z) = _three_threads()
+    backend = PackedPromisingBackend(program, ExploreConfig(cert_fuel=1), ExplorationStats())
+    assert not backend._certify(*_triple(backend, [])).complete
+    assert backend.stats.truncated
+    backend.stats = ExplorationStats()
+    triple = _triple(backend, [Msg(z, 1, 1)])
+    misses, hits = backend._cert_misses, backend._cert_hits
+    assert not backend._certify(*triple).complete
+    assert (backend._cert_misses, backend._cert_hits) == (misses, hits + 1)
+    assert backend.stats.truncated
 
 
 # ---------------------------------------------------------------------------

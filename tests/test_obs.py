@@ -18,6 +18,7 @@ import threading
 
 import pytest
 
+from repro.backend.packed import EXPLORE_PHASE_SECONDS
 from repro.harness import Job, run_jobs
 from repro.litmus import get_test
 from repro.obs import (
@@ -35,6 +36,7 @@ from repro.obs import (
     sanitize_request_id,
     span,
 )
+from repro.promising import explore_naive
 from repro.service import (
     PROMETHEUS_CONTENT_TYPE,
     SERVICE_SCHEMA_VERSION,
@@ -301,6 +303,18 @@ class TestTracing:
         assert counter.value(model="promising", phase="certify") == 0.5
         assert counter.value(model="promising", phase="enumerate") == 1.0
         assert phases.totals == {}
+
+    def test_naive_books_certify_and_enumerate_phases(self):
+        def totals():
+            return {k: child.value for k, child in EXPLORE_PHASE_SECONDS.series().items()}
+
+        before = totals()
+        explore_naive(get_test("LB").program)
+        after = totals()
+        for phase in ("certify", "enumerate"):
+            key = ("promising-naive", phase)
+            assert after[key] > before.get(key, 0.0), phase
+        assert not any(model == "promising_naive" for model, _phase in after)
 
 
 # -- cross-process metric flow -----------------------------------------------
