@@ -17,7 +17,7 @@ import pytest
 
 from repro.harness import run_fuzz
 from repro.lang.kinds import Arch
-from repro.litmus import all_tests, generate_battery, run_axiomatic, run_promising
+from repro.litmus import all_tests, generate_cycle_battery, run_axiomatic, run_promising
 
 pytestmark = pytest.mark.bench
 
@@ -27,7 +27,7 @@ BATTERY_SIZE = 60
 
 
 def _battery():
-    return generate_battery(max_tests=BATTERY_SIZE) + [
+    return generate_cycle_battery(max_tests=BATTERY_SIZE) + [
         t for t in all_tests() if t.program.n_threads <= 3
     ]
 
@@ -49,7 +49,7 @@ def test_agreement_rate_arm(benchmark, table_printer):
 
 
 def test_agreement_rate_riscv(benchmark):
-    tests = generate_battery(max_tests=BATTERY_SIZE // 2)
+    tests = generate_cycle_battery(max_tests=BATTERY_SIZE // 2)
     run = benchmark.pedantic(lambda: _agreement(tests, Arch.RISCV), rounds=1, iterations=1)
     assert run.ok, run.describe()
 

@@ -2,7 +2,7 @@
 
 Not a paper table: this battery tracks the execution subsystem added for
 the §7-scale sweeps.  It measures (a) a cold promising+axiomatic sweep of
-the generated battery through the scheduler, (b) the warm rerun hitting
+the cycle-generated battery through the scheduler, (b) the warm rerun hitting
 the persistent result cache (which must be at least 5× faster), and
 (c) that the JSON report artifact records timings, verdicts and the cache
 hit rate.
@@ -17,7 +17,7 @@ import pytest
 
 from repro.harness import ResultCache, run_fuzz
 from repro.lang.kinds import Arch
-from repro.litmus import generate_battery
+from repro.litmus import generate_cycle_battery
 
 pytestmark = pytest.mark.bench
 
@@ -30,7 +30,7 @@ def sweep(tests, **kwargs):
 
 
 def test_cold_vs_warm_sweep(benchmark, tmp_path, table_printer):
-    tests = generate_battery(max_tests=BATTERY_SIZE)
+    tests = generate_cycle_battery(max_tests=BATTERY_SIZE)
     cache = ResultCache(tmp_path / "cache")
     report_path = tmp_path / "sweep.json"
 
@@ -66,7 +66,7 @@ def test_cold_vs_warm_sweep(benchmark, tmp_path, table_printer):
 
 
 def test_parallel_sweep_matches_serial(benchmark):
-    tests = generate_battery(max_tests=BATTERY_SIZE // 2)
+    tests = generate_cycle_battery(max_tests=BATTERY_SIZE // 2)
     serial = sweep(tests, workers=1)
     parallel = benchmark.pedantic(
         lambda: sweep(tests, workers=4),

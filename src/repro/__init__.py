@@ -10,14 +10,15 @@ The package is organised as:
   operational model is equivalent to.
 * :mod:`repro.flat` — a Flat-style abstract-microarchitectural baseline.
 * :mod:`repro.isa` — ARMv8 and RISC-V assembly front ends.
-* :mod:`repro.litmus` — litmus tests: format, catalogue, generators.
+* :mod:`repro.litmus` — litmus tests: format, catalogue, and the
+  relaxation-cycle generator.
 * :mod:`repro.harness` — the parallel sweep harness: batch execution of
   litmus jobs with a worker pool, persistent result cache, and JSON
   sweep reports.
 * :mod:`repro.workloads` — the concurrent data structures of the
   evaluation (spinlocks, ticket lock, Treiber stack, Michael-Scott queue,
   Chase-Lev deque, producer/consumer queues).
-* :mod:`repro.tools` — command-line interface and model comparison.
+* :mod:`repro.tools` — the command-line interface.
 """
 
 __version__ = "1.0.0"

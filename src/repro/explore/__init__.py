@@ -5,8 +5,8 @@ frontier, interned visited sets, state/wall-clock budgets, truncation
 accounting, and a shared stats vocabulary — parameterised by a
 transition-enumeration callback and a :class:`Strategy`:
 
-* ``dfs`` / ``bfs`` — exhaustive enumeration (``dfs`` is the historical,
-  bit-identical default);
+* ``dfs`` — exhaustive enumeration (the historical, bit-identical
+  default);
 * ``sample`` — seeded bounded random walks with restart, producing a
   sound under-approximation of the outcome set on state spaces that
   exhaustive search cannot touch.
@@ -22,7 +22,6 @@ from .config import BaseSearchConfig, DEFAULT_STRATEGY
 from .kernel import KernelStats, SearchKernel, SearchStats
 from .strategy import (
     STRATEGIES,
-    BreadthFirst,
     DepthFirst,
     RandomWalks,
     Strategy,
@@ -40,7 +39,6 @@ __all__ = [
     "STRATEGIES",
     "Strategy",
     "DepthFirst",
-    "BreadthFirst",
     "RandomWalks",
     "is_exhaustive",
     "make_strategy",

@@ -36,10 +36,9 @@ class BaseSearchConfig:
     #: unbounded).  Measured with ``time.monotonic`` so NTP adjustments
     #: can never fire it early or late; hitting it marks the run truncated.
     deadline_seconds: Optional[float] = None
-    #: Frontier discipline: ``"dfs"`` (default, the historical behaviour),
-    #: ``"bfs"``, or ``"sample"`` — seeded bounded random walks with
-    #: restart.  Exhaustive strategies produce identical outcome sets;
-    #: ``sample`` produces a sound under-approximation.
+    #: Frontier discipline: ``"dfs"`` (default, exhaustive) or
+    #: ``"sample"`` — seeded bounded random walks with restart, a sound
+    #: under-approximation of the outcome set.
     strategy: str = DEFAULT_STRATEGY
     #: Number of random walks a ``sample`` run performs.
     samples: int = 256

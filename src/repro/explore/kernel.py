@@ -11,8 +11,7 @@ a state budget, truncation accounting, and stats counters.  The
   the successor states (and recording outcomes/deadlocks as a side
   effect when the popped state is terminal), and
 * a pluggable :class:`~repro.explore.strategy.Strategy` deciding the
-  frontier discipline (``dfs``/``bfs`` exhaustive, ``sample`` random
-  walks).
+  frontier discipline (``dfs`` exhaustive, ``sample`` random walks).
 
 The kernel's counters land in a :class:`KernelStats`, which the concrete
 explorers fold into their domain-specific stats dataclasses (both of
@@ -73,7 +72,7 @@ class SearchStats:
     elapsed_seconds: float = 0.0
     #: Visited-set hits (exhaustive strategies only).
     dedup_hits: int = 0
-    #: Strategy that produced this result (``dfs``/``bfs``/``sample``).
+    #: Strategy that produced this result (``dfs``/``sample``).
     strategy: str = "dfs"
     #: Random walks completed (``sample`` only).
     samples_run: int = 0

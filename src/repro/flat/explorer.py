@@ -92,14 +92,15 @@ class FlatResult:
 # ---------------------------------------------------------------------------
 
 
-def _split_head(stmt: Stmt) -> tuple[Optional[Stmt], Stmt]:
+def _next_instruction(stmt: Stmt) -> tuple[Optional[Stmt], Stmt]:
+    """The first instruction past any ``skip`` and the rest, or ``(None, skip)``."""
     stmt = normalise(stmt)
     if isinstance(stmt, Skip):
         return None, stmt
     if isinstance(stmt, Seq):
-        head, rest = _split_head(stmt.first)
+        head, rest = _next_instruction(stmt.first)
         if head is None:
-            return _split_head(stmt.second)
+            return _next_instruction(stmt.second)
         tail = stmt.second if isinstance(rest, Skip) else Seq(rest, stmt.second)
         return head, tail
     return stmt, Skip()
@@ -242,7 +243,7 @@ def thread_transitions(
     propagated to storage, or ``None``.
     """
     # ---- fetch -----------------------------------------------------------
-    head, rest = _split_head(thread.continuation)
+    head, rest = _next_instruction(thread.continuation)
     if head is not None and len(thread.window) < config.window_size:
         if isinstance(head, If):
             for taken in (True, False):
@@ -390,7 +391,7 @@ def successors(state: FlatState, config: FlatConfig) -> Iterator[tuple[str, Flat
 def explore_flat(program: Program, config: Optional[FlatConfig] = None) -> FlatResult:
     """Enumerate outcomes under the Flat-style model.
 
-    Exhaustive under ``dfs``/``bfs``; under ``sample`` each walk is one
+    Exhaustive under ``dfs``; under ``sample`` each walk is one
     random sequence of fetch/execute/resolve transitions run to a final
     state, so the outcome set is a sound under-approximation.
     """

@@ -9,7 +9,7 @@ configuration) that keys the persistent result cache.
 
 :func:`execute_job` is the single execution path: every run in the
 codebase — the battery runner ``run_fuzz``, the single-test runners in
-:mod:`repro.litmus.runner`, ``compare_models``, the service, the fleet
+:mod:`repro.litmus.runner`, ``promising-arm run``, the service, the fleet
 workers — ultimately runs jobs through it, so serial and parallel runs
 are bit-identical by construction.
 """
@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 from ..axiomatic.model import AxiomaticConfig, enumerate_axiomatic_outcomes
 from ..flat.explorer import FlatConfig, explore_flat
+from ..lang.ast import statement_registers
 from ..lang.kinds import Arch
 from ..lang.program import Loc, Program, TId
 from ..obs import metrics
@@ -146,19 +147,19 @@ class Job:
     ) -> "Job":
         """Wrap a bare program (a workload, say) as a job.
 
-        The projection covers the program's own registers and named
-        locations — the same observables :func:`repro.tools.observables`
-        computes — so workload safety checkers see every register and
-        memory cell they inspect.
+        The projection covers each thread's own registers and the
+        program's named and initialised locations, so workload safety
+        checkers see every register and memory cell they inspect.
         """
         from ..litmus.conditions import TrueCond
         from ..litmus.test import LitmusTest
-        from ..tools.compare import observables
 
         test = LitmusTest(name or program.name or "<anonymous>", program, TrueCond())
-        reg_map, loc_list = observables(program)
-        regs = tuple((tid, tuple(reg_map[tid])) for tid in program.thread_ids)
-        locs = tuple(loc_list)
+        regs = tuple(
+            (tid, tuple(sorted(statement_registers(program.threads[tid]))))
+            for tid in program.thread_ids
+        )
+        locs = tuple(sorted(set(program.loc_names) | set(program.initial)))
         return cls(
             test=test,
             model=model,

@@ -20,8 +20,8 @@ module provides that vocabulary:
   of linkages, expanding into a deterministic battery of cycles.
 
 :mod:`repro.litmus.synth` turns a :class:`Cycle` into an executable
-:class:`~repro.litmus.test.LitmusTest`; :mod:`repro.litmus.generators`
-re-exports the classic two-thread families on top of this core.
+:class:`~repro.litmus.test.LitmusTest` and expands :data:`FAMILIES` into
+the battery that ``sweep`` and ``fuzz`` run.
 """
 
 from __future__ import annotations

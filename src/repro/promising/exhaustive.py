@@ -1,7 +1,7 @@
 """Exploration of Promising-ARM/RISC-V executions (§7).
 
 Two explorers are provided, both driven by the unified search kernel
-(:mod:`repro.explore`) and its pluggable strategies (``dfs``/``bfs``
+(:mod:`repro.explore`) and its pluggable strategies (``dfs``
 exhaustive, ``sample`` seeded random walks):
 
 * :func:`explore` — the paper's optimised strategy.  By Theorem 7.1 every
@@ -148,8 +148,8 @@ def _prepare(program: Program, config: ExploreConfig) -> tuple[Program, tuple[Lo
 def explore(program: Program, config: Optional[ExploreConfig] = None) -> ExplorationResult:
     """Enumerate the outcomes of ``program`` (promise-first).
 
-    Exhaustive under the ``dfs``/``bfs`` strategies; a sound sample of
-    the outcome set under ``sample``.
+    Exhaustive under the ``dfs`` strategy; a sound sample of the
+    outcome set under ``sample``.
     """
     config = config or ExploreConfig()
     start = time.perf_counter()

@@ -394,10 +394,6 @@ def split_head(stmt: Stmt) -> tuple[Stmt, Optional[Stmt]]:
     return stmt, None
 
 
-#: Backwards-compatible private alias (pre-seam internal name).
-_split_head = split_head
-
-
 def thread_local_steps(
     stmt: Stmt, ts: TState, memory: Memory, arch: Arch, tid: TId
 ) -> list[ThreadStep]:
@@ -407,7 +403,7 @@ def thread_local_steps(
     fences, isb, fulfilments of existing promises, and store-exclusive
     failures.
     """
-    head, rest = _split_head(stmt)
+    head, rest = split_head(stmt)
     if isinstance(head, Skip):
         return []
     if isinstance(head, If):
@@ -458,7 +454,7 @@ def normal_write_steps(
     fulfilment holds automatically — we still go through the full (fulfil)
     rule so that the exclusivity check and all view updates are shared.
     """
-    head, rest = _split_head(stmt)
+    head, rest = split_head(stmt)
     if not isinstance(head, Store):
         return []
     return write_steps(head, _continue(rest), ts, memory, arch, tid)

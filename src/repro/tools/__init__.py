@@ -1,6 +1,5 @@
-"""Command-line interface and model-comparison utilities."""
+"""The ``promising-arm`` command-line interface."""
 
-from .compare import ModelComparison, compare_models, observables
 from .cli import build_parser, main
 
-__all__ = ["ModelComparison", "compare_models", "observables", "build_parser", "main"]
+__all__ = ["build_parser", "main"]

@@ -6,8 +6,8 @@ Sub-commands mirror how the paper's rmem-based tool is used:
   print the allowed final states;
 * ``interactive`` — step through an execution transition by transition;
 * ``catalogue`` — list the built-in litmus tests and their verdicts;
-* ``sweep`` — run the generated battery (optionally plus the catalogue)
-  across models on one architecture;
+* ``sweep`` — run a prefix of the cycle-generated battery (optionally
+  plus the catalogue) across models on one architecture;
 * ``fuzz`` — differential fuzzing: run the cycle-generated corpus across
   models and architectures;
 * ``serve`` — start the long-lived exploration service: an HTTP/JSON
@@ -20,8 +20,9 @@ Sub-commands mirror how the paper's rmem-based tool is used:
 ``sweep`` and ``fuzz`` differ only in the battery they build: both run it
 through :func:`repro.harness.fuzz.run_fuzz` (worker pool or fleet,
 persistent result cache, JSON report) and judge it with one cross-model
-policy, reporting every disagreement as a counterexample with its
-reproducing test source.
+policy, :func:`repro.harness.fuzz.differential_mismatches`, reporting
+every disagreement as a counterexample with its reproducing test source.
+``run --axiomatic`` judges its one test with the same policy.
 """
 
 from __future__ import annotations
@@ -33,27 +34,24 @@ import sys
 import tempfile
 from pathlib import Path
 
-from ..harness import MODELS, run_fuzz
+from ..harness import MODELS, build_fuzz_jobs, differential_mismatches, execute_job, run_fuzz
 from ..lang.kinds import ARCH_ALIASES, Arch, parse_arch
 from ..obs import LOG_FORMATS, configure_logging
-from ..litmus import (
-    all_tests,
-    attach_expected,
-    generate_battery,
-    generate_cycle_battery,
-    get_test,
-    run_axiomatic,
-    run_promising,
-)
+from ..litmus import all_tests, attach_expected, generate_cycle_battery, get_test
 from ..litmus.cycles import FAMILIES_BY_NAME
 from ..litmus.format import parse_litmus
 from ..promising import ExploreConfig, InteractiveSession
 
 
 def _arch(name: str) -> Arch:
-    # Historical CLI behaviour: unknown spellings fall back to ARM (the
-    # default), while the shared alias table decides what is known.
-    return parse_arch(name) or Arch.ARM
+    # A misspelt architecture must not silently run another one; refuse
+    # it at parse time (exit 2).
+    arch = parse_arch(name)
+    if arch is None:
+        raise argparse.ArgumentTypeError(
+            f"unknown architecture {name!r}; choose from {', '.join(ARCH_ALIASES)}"
+        )
+    return arch
 
 
 def _positive_int(text: str) -> int:
@@ -88,7 +86,7 @@ def _load_test(args: argparse.Namespace):
         text = Path(args.file).read_text()
         parsed = parse_litmus(text, unroll_bound=args.loop_bound)
         return parsed.test, parsed.arch
-    return get_test(args.test), _arch(args.arch)
+    return get_test(args.test), args.arch
 
 
 def _search_kwargs(args: argparse.Namespace) -> dict:
@@ -131,8 +129,18 @@ def _distrib_config(args: argparse.Namespace):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from ..axiomatic import AxiomaticConfig
+
     test, arch = _load_test(args)
-    result = run_promising(test, arch, _explore_config(args))
+    jobs = build_fuzz_jobs(
+        [test],
+        ("promising", "axiomatic") if args.axiomatic else ("promising",),
+        (arch,),
+        explore_config=_explore_config(args),
+        axiomatic_config=AxiomaticConfig(loop_bound=args.loop_bound),
+    )
+    results = [execute_job(job, capture_errors=False) for job in jobs]
+    result = results[0]
     print(f"test      : {test.name}")
     print(f"model     : promising ({arch})")
     print(f"condition : {test.condition!r}")
@@ -159,20 +167,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     print("final states:")
     print("  " + result.outcomes.describe(test.program.loc_names).replace("\n", "\n  "))
     if args.axiomatic:
-        ax = run_axiomatic(test, arch)
-        if result.stats.get("strategy") == "sample":
-            # A sample is a sound under-approximation: containment is the
-            # strongest checkable relation (equality would cry wolf on
-            # every outcome the walks happened to miss).
-            contained = set(result.outcomes) <= set(ax.outcomes)
-            relation = "contained in axiomatic" if contained else "NOT CONTAINED in axiomatic"
-            print(f"axiomatic verdict: {ax.verdict.value} (sampled outcomes {relation})")
-        else:
-            agree = set(ax.outcomes) == set(result.outcomes)
-            print(
-                f"axiomatic verdict: {ax.verdict.value} "
-                f"(outcome sets {'agree' if agree else 'DIFFER'})"
+        ax = results[1]
+        counterexamples, _explained = differential_mismatches(jobs, results)
+        differ = any(ce["models"] == ["promising", "axiomatic"] for ce in counterexamples)
+        if result.truncated or ax.truncated:
+            # The policy skips a truncated pair: its silence is no agreement.
+            relation = "outcome sets not compared: a run was truncated"
+        elif result.sampled:
+            relation = "sampled outcomes " + (
+                "NOT CONTAINED in axiomatic" if differ else "contained in axiomatic"
             )
+        else:
+            relation = "outcome sets " + ("DIFFER" if differ else "agree")
+        print(f"axiomatic verdict: {ax.verdict.value} ({relation})")
     return 0
 
 
@@ -202,9 +209,8 @@ def cmd_interactive(args: argparse.Namespace) -> int:
 
 
 def cmd_catalogue(args: argparse.Namespace) -> int:
-    arch = _arch(args.arch)
     for test in all_tests():
-        expected = test.expected_verdict(arch)
+        expected = test.expected_verdict(args.arch)
         print(f"{test.name:24s} {expected.value if expected else '-':10s} {test.description}")
     return 0
 
@@ -250,11 +256,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     models = _parse_models(args.models)
     if models is None:
         return 2
-    tests = generate_battery(max_tests=args.max_tests)
+    tests = generate_cycle_battery(max_tests=args.max_tests)
     if args.catalogue:
         tests = tests + [t for t in all_tests() if t.program.n_threads <= 3]
     return _run_battery(
-        args, tests, models, (_arch(args.arch),), name="litmus-sweep", cache=args.cache_dir
+        args, tests, models, (args.arch,), name="litmus-sweep", cache=args.cache_dir
     )
 
 
@@ -276,7 +282,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if not arch_names:
         print(f"no architectures given; choose from {', '.join(_ARCH_NAMES)}")
         return 2
-    archs = tuple(_arch(a) for a in arch_names)
+    archs = tuple(parse_arch(a) for a in arch_names)
     families = None
     if args.families:
         families = [f.strip() for f in args.families.split(",") if f.strip()]
@@ -401,10 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     from ..explore import STRATEGIES
 
-    parser.add_argument("--arch", default="arm", help="arm (default) or riscv")
+    parser.add_argument("--arch", type=_arch, default="arm", help="arm (default) or riscv")
     parser.add_argument("--loop-bound", type=int, default=2, help="loop unrolling bound")
     parser.add_argument("--strategy", choices=STRATEGIES, default="dfs",
-                        help="search strategy: dfs/bfs enumerate exhaustively, "
+                        help="search strategy: dfs enumerates exhaustively, "
                              "sample runs seeded bounded random walks "
                              "(sound under-approximation for huge state spaces)")
     parser.add_argument("--samples", type=_positive_int, default=256,
@@ -435,10 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
     cat_parser.set_defaults(func=cmd_catalogue)
 
     sweep_parser = sub.add_parser(
-        "sweep", help="run the generated litmus battery across models on one architecture"
+        "sweep", help="run the cycle-generated litmus battery across models on one architecture"
     )
     sweep_parser.add_argument("--max-tests", type=_non_negative_int, default=40,
-                              help="size of the generated battery")
+                              help="length of the cycle-battery prefix to run")
     sweep_parser.add_argument("--catalogue", action="store_true",
                               help="also include the hand-written catalogue tests "
                                    "(those with at most 3 threads)")
@@ -477,11 +483,11 @@ def build_parser() -> argparse.ArgumentParser:
                              help="stable worker identity (default host-pid)")
     work_parser.add_argument("--lease-seconds", type=_positive_seconds, default=30.0,
                              help="claim lease length; heartbeats extend it while running")
-    work_parser.add_argument("--poll-seconds", type=float, default=0.1,
+    work_parser.add_argument("--poll-seconds", type=_positive_seconds, default=0.1,
                              help="idle back-off between claim attempts")
     work_parser.add_argument("--max-jobs", type=int, default=None,
                              help="exit after claiming this many items (default: serve forever)")
-    work_parser.add_argument("--idle-exit", type=float, default=None,
+    work_parser.add_argument("--idle-exit", type=_positive_seconds, default=None,
                              help="exit after the queue has been empty this long")
     work_parser.set_defaults(func=cmd_work)
 

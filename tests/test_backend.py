@@ -44,7 +44,7 @@ from repro.flat import successors as flat_successors
 from repro.lang import LocationEnv, R, dependency_idiom, if_, load, make_program, seq, store
 from repro.lang.kinds import VSUCC, Arch
 from repro.lang.transform import accessed_locations
-from repro.litmus import generate_battery, generate_cycle_battery, get_test
+from repro.litmus import generate_cycle_battery, get_test
 from repro.outcomes import Outcome, OutcomeSet
 from repro.promising import (
     ExploreConfig,
@@ -68,7 +68,11 @@ PROMISING_SLICE = ["MP", "SB", "LB+addrs", "WRC+pos", "LSE-atomicity", "2+2W"]
 # The flat model's state spaces are far larger; keep its slice lean.
 FLAT_SLICE = ["MP", "SB", "CoRW2"]
 # A deterministic slice of the generated (fuzz) corpus.
-GENERATED = generate_battery(max_tests=4)
+GENERATED = [
+    t
+    for t in generate_cycle_battery(families=("MP",))
+    if t.name in ("MP+po+po", "MP+po+addr", "MP+po+ctrl", "MP+po+ctrlisb")
+]
 # Cycle-corpus tests with threads whose footprint misses a location
 # another thread writes: the inputs where canonical thread keys hit.
 CYCLES = {

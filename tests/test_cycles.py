@@ -30,7 +30,6 @@ from repro.litmus.cycles import (
     links_for,
     po,
 )
-from repro.litmus.generators import generate_battery
 from repro.litmus.synth import (
     attach_expected,
     canonical_fingerprint,
@@ -198,12 +197,6 @@ class TestCycleBattery:
         battery = generate_cycle_battery(families=("CoRR",))
         assert battery
         assert all(t.name.startswith("CoRR+") for t in battery)
-
-    def test_legacy_battery_truncation_is_deterministic(self):
-        full = generate_battery()
-        assert [t.name for t in generate_battery(max_tests=25)] == [
-            t.name for t in full[:25]
-        ]
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,17 @@ verdict of the named condition.
 import pytest
 
 from repro.lang.kinds import Arch
-from repro.litmus import all_tests, generate_battery, run_axiomatic, run_promising
-from repro.litmus.generators import (
-    READ_LINKAGES,
-    READ_TO_WRITE_LINKAGES,
-    WRITE_LINKAGES,
-    generate_lb,
-    generate_mp,
-    generate_sb,
+from repro.litmus import all_tests, run_axiomatic, run_promising, synthesize
+from repro.litmus.cycles import (
+    LINKS_RR,
+    LINKS_RW,
+    LINKS_WW,
+    READ,
+    WRITE,
+    Family,
+    Fre,
+    Rfe,
+    Slot,
 )
 
 CATALOGUE = [t for t in all_tests() if t.program.n_threads <= 3]
@@ -44,23 +47,26 @@ def test_catalogue_outcome_sets_agree_on_riscv(test):
     _outcomes_agree(test, Arch.RISCV)
 
 
-# A slice of the generated battery (the full battery runs in the benchmark
-# harness; here we keep a deterministic, fast selection).
-GENERATED = (
-    list(generate_mp(read_links=READ_LINKAGES[:5], write_links=WRITE_LINKAGES[:3]))
-    + list(generate_sb(links=WRITE_LINKAGES[:3]))
-    + list(generate_lb(links=READ_TO_WRITE_LINKAGES[:4]))
+# Small cycle families over the first few linkages of each slot (the full
+# battery runs in the benchmark harness; here we keep a deterministic, fast
+# selection).
+SLICE_FAMILIES = (
+    Family(
+        "MP",
+        (Slot(WRITE, WRITE, links=LINKS_WW[:3]), Rfe, Slot(READ, READ, links=LINKS_RR[:5]), Fre),
+    ),
+    Family(
+        "SB",
+        (Slot(WRITE, READ, links=LINKS_WW[:3]), Fre, Slot(WRITE, READ, links=LINKS_WW[:3]), Fre),
+    ),
+    Family(
+        "LB",
+        (Slot(READ, WRITE, links=LINKS_RW[:4]), Rfe, Slot(READ, WRITE, links=LINKS_RW[:4]), Rfe),
+    ),
 )
+GENERATED = [synthesize(cycle) for family in SLICE_FAMILIES for cycle in family.expand()]
 
 
 @pytest.mark.parametrize("test", GENERATED, ids=[t.name for t in GENERATED])
 def test_generated_battery_agreement_on_arm(test):
     _outcomes_agree(test, Arch.ARM)
-
-
-def test_generate_battery_is_deterministic_and_sizeable():
-    battery = generate_battery()
-    names = [t.name for t in battery]
-    assert len(names) == len(set(names))
-    assert len(battery) > 150
-    assert generate_battery(max_tests=10)[0].name == battery[0].name

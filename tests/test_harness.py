@@ -26,14 +26,14 @@ from repro.harness import (
     run_jobs,
 )
 from repro.lang.kinds import Arch
-from repro.litmus import generate_battery, get_test
+from repro.litmus import generate_cycle_battery, get_family, get_test, synthesize
 from repro.promising import ExploreConfig
 from repro.tools.cli import main
 from repro.workloads import spinlock_rust
 
 
 def battery(n=8):
-    return generate_battery(max_tests=n)
+    return generate_cycle_battery(max_tests=n)
 
 
 def sweep(tests, models=("promising", "axiomatic"), **kwargs):
@@ -399,6 +399,13 @@ class TestReport:
         assert artifact["extra"]["fuzz"]["families"] == []
         assert "MP+fwd" not in capsys.readouterr().out
 
+    def test_cli_sweep_runs_a_prefix_of_the_cycle_battery(self, tmp_path):
+        out = tmp_path / "r.json"
+        argv = ["sweep", "--max-tests", "5", "--models", "promising", "--report", str(out)]
+        assert main(argv) == 0
+        names = [job["name"] for job in json.loads(out.read_text())["jobs"]]
+        assert names == [t.name for t in generate_cycle_battery()[:5]]
+
     def test_cli_sweep_rejects_unknown_model(self):
         assert main(["sweep", "--models", "bogus"]) == 2
 
@@ -478,7 +485,9 @@ class TestReport:
         # The generated battery and the hand-written catalogue both contain
         # e.g. an LB+data+po; mismatch detection must group by test
         # content, not name, or it would compare different programs.
-        generated = next(t for t in generate_battery() if t.name == "LB+data+po")
+        generated = synthesize(
+            next(c for c in get_family("LB").expand() if c.name == "LB+data+po")
+        )
         catalogue = get_test("LB+data+po")
         assert generated is not catalogue
         run = sweep([generated, catalogue])
@@ -601,8 +610,18 @@ class TestFuzz:
             ["fuzz", "--stall-timeout", "nan"],
             ["serve", "--timeout", "0"],
             ["work", "--backend-url", "queue.db", "--lease-seconds", "nan"],
+            # A worker would crash on its first idle sleep, or never exit.
+            ["work", "--backend-url", "queue.db", "--poll-seconds", "-1"],
+            ["work", "--backend-url", "queue.db", "--poll-seconds", "nan"],
+            ["work", "--backend-url", "queue.db", "--idle-exit", "nan"],
+            # A misspelt architecture must not silently run ARM.
+            ["--arch", "rsicv", "run", "--test", "MP"],
+            ["--arch", "x86", "sweep"],
+            ["--arch", "nope", "catalogue"],
             # The verb is gone: ``sweep`` runs the same battery.
             ["agreement"],
+            # So is the bfs strategy: dfs enumerates the same outcome sets.
+            ["--strategy", "bfs", "run"],
         ):
             assert exit_code(argv) == 2, argv
         # A battery that checked nothing fails and says so.

@@ -4,8 +4,6 @@ Pins the PR 5 contract:
 
 * the kernel itself — frontier discipline, dedup accounting, state and
   wall-clock budgets, truncation flags — on a toy graph;
-* exhaustive strategies are interchangeable (``bfs`` finds the same
-  outcome set as ``dfs``) on every explorer;
 * ``sample`` is a *sound under-approximation*: over a randomized corpus
   slice on both architectures, every sampled outcome appears in the
   exhaustive set (property test), and a fixed seed reproduces the exact
@@ -24,7 +22,6 @@ import pytest
 from repro.explore import (
     STRATEGIES,
     BaseSearchConfig,
-    BreadthFirst,
     DepthFirst,
     RandomWalks,
     SearchKernel,
@@ -84,18 +81,6 @@ class TestSearchKernel:
         assert kernel.stats.dedup_hits == 0
         assert not kernel.stats.truncated
 
-    def test_bfs_visits_the_same_states(self):
-        dfs = SearchKernel(
-            _binary_tree(3), strategy=DepthFirst(), max_states=1000, key_fn=lambda n: n
-        )
-        bfs = SearchKernel(
-            _binary_tree(3), strategy=BreadthFirst(), max_states=1000, key_fn=lambda n: n
-        )
-        dfs.run([()])
-        bfs.run([()])
-        assert dfs.stats.states == bfs.stats.states
-        assert dfs.stats.transitions == bfs.stats.transitions
-
     def test_dedup_prunes_reconverging_paths(self):
         # A diamond: two paths reconverge on the same node.
         graph = {"a": ["b", "c"], "b": ["d"], "c": ["d"], "d": []}
@@ -151,8 +136,8 @@ class TestSearchKernel:
         assert kernel.stats.samples_run == 0
 
     def test_strategy_registry(self):
-        assert set(STRATEGIES) == {"dfs", "bfs", "sample"}
-        assert is_exhaustive("dfs") and is_exhaustive("bfs")
+        assert set(STRATEGIES) == {"dfs", "sample"}
+        assert is_exhaustive("dfs")
         assert not is_exhaustive("sample")
         with pytest.raises(ValueError):
             make_strategy("montecarlo")
@@ -170,25 +155,6 @@ class TestSearchKernel:
 # ---------------------------------------------------------------------------
 # Strategy properties on the real explorers
 # ---------------------------------------------------------------------------
-
-
-class TestExhaustiveStrategiesAgree:
-    @pytest.mark.parametrize("test", corpus_sample(count=4, seed=2), ids=lambda t: t.name)
-    def test_bfs_matches_dfs(self, test):
-        locs = tuple(test.observable_locations())
-        dfs = explore(test.program, ExploreConfig(shared_locations=locs))
-        bfs = explore(test.program, ExploreConfig(shared_locations=locs, strategy="bfs"))
-        assert set(dfs.outcomes) == set(bfs.outcomes), test.name
-        assert bfs.stats.strategy == "bfs" and not bfs.stats.sampled
-
-    def test_bfs_matches_dfs_on_naive_and_flat(self):
-        test = get_test("MP")
-        naive_dfs = explore_naive(test.program, ExploreConfig())
-        naive_bfs = explore_naive(test.program, ExploreConfig(strategy="bfs"))
-        assert set(naive_dfs.outcomes) == set(naive_bfs.outcomes)
-        flat_dfs = explore_flat(test.program, FlatConfig())
-        flat_bfs = explore_flat(test.program, FlatConfig(strategy="bfs"))
-        assert set(flat_dfs.outcomes) == set(flat_bfs.outcomes)
 
 
 SAMPLE = dict(strategy="sample", samples=48, sample_depth=512)
@@ -426,6 +392,7 @@ class TestServiceStrategyOptions:
         service = self._service()
         for options in (
             {"strategy": "montecarlo"},
+            {"strategy": "bfs"},
             {"samples": 0},
             {"samples": 10**9},
             {"samples": True},

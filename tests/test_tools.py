@@ -1,36 +1,47 @@
-"""Tests for the comparison utilities and the command-line interface."""
+"""Tests for judging bare programs across models and for the command-line interface."""
 
 import pytest
 
+from repro.harness import Job, differential_mismatches, run_jobs
 from repro.lang.kinds import Arch
 from repro.litmus import get_test
-from repro.tools import compare_models, observables
+from repro.outcomes import Outcome, OutcomeSet
+from repro.promising import ExploreConfig
+from repro.tools import cli
 from repro.tools.cli import build_parser, main
+
+
+def judge(program, models):
+    """Run ``program`` under ``models`` as bare-program jobs and judge them."""
+    jobs = [Job.for_program(program, model, Arch.ARM) for model in models]
+    results = run_jobs(jobs)
+    assert all(r.ok and not r.truncated for r in results), [r.status for r in results]
+    return jobs, results
 
 
 class TestCompare:
     def test_observables_cover_program_registers_and_locations(self):
-        test = get_test("MP")
-        regs, locs = observables(test.program)
+        regs, locs = Job.for_program(get_test("MP").program, "promising").observables()
         assert regs[1] == ["r1", "r2"]
         assert len(locs) == 2
 
     def test_compare_promising_and_axiomatic(self):
-        comparison = compare_models(get_test("MP+dmb+addr").program, Arch.ARM)
-        assert comparison.promising_equals_axiomatic is True
-        assert "==" in comparison.describe()
+        jobs, results = judge(get_test("MP+dmb+addr").program, ("promising", "axiomatic"))
+        assert differential_mismatches(jobs, results) == ([], 0)
 
     def test_compare_with_naive_and_flat(self):
-        comparison = compare_models(
-            get_test("SB").program,
-            Arch.ARM,
-            include_axiomatic=False,
-            include_flat=True,
-            include_naive=True,
-        )
-        assert comparison.promising_equals_naive is True
-        assert comparison.flat_subset_of_promising is True
-        assert comparison.promising_equals_axiomatic is None
+        jobs, results = judge(get_test("SB").program, ("promising", "flat", "promising-naive"))
+        assert differential_mismatches(jobs, results) == ([], 0)
+
+    def test_doctored_flat_outcome_on_a_bare_program_violates_containment(self):
+        # Bare-program jobs must pair up, or the checks above pass vacuously.
+        jobs, results = judge(get_test("SB").program, ("promising", "flat"))
+        invented = Outcome.make([{}, {}], {})
+        results[1].outcomes = OutcomeSet([*results[1].outcomes, invented])
+        counterexamples, _explained = differential_mismatches(jobs, results)
+        assert [(ce["models"], ce["kind"]) for ce in counterexamples] == [
+            (["flat", "promising"], "subset-violated")
+        ]
 
 
 class TestCli:
@@ -45,7 +56,11 @@ class TestCli:
         # A prefix must never resolve to another flag: `--backend` would
         # otherwise parse as `fuzz --backend-url` and be silently ignored.
         parser = build_parser()
-        for argv in (["fuzz", "--backend", "packed"], ["run", "--ax"], ["--strat", "bfs", "run"]):
+        for argv in (
+            ["fuzz", "--backend", "packed"],
+            ["run", "--ax"],
+            ["--strat", "sample", "run"],
+        ):
             with pytest.raises(SystemExit) as excinfo:
                 parser.parse_args(argv)
             assert excinfo.value.code == 2, argv
@@ -62,6 +77,18 @@ class TestCli:
         assert main(["run", "--test", "MP+dmbs", "--axiomatic"]) == 0
         out = capsys.readouterr().out
         assert "forbidden" in out and "agree" in out
+
+    def test_run_axiomatic_never_agrees_with_a_truncated_run(self, monkeypatch, capsys):
+        # The policy skips a truncated pair, so silence must not read as agreement.
+        monkeypatch.setattr(cli, "_explore_config", lambda args: ExploreConfig(max_states=1))
+        assert main(["run", "--test", "MP+dmbs", "--axiomatic"]) == 0
+        out = capsys.readouterr().out
+        assert "exploration truncated" in out
+        assert "outcome sets not compared" in out and "agree" not in out
+
+    def test_run_reports_the_requested_arch(self, capsys):
+        assert main(["--arch", "rv64", "run", "--test", "MP"]) == 0
+        assert "model     : promising (RISC-V)" in capsys.readouterr().out
 
     def test_catalogue_command(self, capsys):
         assert main(["catalogue"]) == 0
