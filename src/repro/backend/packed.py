@@ -21,20 +21,20 @@ The explorers therefore run on this backend, which removes all of that:
   table keys on small immutable int tuples;
 * certification builds its sequential graphs directly on interned
   ``(stmt id, packed regs, mem id)`` nodes
-  (:func:`~repro.promising.certification.certify_compiled`) and the
-  per-thread completion enumeration runs over ``(stmt id, thread
-  state)`` nodes — no decode → certify → re-encode round trip on memo
-  misses;
+  (:func:`~repro.promising.certification.certify_compiled`), and the
+  same build answers the §7 completion sets: the register files the
+  thread finishes with over non-write edges — no decode → certify →
+  re-encode round trip on memo misses, and no second search;
 * dynamic behaviour still comes from the *reference* step rule bodies
   (:mod:`repro.promising.steps`) — run once per distinct ``(thread,
   thread-config, memory)`` triple, encoded, and replayed from integer
   memo tables on every later visit;
-* certification and completion answers are memoised on a *canonical
-  thread key* (:meth:`PackedPromisingBackend._thread_key`): the thread's
-  statement, its state with timestamps replaced by their ranks, and only
-  the messages at the locations it can access.  Configurations that
-  differ in foreign messages, or in where their own messages sit in
-  memory, share one sequential-graph build.
+* certification answers, completion sets included, are memoised on a
+  *canonical thread key* (:meth:`PackedPromisingBackend._thread_key`):
+  the thread's statement, its state with timestamps replaced by their
+  ranks, and only the messages at the locations it can access.
+  Configurations that differ in foreign messages, or in where their own
+  messages sit in memory, share one sequential-graph build.
 
 Successor *order* is preserved exactly (candidates before promises,
 promises sorted by location/value, as in
@@ -49,7 +49,6 @@ import time
 from itertools import product
 from typing import Optional
 
-from ..explore import DepthFirst, SearchKernel
 from ..isa.compile import CompiledProgram, compile_program
 from ..lang.program import Program
 from ..lang.transform import accessed_locations
@@ -110,17 +109,13 @@ class PackedPromisingBackend:
         self._cert_misses = 0
         self._steps: dict[tuple, tuple] = {}
         self._promise_steps: dict[tuple, tuple] = {}
-        #: :meth:`_thread_key` -> sorted tuple of interned register-file ids.
-        self._completions: dict[tuple, tuple] = {}
-        #: register-assignment tuple -> dense id; objects are the tuples.
-        self._regs = IdInterner()
         #: mem id -> (final-values id, sorted final-values items); distinct
         #: memories with equal final values share the final-values id.
         self._final_mems: dict[int, tuple] = {}
         self._final_vals: dict[tuple, int] = {}
-        #: (reg ids..., final-values id) combinations already turned into
-        #: an Outcome: the cross product runs on ints and only fresh
-        #: combinations materialise an object.
+        #: (register files..., final-values id) combinations already
+        #: turned into an Outcome: only fresh combinations materialise an
+        #: object.
         self._outcome_seen: set[tuple] = set()
         self._step_hits = 0
         self._step_misses = 0
@@ -179,15 +174,16 @@ class PackedPromisingBackend:
         the six views, ``fwdb`` and ``xclb`` times and views) replaced by
         its rank among the kept ones, 0 staying 0.  Certification
         (§4.3, §B, Theorem 6.4) and the §7 completion phase are
-        thread-local, and their answers are equal for any two
-        configurations with equal keys:
+        thread-local (one sequential-graph build answers both), and their
+        answers are equal for any two configurations with equal keys:
 
         1. Every timestamp in the thread state is 0 or the timestamp of a
            message at the footprint.  Views only take the timestamps
            this thread read or wrote, or maxima of those; ``prom`` holds
            the thread's own messages, at locations it writes.
-        2. The rules the sequential build and the completion DFS run
-           read memory only at footprint locations: ``read_steps``
+        2. The rules the sequential build runs, on its write and
+           non-write edges alike, read memory only at footprint
+           locations: ``read_steps``
            (``writes_to``, ``no_write_to_in``), ``fulfil_steps``,
            ``_atomic`` and ``write_steps``.  They compare timestamps only
            with each other and with ``|M|``, and so does the promise
@@ -276,14 +272,9 @@ class PackedPromisingBackend:
         """Certify every thread; returns (per-thread results, can-finish)."""
         phase_start = time.perf_counter()
         mem = packed[-1]
-        per_thread = []
-        can_finish = []
-        for tid in range(len(packed) - 1):
-            cert = self._certify(tid, packed[tid], mem)
-            per_thread.append(cert)
-            can_finish.append(cert.can_complete)
+        per_thread = [self._certify(tid, packed[tid], mem) for tid in range(len(packed) - 1)]
         self.phases.add("certify", time.perf_counter() - phase_start)
-        return per_thread, can_finish
+        return per_thread, [cert.can_complete for cert in per_thread]
 
     # -- promise-first exploration ------------------------------------------
     def promise_successors(self, packed: Packed, per_thread) -> list[Packed]:
@@ -319,59 +310,21 @@ class PackedPromisingBackend:
                     out.append(prefix + (new_cfg,) + suffix + (new_mem,))
         return out
 
-    def completion_sets(self, packed: Packed) -> Optional[list[set[tuple]]]:
-        """Per-thread final register sets under this (final) memory."""
-        per_thread = self._completion_id_sets(packed)
-        if per_thread is None:
-            return None
-        objects = self._regs.objects
-        return [{objects[i] for i in ids} for ids in per_thread]
-
-    def _completion_id_sets(self, packed: Packed) -> Optional[list[tuple]]:
-        """Per-thread completion sets as tuples of interned register ids.
-
-        ``None`` when some thread has no completing execution (the
-        candidate final memory is infeasible).  Each :meth:`_thread_key`
-        is enumerated once per run and recalled afterwards
-        (``completion_memo_hits``).  Truncation is flagged only when
-        :meth:`_enumerate` computes: a hit's first computation ran in
-        this run, on this ``stats`` object, and flagged it then.
-        """
-        stats = self.stats
-        phase_start = time.perf_counter()
-        mem = packed[-1]
-        per_thread: list[tuple] = []
-        feasible = True
-        for tid in range(len(packed) - 1):
-            memo_key = self._thread_key(tid, packed[tid], mem)
-            ids = self._completions.get(memo_key)
-            if ids is not None:
-                stats.completion_memo_hits += 1
-            else:
-                ids = self._enumerate(tid, packed[tid], mem)
-                self._completions[memo_key] = ids
-            if not ids:
-                feasible = False
-                break
-            per_thread.append(ids)
-        self.phases.add("enumerate", time.perf_counter() - phase_start)
-        return per_thread if feasible else None
-
-    def accumulate_outcomes(self, outcomes, packed: Packed) -> None:
+    def accumulate_outcomes(self, outcomes, packed: Packed, per_thread) -> None:
         """Cross per-thread completion sets into the outcome set.
 
-        The cross product runs entirely on interned ids: a combination is
-        a tuple of register-file ids plus the final-values id of the
-        memory, and only combinations never seen before materialise an
+        ``per_thread`` is :meth:`certify_all`'s answer for ``packed``, a
+        candidate final memory; each ``completions`` set was read off the
+        thread's certification graph.  A combination is a tuple of
+        register files plus the final-values id of the memory, and only
+        combinations never seen before materialise an
         :class:`~repro.outcomes.Outcome` (from the already-canonical
         frozen tuples, so no dict rebuild or re-sort).  Promise
         interleavings overwhelmingly reconverge on the same completion
         sets and final values, which makes this the difference between
         hundreds of thousands of object constructions and a few.
         """
-        per_thread = self._completion_id_sets(packed)
-        if per_thread is None:
-            return
+        phase_start = time.perf_counter()
         mem = packed[-1]
         entry = self._final_mems.get(mem)
         if entry is None:
@@ -383,64 +336,12 @@ class PackedPromisingBackend:
             self._final_mems[mem] = entry
         fm_id, items = entry
         seen = self._outcome_seen
-        objects = self._regs.objects
-        for combo in product(*per_thread):
+        for combo in product(*(cert.completions for cert in per_thread)):
             key = combo + (fm_id,)
             if key not in seen:
                 seen.add(key)
-                outcomes.add(
-                    Outcome(tuple(objects[i] for i in combo), items)
-                )
-
-    def _enumerate(self, tid: int, cfg: int, mem: int) -> tuple:
-        """Compiled run-to-completion enumeration of one thread.
-
-        Non-promise phase of §7: memory is fixed, so the thread runs
-        alone.  Nodes are ``(stmt id, thread state)`` pairs expanded
-        through the compiled candidate tables (non-promise steps only,
-        i.e. :func:`~repro.promising.steps.non_promise_steps`),
-        deduplicated under ``(stmt id, packed regs)`` keys.  Always
-        exhaustive (plain DFS), even when the outer search
-        samples: a sampled run must under-approximate the reachable
-        memories, never fabricate partial register files.  Returns the
-        final register files as a sorted tuple of interned ids (decoded
-        on demand by :meth:`completion_sets`).
-        """
-        sid = self._tcfg_sid[cfg]
-        _stmt, ts = self._tcfgs.objects[cfg]
-        memory = self._mems.objects[mem]
-        compiled = self.compiled
-        records = compiled.stmts
-        registers = self._registers
-        arch = self.arch
-        results: set[tuple] = set()
-
-        def expand(node):
-            nsid, nts = node
-            if records[nsid].terminated and not nts.prom:
-                results.add(tuple(sorted(nts.register_values().items())))
-                return []
-            return [
-                (succ_sid, step.tstate)
-                for succ_sid, step in compiled.candidate_steps(
-                    nsid, nts, memory, arch, tid, include_writes=False
-                )
-            ]
-
-        kernel = SearchKernel(
-            expand,
-            strategy=DepthFirst(),
-            max_states=self.config.max_states,
-            key_fn=lambda node: (node[0], node[1].pack(registers)),
-        )
-        kernel.run([(sid, ts)])
-        stats = self.stats
-        stats.thread_enumeration_states += kernel.stats.states
-        stats.thread_dedup_hits += kernel.stats.dedup_hits
-        if kernel.stats.truncated:
-            stats.truncated = True
-        intern = self._regs.intern
-        return tuple(sorted(intern(regs, regs) for regs in results))
+                outcomes.add(Outcome(combo, items))
+        self.phases.add("enumerate", time.perf_counter() - phase_start)
 
     def final_memory(self, packed: Packed) -> dict:
         return self._mems.objects[packed[-1]].final_values()

@@ -25,13 +25,13 @@ from .jobs import JobResult, STATUS_OK, outcome_to_json
 #: v4: ``sweep`` runs through the fuzz runner, so its reports carry the
 #: ``extra.fuzz`` block (no ``extra.arch``/``extra.n_tests``) and every
 #: mismatch entry carries ``kind`` and ``source``.
-REPORT_SCHEMA_VERSION = 4
+#: v5: the ``dedup`` block loses its two per-thread completion counters
+#: (completion sets are read off the certification graphs).
+REPORT_SCHEMA_VERSION = 5
 
 #: Explorer stats counters aggregated into the report's ``dedup`` block.
 DEDUP_COUNTERS = (
     "dedup_hits",
-    "thread_dedup_hits",
-    "completion_memo_hits",
     "cert_calls",
     "cert_memo_hits",
     "interned_keys",
@@ -58,9 +58,7 @@ def describe_dedup(report: Mapping) -> str:
     """One-line rendering of the report's aggregated ``dedup`` block."""
     d = report.get("dedup") or {}
     return (
-        f"dedup: {d.get('dedup_hits', 0)} state hits "
-        f"(+{d.get('thread_dedup_hits', 0)} per-thread, "
-        f"+{d.get('completion_memo_hits', 0)} completion), "
+        f"dedup: {d.get('dedup_hits', 0)} state hits, "
         f"cert memo: {d.get('cert_memo_hits', 0)}/{d.get('cert_calls', 0)} hits, "
         f"interning: {d.get('intern_hits', 0)} hits / {d.get('interned_keys', 0)} keys"
     )

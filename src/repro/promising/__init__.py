@@ -16,7 +16,6 @@ from .certification import (
     CertificationResult,
     can_complete_without_promising,
     certified,
-    certify_thread,
     find_and_certify,
 )
 from .machine import MachineState, MachineTransition, Thread, machine_transitions, run_deterministic
@@ -51,7 +50,6 @@ __all__ = [
     "CertificationResult",
     "can_complete_without_promising",
     "certified",
-    "certify_thread",
     "find_and_certify",
     "MachineState",
     "MachineTransition",

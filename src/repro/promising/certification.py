@@ -11,7 +11,8 @@ set of promise messages whose addition keeps the configuration certified
 (exactly the promises the machine should offer, per Theorem 6.4), by
 enumerating the thread's bounded sequential executions and harvesting the
 writes whose pre-view and coherence view do not exceed the current
-maximal timestamp.
+maximal timestamp.  The same graph also yields the register files the
+thread can finish with while memory stays fixed (the §7 completion set).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ DEFAULT_FUEL = 4000
 
 @dataclass(frozen=True)
 class CertificationResult:
-    """Result of :func:`find_and_certify` / :func:`certify_thread`.
+    """Result of :func:`find_and_certify` / :func:`certify_compiled`.
 
     Attributes
     ----------
@@ -48,27 +49,33 @@ class CertificationResult:
         Messages that may be promised next while staying certified.
     complete:
         False when the sequential search was truncated by ``fuel``; in
-        that case ``certified``/``promises`` are under-approximations
-        (sound for exploration, possibly missing behaviours).
+        that case every other field is an under-approximation (sound for
+        exploration, possibly missing behaviours).
     visited:
         Number of sequential states visited (for diagnostics/benchmarks).
-    can_complete:
-        Whether the thread can also terminate with *memory fixed* (no new
-        writes), i.e. the :func:`can_complete_without_promising` answer.
-        Populated by :func:`certify_thread`, which derives it from the
-        same sequential graph; ``None`` when the producer did not compute
-        it.
+    completions:
+        Register files (sorted ``(reg, value)`` tuples) the thread can
+        finish with while memory stays fixed: the §7 completion set.
     """
 
     certified: bool
     promises: frozenset[Msg]
     complete: bool
     visited: int
-    can_complete: Optional[bool] = None
+    completions: frozenset[tuple]
+
+    @property
+    def can_complete(self) -> bool:
+        """Can the thread finish with memory fixed (some completion exists)?"""
+        return bool(self.completions)
 
 
 def _state_key(stmt: Stmt, ts: TState, memory: Memory) -> tuple:
     return (stmt, ts.cache_key(), memory.cache_key())
+
+
+def _register_file(ts: TState) -> tuple:
+    return tuple(sorted(ts.register_values().items()))
 
 
 class _SequentialGraphBase:
@@ -76,10 +83,11 @@ class _SequentialGraphBase:
 
     Nodes are thread configurations reachable by sequential steps; edges
     remember the write performed (if any) so promise candidates can be
-    harvested afterwards.  Node identities are hash-consed to dense
-    integer ids and the reachability passes run on ints only; what
-    differs between the subclasses is the node *key* (and therefore what
-    gets hashed per discovered edge).
+    harvested afterwards, and completions walked over the non-write
+    ones.  Node identities are hash-consed to dense integer ids and the
+    reachability passes run on ints only; what differs between the
+    subclasses is the node *key* (and therefore what gets hashed per
+    discovered edge).
     """
 
     def __init__(self, arch: Arch, tid: TId, fuel: int) -> None:
@@ -90,25 +98,22 @@ class _SequentialGraphBase:
         #: Edge lists indexed by node id (parallel list, not a dict).
         self.edges: list[Optional[list[tuple[int, Optional[ThreadStep]]]]] = []
         self.fulfilled: set[int] = set()
-        #: Terminated *and* promise-free nodes: the accepting states of
-        #: :func:`can_complete_without_promising`.
-        self.finished: set[int] = set()
+        #: Terminated *and* promise-free nodes -> their register files.
+        self.finished: dict[int, tuple] = {}
         self.complete = True
 
     @property
     def n_nodes(self) -> int:
         return len(self._ids)
 
-    def _backward_reachable(self, targets: set[int], writes_too: bool) -> set[int]:
-        """Nodes from which some target is reachable (optionally over all
-        edges; otherwise only non-write edges)."""
+    def can_reach_fulfilled(self) -> set[int]:
+        """Ids of nodes from which a promise-free state is reachable."""
         predecessors: list[list[int]] = [[] for _ in range(len(self._ids))]
         for src, succs in enumerate(self.edges):
-            for dst, step in succs or ():
-                if writes_too or step is None:
-                    predecessors[dst].append(src)
-        good = set(targets)
-        worklist = list(targets)
+            for dst, _step in succs or ():
+                predecessors[dst].append(src)
+        good = set(self.fulfilled)
+        worklist = list(good)
         while worklist:
             node = worklist.pop()
             for pred in predecessors[node]:
@@ -117,18 +122,17 @@ class _SequentialGraphBase:
                     worklist.append(pred)
         return good
 
-    def can_reach_fulfilled(self) -> set[int]:
-        """Ids of nodes from which a promise-free state is reachable."""
-        return self._backward_reachable(self.fulfilled, writes_too=True)
-
-    def can_reach_finished_locally(self) -> set[int]:
-        """Ids of nodes that reach a finished node via non-write edges.
-
-        Write edges append to memory, so a path avoiding them is exactly
-        a :func:`~repro.promising.steps.non_promise_steps` execution —
-        the relation :func:`can_complete_without_promising` searches.
-        """
-        return self._backward_reachable(self.finished, writes_too=False)
+    def completions(self, root: int) -> frozenset[tuple]:
+        """Register files of the finished nodes ``root`` reaches over non-write edges."""
+        seen = {root}
+        stack = [root]
+        while stack:
+            for dst, step in self.edges[stack.pop()] or ():
+                if step is None and dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
+        finished = self.finished
+        return frozenset(finished[node] for node in seen if node in finished)
 
 
 class _SequentialGraph(_SequentialGraphBase):
@@ -161,7 +165,7 @@ class _SequentialGraph(_SequentialGraphBase):
             if not ts.prom:
                 self.fulfilled.add(nid)
                 if is_terminated(stmt):
-                    self.finished.add(nid)
+                    self.finished[nid] = _register_file(ts)
             if len(self._ids) >= self.fuel:
                 # Truncated: leave this node unexpanded.
                 self.edges[nid] = []
@@ -235,7 +239,7 @@ class CompiledSequentialGraph(_SequentialGraphBase):
             if not ts.prom:
                 self.fulfilled.add(nid)
                 if records[sid].terminated:
-                    self.finished.add(nid)
+                    self.finished[nid] = _register_file(ts)
             if len(self._ids) >= self.fuel:
                 self.edges[nid] = []
                 self.complete = False
@@ -291,51 +295,79 @@ def find_and_certify(
     tid: TId,
     fuel: int = DEFAULT_FUEL,
 ) -> CertificationResult:
-    """Enumerate the certified promise steps of a thread (§B).
+    """Answer every thread-local question of §B and §7 from ONE graph build.
 
-    The algorithm:
+    The explorers ask four things of a thread configuration: is it
+    certified, which promises may it make next, can it finish with memory
+    fixed, and with which register files.  All four are read off the
+    thread's bounded sequential graph, so it is built once:
 
     1. enumerate the thread's sequential executions under the current
        memory (bounded by ``fuel``);
     2. keep only execution prefixes from which a promise-free state
-       remains reachable;
+       remains reachable (the configuration is certified when its root is
+       one of them);
     3. every normal write performed on such a prefix whose pre-view and
        coherence view (at its location, before the write) are at most the
-       current maximal timestamp is a legal promise.
+       current maximal timestamp is a legal promise;
+    4. the register files of the *finished* nodes (terminated and
+       promise-free) that the root reaches over non-write edges are the
+       completion set of §7's run-to-completion phase.
+
+    Step 4 is that phase, not an approximation of it:
+
+    * The non-write edges are exactly the ``thread_local_steps`` =
+      :func:`~repro.promising.steps.non_promise_steps` relation
+      (``CompiledProgram.candidate_steps(..., include_writes=False)``).
+      None of them changes memory, so every node reached without a write
+      edge has the root's memory.
+    * A finished node is the accepting state of a fixed-memory run; its
+      register file is ``tuple(sorted(ts.register_values().items()))``.
+    * Nodes are deduplicated on the thread state at a fixed memory, as a
+      dedicated DFS over ``non_promise_steps`` would be.  So on a complete
+      graph the harvested set is that DFS's result, and ``can_complete``
+      (the set is non-empty) is :func:`can_complete_without_promising`.
+    * A graph cut short by ``fuel`` (which write successors spend too)
+      yields a subset of the true set: every file in it is reachable.
+      ``complete`` is then False, and the explorers mark the run
+      truncated on every incomplete answer, recalled or built.
+    * The set holds register values and no timestamps, so the canonical
+      key that memoises certification
+      (:meth:`~repro.backend.packed.PackedPromisingBackend._thread_key`)
+      memoises it too.
+
+    A terminated, promise-free thread needs no graph: it is certified,
+    promises nothing and finishes with its own register file.
     """
-    return _certify(stmt, ts, memory, arch, tid, fuel, want_can_complete=False)
-
-
-def _certify(
-    stmt: Stmt,
-    ts: TState,
-    memory: Memory,
-    arch: Arch,
-    tid: TId,
-    fuel: int,
-    *,
-    want_can_complete: bool,
-) -> CertificationResult:
-    """Shared body of :func:`find_and_certify` / :func:`certify_thread`.
-
-    ``want_can_complete`` additionally derives the fixed-memory
-    completion answer from the same graph; it is opt-in so the plain
-    promise enumeration does not pay for it.
-    """
-    fast = _certify_fastpath(stmt, ts)
-    if fast is not None:
-        return fast
+    if not ts.prom and is_terminated(stmt):
+        return _finished(ts)
     graph = _SequentialGraph(arch, tid, fuel)
     root = graph.build(stmt, ts, memory)
+    return _answer(graph, root, memory, tid)
+
+
+def _finished(ts: TState) -> CertificationResult:
+    """The answer for a terminated, promise-free thread (no graph built)."""
+    return CertificationResult(
+        certified=True,
+        promises=frozenset(),
+        complete=True,
+        visited=1,
+        completions=frozenset({_register_file(ts)}),
+    )
+
+
+def _answer(
+    graph: _SequentialGraphBase, root: int, memory: Memory, tid: TId
+) -> CertificationResult:
+    """Steps 2-4 of :func:`find_and_certify` on a built graph."""
     good = graph.can_reach_fulfilled()
     return CertificationResult(
         certified=root in good,
         promises=_harvest_promises(graph, good, memory.last_timestamp, tid),
         complete=graph.complete,
         visited=graph.n_nodes,
-        can_complete=(
-            root in graph.can_reach_finished_locally() if want_can_complete else None
-        ),
+        completions=graph.completions(root),
     )
 
 
@@ -357,50 +389,6 @@ def _harvest_promises(
     return frozenset(promises)
 
 
-def certify_thread(
-    stmt: Stmt,
-    ts: TState,
-    memory: Memory,
-    arch: Arch,
-    tid: TId,
-    fuel: int = DEFAULT_FUEL,
-) -> CertificationResult:
-    """Answer every certification question from ONE sequential-graph build.
-
-    The exhaustive explorer needs three answers per thread configuration:
-    is it certified, which promises may it make next, and can it finish
-    with memory fixed.  The seed implementation built the bounded
-    sequential graph twice per configuration (:func:`find_and_certify`
-    then :func:`can_complete_without_promising`); all three answers are
-    derivable from the same graph, so this entry point builds it once and
-    fills :attr:`CertificationResult.can_complete` alongside the §B
-    promise harvest.
-
-    On fuel truncation ``can_complete`` may be a stricter
-    under-approximation than the dedicated search (the shared graph also
-    spends fuel on write successors); both report ``complete=False`` in
-    that case, which the explorer already surfaces as truncation.
-    """
-    return _certify(stmt, ts, memory, arch, tid, fuel, want_can_complete=True)
-
-
-def _certify_fastpath(stmt: Stmt, ts: TState) -> Optional[CertificationResult]:
-    """Terminated promise-free threads need no graph at all."""
-    if not ts.prom and is_terminated(stmt):
-        return _FASTPATH_RESULT
-    return None
-
-
-#: The (constant) fastpath answer, shared between both certify entries.
-_FASTPATH_RESULT = CertificationResult(
-    certified=True,
-    promises=frozenset(),
-    complete=True,
-    visited=1,
-    can_complete=True,
-)
-
-
 def certify_compiled(
     compiled,
     sid: int,
@@ -413,7 +401,7 @@ def certify_compiled(
     mem_id=None,
     appends=None,
 ) -> CertificationResult:
-    """:func:`certify_thread` over the compiled statement tables.
+    """:func:`find_and_certify` over the compiled statement tables.
 
     ``compiled`` is a :class:`~repro.isa.compile.CompiledProgram`,
     ``sid`` the dense id of the thread's statement, and ``mem_ids`` an
@@ -422,23 +410,15 @@ def certify_compiled(
     already-interned id of ``memory`` when the caller knows it, and
     ``appends`` an optional shared append memo (see
     :class:`CompiledSequentialGraph`); both let the build run without
-    hashing a single messages tuple.  Answers all three certification
-    questions from one :class:`CompiledSequentialGraph` build, with the
-    same results as the reference entry — only the node keys and step
-    dispatch differ.
+    hashing a single messages tuple.  Answers every question from one
+    :class:`CompiledSequentialGraph` build, with the same results as the
+    reference entry — only the node keys and step dispatch differ.
     """
     if not ts.prom and compiled.stmts[sid].terminated:
-        return _FASTPATH_RESULT
+        return _finished(ts)
     graph = CompiledSequentialGraph(compiled, arch, tid, fuel, mem_ids, appends)
     root = graph.build(sid, ts, memory, mem_id)
-    good = graph.can_reach_fulfilled()
-    return CertificationResult(
-        certified=root in good,
-        promises=_harvest_promises(graph, good, memory.last_timestamp, tid),
-        complete=graph.complete,
-        visited=graph.n_nodes,
-        can_complete=root in graph.can_reach_finished_locally(),
-    )
+    return _answer(graph, root, memory, tid)
 
 
 def can_complete_without_promising(
@@ -480,7 +460,6 @@ __all__ = [
     "CompiledSequentialGraph",
     "certified",
     "certify_compiled",
-    "certify_thread",
     "find_and_certify",
     "can_complete_without_promising",
 ]

@@ -20,16 +20,20 @@ exhaustive, ``sample`` seeded random walks):
 
 Under the ``sample`` strategy the kernel walks the same transition
 relation instead of enumerating it, so the outcome set is a sound
-under-approximation; the per-thread run-to-completion enumeration stays
-exhaustive regardless of the outer strategy (it must not invent partial
-register files).
+under-approximation.  The per-thread completion sets stay exhaustive
+regardless of the outer strategy (they must not invent partial register
+files): they are read off each thread's certification graph, which
+certification builds in full (up to ``cert_fuel``) under any strategy.
 
 Both explorers run on the execution backend
 (:class:`~repro.backend.packed.PackedPromisingBackend`): the drive logic
 below never touches ``TState``/``Memory`` directly — it certifies,
-enumerates and steps through the backend, which owns the state
-representation (compiled programs, interned integer tuples) and the
-intern/cert/phase accounting that goes with it.
+crosses completion sets and steps through the backend, which owns the
+state representation (compiled programs, interned integer tuples) and
+the intern/cert/phase accounting that goes with it.  One certification
+build per thread configuration answers every thread-local question:
+certified, next promises, and the register files the thread can finish
+with under the current memory.
 """
 
 from __future__ import annotations
@@ -80,15 +84,8 @@ class ExplorationStats(SearchStats):
     promise_states: int = 0
     promise_transitions: int = 0
     final_memories: int = 0
-    thread_enumeration_states: int = 0
     deadlocked_states: int = 0
     localised_locations: tuple[Loc, ...] = ()
-    #: Seen-set hits inside the per-thread run-to-completion enumeration
-    #: (machine-level hits are the inherited ``dedup_hits``).
-    thread_dedup_hits: int = 0
-    #: Whole-enumeration reuse: a (thread, memory) completion set was
-    #: recalled instead of recomputed.
-    completion_memo_hits: int = 0
     #: Certification invocations and how many were answered by the memo.
     cert_calls: int = 0
     cert_memo_hits: int = 0
@@ -104,9 +101,8 @@ class ExplorationStats(SearchStats):
         return (
             f"promise states: {self.promise_states}, "
             f"final memories: {self.final_memories}, "
-            f"per-thread states: {self.thread_enumeration_states}, "
             f"deadlocks: {self.deadlocked_states}, "
-            f"dedup hits: {self.dedup_hits + self.thread_dedup_hits}, "
+            f"dedup hits: {self.dedup_hits}, "
             f"cert memo hits: {self.cert_memo_hits}/{self.cert_calls}, "
             f"truncated: {self.truncated}, "
             f"time: {self.elapsed_seconds:.3f}s"
@@ -169,11 +165,11 @@ def explore(program: Program, config: Optional[ExploreConfig] = None) -> Explora
 
         # Can every thread finish under the current memory without any new
         # promise?  If so the current memory is a candidate final memory:
-        # the backend enumerates per-thread completions and crosses them
-        # into the outcome set on interned id tuples.
+        # the backend crosses the per-thread completion sets that
+        # certification just returned into the outcome set.
         if all(can_finish):
             stats.final_memories += 1
-            backend.accumulate_outcomes(outcomes, packed)
+            backend.accumulate_outcomes(outcomes, packed, per_thread)
         elif not any(cert.promises for cert in per_thread):
             # No thread can finish and nobody can promise: a stuck state
             # (possible for ARM store exclusives, §4.3).

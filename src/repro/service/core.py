@@ -124,14 +124,30 @@ def _build_info() -> dict:
 def states_explored(stats: dict) -> int:
     """States a job's exploration visited, across model vocabularies.
 
-    Promising counts promise-mode plus per-thread enumeration states;
+    Promising counts promise-mode states (its per-thread completion sets
+    come from the certification graphs, which ``states`` never counted);
     flat counts kernel states; axiomatic enumerates candidate executions
     rather than states and contributes 0.
     """
-    return sum(
-        int(stats.get(key) or 0)
-        for key in ("promise_states", "thread_enumeration_states", "states")
-    )
+    return sum(int(stats.get(key) or 0) for key in ("promise_states", "states"))
+
+
+def _int_in(value, low: int, high: int) -> bool:
+    """Is ``value`` an int in ``low..high``?
+
+    bool is an int subclass; it is refused, so ``"samples": true`` and
+    friends fail loudly instead of running as 1.
+    """
+    return isinstance(value, int) and not isinstance(value, bool) and low <= value <= high
+
+
+def _seconds_up_to(value, high: float) -> bool:
+    """Is ``value`` a number (not a bool) in ``(0, high]``?
+
+    The chained comparison also refuses NaN (every comparison with it is
+    false) and both infinities.
+    """
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value <= high
 
 
 class ServiceError(Exception):
@@ -167,10 +183,11 @@ class TokenBuckets:
         refill_per_second: float,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if capacity <= 0:
-            raise ValueError("quota capacity must be positive")
-        if refill_per_second <= 0:
-            raise ValueError("quota refill rate must be positive")
+        # NaN fails every comparison, so test for the good range instead.
+        if not (math.isfinite(capacity) and capacity > 0):
+            raise ValueError("quota capacity must be finite and positive")
+        if not (math.isfinite(refill_per_second) and refill_per_second > 0):
+            raise ValueError("quota refill rate must be finite and positive")
         self.capacity = float(capacity)
         self.refill_per_second = float(refill_per_second)
         self.clock = clock
@@ -430,13 +447,11 @@ class ExplorationService:
                 f"accepted: {', '.join(OPTION_KEYS)}"
             )
         loop_bound = options.get("loop_bound", 2)
-        if not isinstance(loop_bound, int) or not 1 <= loop_bound <= LOOP_BOUND_LIMIT:
+        if not _int_in(loop_bound, 1, LOOP_BOUND_LIMIT):
             raise ServiceError(f"'loop_bound' must be an int in 1..{LOOP_BOUND_LIMIT}")
-        # The chained bounds checks below also refuse NaN (every
-        # comparison with it is false) and both infinities.
         timeout = options.get("timeout", self.config.default_timeout)
         if timeout is not None:
-            if not isinstance(timeout, (int, float)) or not 0 < timeout <= MAX_TIMEOUT:
+            if not _seconds_up_to(timeout, MAX_TIMEOUT):
                 raise ServiceError(f"'timeout' must be a number of seconds in (0, {MAX_TIMEOUT}]")
             timeout = float(timeout)
         include_outcomes = options.get("include_outcomes", True)
@@ -448,19 +463,13 @@ class ExplorationService:
         # flagged truncated — a cheap, bounded answer, never a silent one.
         deadline_seconds = options.get("deadline_seconds")
         if deadline_seconds is not None:
-            if (
-                isinstance(deadline_seconds, bool)
-                or not isinstance(deadline_seconds, (int, float))
-                or not 0 < deadline_seconds <= MAX_TIMEOUT
-            ):
+            if not _seconds_up_to(deadline_seconds, MAX_TIMEOUT):
                 raise ServiceError(
                     f"'deadline_seconds' must be a number of seconds in (0, {MAX_TIMEOUT}]"
                 )
             deadline_seconds = float(deadline_seconds)
         max_states = options.get("max_states")
-        if max_states is not None and (
-            not isinstance(max_states, int) or not 1 <= max_states <= MAX_STATES_LIMIT
-        ):
+        if max_states is not None and not _int_in(max_states, 1, MAX_STATES_LIMIT):
             raise ServiceError(f"'max_states' must be an int in 1..{MAX_STATES_LIMIT}")
 
         from ..explore import STRATEGIES
@@ -470,21 +479,11 @@ class ExplorationService:
             raise ServiceError(
                 f"unknown strategy {strategy!r}; choose from {', '.join(STRATEGIES)}"
             )
-        # bool is an int subclass; reject it so `"samples": true` and
-        # friends fail loudly instead of running one walk.
         samples = options.get("samples", 256)
-        if (
-            not isinstance(samples, int)
-            or isinstance(samples, bool)
-            or not 1 <= samples <= MAX_SAMPLES_LIMIT
-        ):
+        if not _int_in(samples, 1, MAX_SAMPLES_LIMIT):
             raise ServiceError(f"'samples' must be an int in 1..{MAX_SAMPLES_LIMIT}")
         sample_depth = options.get("sample_depth", 4096)
-        if (
-            not isinstance(sample_depth, int)
-            or isinstance(sample_depth, bool)
-            or not 1 <= sample_depth <= MAX_SAMPLE_DEPTH_LIMIT
-        ):
+        if not _int_in(sample_depth, 1, MAX_SAMPLE_DEPTH_LIMIT):
             raise ServiceError(f"'sample_depth' must be an int in 1..{MAX_SAMPLE_DEPTH_LIMIT}")
         seed = options.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):

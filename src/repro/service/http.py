@@ -356,6 +356,7 @@ class ServiceServer:
         # correlate client logs, service logs, and the echoed header.
         request_id = sanitize_request_id(headers.get("x-request-id")) or new_request_id()
         start = time.perf_counter()
+        extra = {}
         try:
             with bind(request_id=request_id):
                 status, payload = await self._route(method, path, headers, body, request_id)
@@ -371,13 +372,15 @@ class ServiceServer:
                     status=status,
                     seconds=round(time.perf_counter() - start, 6),
                 )
+            # Inside the try: a bad value (say a NaN retry_after) must
+            # become a 500, never an exception that leaves the slot empty.
+            if isinstance(payload, dict) and "retry_after" in payload:
+                extra["Retry-After"] = str(max(1, math.ceil(payload["retry_after"])))
         except Exception:
+            _log.exception("request failed: %s %s", method, path)
             status, payload = 500, {"ok": False, "error": "internal server error"}
         finally:
             inflight.release()
-        extra = {}
-        if isinstance(payload, dict) and "retry_after" in payload:
-            extra["Retry-After"] = str(max(1, math.ceil(payload["retry_after"])))
         if not future.done():
             future.set_result(_Response(status, payload, request_id, extra, close_requested))
 

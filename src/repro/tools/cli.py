@@ -55,29 +55,39 @@ def _arch(name: str) -> Arch:
 
 
 def _positive_int(text: str) -> int:
-    # Reject out-of-range sampling knobs at parse time (exit 2) instead
-    # of letting RandomWalks raise a traceback mid-exploration.
+    # Reject out-of-range counts at parse time (exit 2) instead of a
+    # traceback mid-run, or a serve batch size of 0 that wedges dispatch.
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 
-def _positive_seconds(text: str) -> float:
-    # NaN, infinity, zero and negatives would each run with no deadline
-    # or lease a queue item forever; refuse them at parse time (exit 2).
+def _positive_number(text: str) -> float:
+    # NaN, infinity, zero and negatives would each run with no deadline,
+    # lease a queue item forever, or make a serve quota refuse every
+    # request (or crash at start-up); refuse them at parse time (exit 2).
     value = float(text)
     if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError("must be a finite number of seconds greater than 0")
+        raise argparse.ArgumentTypeError("must be a finite number greater than 0")
     return value
 
 
 def _non_negative_int(text: str) -> int:
     # A negative battery bound would become a Python slice (-1 silently
-    # drops the last test) or an empty corpus; refuse it at parse time.
+    # drops the last test) or an empty corpus, and a negative pending-job
+    # cap refuses every request; refuse them at parse time.
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return value
+
+
+def _non_negative_number(text: str) -> float:
+    # An infinite batch window never dispatches a batch short of full.
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError("must be a finite number of at least 0")
     return value
 
 
@@ -369,7 +379,7 @@ def _add_battery_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (0 = one per CPU)")
     parser.add_argument("--cache-dir", default=None, help="persistent result cache directory")
-    parser.add_argument("--timeout", type=_positive_seconds, default=None,
+    parser.add_argument("--timeout", type=_positive_number, default=None,
                         help="per-job timeout in seconds")
     parser.add_argument("--report", default=None, help="write a JSON report to this path")
     parser.add_argument("--distributed", action="store_true",
@@ -382,7 +392,7 @@ def _add_battery_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--external-workers", action="store_true",
                         help="spawn no local workers; an external fleet "
                              "(promising-arm work) serves the queue")
-    parser.add_argument("--stall-timeout", type=_positive_seconds, default=None,
+    parser.add_argument("--stall-timeout", type=_positive_number, default=None,
                         help="abort if no distributed item completes for this long")
 
 
@@ -481,13 +491,13 @@ def build_parser() -> argparse.ArgumentParser:
                              help="shared persistent result cache directory")
     work_parser.add_argument("--worker-id", default=None,
                              help="stable worker identity (default host-pid)")
-    work_parser.add_argument("--lease-seconds", type=_positive_seconds, default=30.0,
+    work_parser.add_argument("--lease-seconds", type=_positive_number, default=30.0,
                              help="claim lease length; heartbeats extend it while running")
-    work_parser.add_argument("--poll-seconds", type=_positive_seconds, default=0.1,
+    work_parser.add_argument("--poll-seconds", type=_positive_number, default=0.1,
                              help="idle back-off between claim attempts")
     work_parser.add_argument("--max-jobs", type=int, default=None,
                              help="exit after claiming this many items (default: serve forever)")
-    work_parser.add_argument("--idle-exit", type=_positive_seconds, default=None,
+    work_parser.add_argument("--idle-exit", type=_positive_number, default=None,
                              help="exit after the queue has been empty this long")
     work_parser.set_defaults(func=cmd_work)
 
@@ -502,21 +512,21 @@ def build_parser() -> argparse.ArgumentParser:
                               help="resident worker processes (<=1 = inline executor)")
     serve_parser.add_argument("--cache-dir", default=None,
                               help="persistent result cache directory (shared with sweeps)")
-    serve_parser.add_argument("--lru-capacity", type=int, default=4096,
+    serve_parser.add_argument("--lru-capacity", type=_positive_int, default=4096,
                               help="entries kept in the in-process LRU result cache")
-    serve_parser.add_argument("--batch-max-size", type=int, default=16,
+    serve_parser.add_argument("--batch-max-size", type=_positive_int, default=16,
                               help="most cold jobs dispatched in one micro-batch")
-    serve_parser.add_argument("--batch-delay-ms", type=float, default=10.0,
+    serve_parser.add_argument("--batch-delay-ms", type=_non_negative_number, default=10.0,
                               help="micro-batch accumulation window in milliseconds")
-    serve_parser.add_argument("--timeout", type=_positive_seconds, default=60.0,
+    serve_parser.add_argument("--timeout", type=_positive_number, default=60.0,
                               help="default per-job deadline in seconds")
-    serve_parser.add_argument("--max-pending-jobs", type=int, default=1024,
+    serve_parser.add_argument("--max-pending-jobs", type=_non_negative_int, default=1024,
                               help="admission control: answer 429 + Retry-After once this "
                                    "many jobs are queued or in flight (0 = unlimited)")
-    serve_parser.add_argument("--quota-tokens", type=float, default=None,
+    serve_parser.add_argument("--quota-tokens", type=_positive_number, default=None,
                               help="per-client token-bucket capacity for /v1/explore, keyed "
                                    "on X-Client-Id (one token per job; default: quotas off)")
-    serve_parser.add_argument("--quota-refill", type=float, default=1.0,
+    serve_parser.add_argument("--quota-refill", type=_positive_number, default=1.0,
                               help="tokens refilled per second per client")
     serve_parser.add_argument("--queue-url", default=None,
                               help="ledger mounted at /v1/queue for HTTP fleets "

@@ -5,9 +5,9 @@ the semantics.  These laws hold it, state by state, to the rules it is
 compiled from — on a catalogue slice, a generated corpus slice and both
 architectures:
 
-* certification equals :func:`~repro.promising.certification.certify_thread`
-  field by field (certified, promises, complete, can_complete, visited);
-* completion sets equal a DFS over
+* certification equals :func:`~repro.promising.certification.find_and_certify`
+  field by field (certified, promises, complete, completions, visited);
+* completion sets, read off the certification graph, equal a DFS over
   :func:`~repro.promising.steps.non_promise_steps`;
 * both hold on canonical thread keys: answers recalled for a
   configuration that differs from the computed one only in foreign
@@ -41,16 +41,16 @@ from repro.flat import (
     thread_transitions,
 )
 from repro.flat import successors as flat_successors
-from repro.lang import LocationEnv, R, dependency_idiom, if_, load, make_program, seq, store
+from repro.lang import LocationEnv, R, Skip, dependency_idiom, if_, load, make_program, seq, store
 from repro.lang.kinds import VSUCC, Arch
 from repro.lang.transform import accessed_locations
 from repro.litmus import generate_cycle_battery, get_test
 from repro.outcomes import Outcome, OutcomeSet
 from repro.promising import (
     ExploreConfig,
-    certify_thread,
     explore,
     explore_naive,
+    find_and_certify,
     is_terminated,
     non_promise_steps,
     promise_step,
@@ -101,7 +101,7 @@ def _reachable(program, arch, limit=200):
     return list(seen.values())
 
 
-def _reference_completions(thread, memory, arch, tid) -> set:
+def _reference_register_files(thread, memory, arch, tid) -> set:
     """Final register files of one thread under fixed memory (plain DFS)."""
     results = set()
     seen = set()
@@ -124,7 +124,7 @@ def _reference_completions(thread, memory, arch, tid) -> set:
 def _reference_cross(state, arch) -> set:
     """The outcomes a candidate final memory contributes, from the rules."""
     per_thread = [
-        _reference_completions(thread, state.memory, arch, tid)
+        _reference_register_files(thread, state.memory, arch, tid)
         for tid, thread in enumerate(state.threads)
     ]
     final = state.memory.final_values()
@@ -144,19 +144,20 @@ def _partial_footprint(program) -> bool:
 
 
 def _assert_cert_equivalence(program, arch, limit):
-    """Packed ``certify_all``/``completion_sets`` == the references, pointwise.
+    """Packed ``certify_all`` == the references, pointwise.
 
     For every reachable machine state the packed answer must agree with
     the reference sequential-graph build on every certification field
-    (down to the graph's visited count) and, at candidate final memories,
-    on the exact per-thread completion sets.  One backend answers every
+    (down to the graph's visited count and the completion set) and, on
+    every complete answer, its completion set must equal the plain DFS
+    over ``non_promise_steps``.  One backend answers every
     state, so its canonical-key memo is under test too: when a thread's
     footprint misses some location, some answers must be recalled for a
     ``(tid, cfg, mem)`` triple the backend had never certified before.
     """
     backend = _promising(program, arch)
     fuel = backend.config.cert_fuel
-    checked_completions = 0
+    checked_final_memories = 0
     certified_triples = set()
     recalled = 0
     for state in _reachable(program, arch, limit=limit):
@@ -168,24 +169,21 @@ def _assert_cert_equivalence(program, arch, limit):
         packed, can_finish = backend.certify_all(enc)
         recalled += len(fresh) - (backend._cert_misses - misses)
         for tid, (thread, p) in enumerate(zip(state.threads, packed)):
-            ref = certify_thread(thread.stmt, thread.tstate, state.memory, arch, tid, fuel)
+            ref = find_and_certify(thread.stmt, thread.tstate, state.memory, arch, tid, fuel)
             context = f"{program.name} thread {tid}"
             assert p.certified == ref.certified, context
             assert p.promises == ref.promises, context
             assert p.complete == ref.complete, context
+            assert p.completions == ref.completions, context
             assert p.can_complete == ref.can_complete == can_finish[tid], context
             assert p.visited == ref.visited, context
+            if p.complete:
+                assert set(p.completions) == _reference_register_files(
+                    thread, state.memory, arch, tid
+                ), f"{context}: completion sets diverge"
         if all(can_finish):
-            reference = [
-                _reference_completions(thread, state.memory, arch, tid)
-                for tid, thread in enumerate(state.threads)
-            ]
-            expected = reference if all(reference) else None
-            assert backend.completion_sets(enc) == expected, (
-                f"{program.name}: completion sets diverge"
-            )
-            checked_completions += 1
-    assert checked_completions > 0, "slice never reached a final memory"
+            checked_final_memories += 1
+    assert checked_final_memories > 0, "slice never reached a final memory"
     if _partial_footprint(program):
         assert recalled > 0, f"{program.name}: no answer came from a canonical key"
 
@@ -256,6 +254,21 @@ def test_canonical_thread_key_laws():
     assert backend._thread_key(*triple) == triple
 
 
+def test_finished_thread_completes_with_its_own_register_file():
+    # A terminated, promise-free thread is answered without a graph: its
+    # completion set is its own register file, on both entries.
+    program, _locs = _three_threads()
+    backend = _promising(program)
+    ts = _tstate(regs={"r0": (1, 0), "r1": (3, 0)})
+    files = frozenset({(("r0", 1), ("r1", 3))})
+    ref = find_and_certify(Skip(), ts, Memory(), Arch.ARM, 0)
+    assert (ref.completions, ref.visited, ref.certified) == (files, 1, True)
+    initial = MachineState.initial(program, Arch.ARM)
+    state = MachineState((Thread(Skip(), ts),) + initial.threads[1:], initial.memory, Arch.ARM)
+    (cert, *_rest), can_finish = backend.certify_all(backend.encode(state))
+    assert (cert.completions, cert.visited, can_finish[0]) == (files, 1, True)
+
+
 def test_recalled_incomplete_certification_still_truncates():
     # A canonical hit answers a configuration other than the one that
     # computed it, so the truncation flag must not ride on the miss.
@@ -296,7 +309,7 @@ def _assert_promise_first_equivalence(program, arch, limit=60):
         per_thread, can_finish = backend.certify_all(enc)
         expected = Counter()
         for tid, thread in enumerate(state.threads):
-            ref = certify_thread(thread.stmt, thread.tstate, state.memory, arch, tid, fuel)
+            ref = find_and_certify(thread.stmt, thread.tstate, state.memory, arch, tid, fuel)
             for msg in ref.promises:
                 step = promise_step(thread.stmt, thread.tstate, state.memory, msg)
                 expected[state.replace_thread(tid, step).cache_key()] += 1
@@ -304,7 +317,7 @@ def _assert_promise_first_equivalence(program, arch, limit=60):
         actual = Counter(backend.decode(succ).cache_key() for succ in successors)
         assert actual == expected, f"{program.name}: promise successors diverge"
         if all(can_finish):
-            backend.accumulate_outcomes(packed_outcomes, enc)
+            backend.accumulate_outcomes(packed_outcomes, enc, per_thread)
             reference_outcomes |= _reference_cross(state, arch)
         for succ in successors:
             if succ not in seen:

@@ -4,8 +4,9 @@ The reduction layer must be *semantics-preserving*: the visited sets
 change only how much work the explorers do, never which outcomes they
 find.  The tests here pin that equivalence on a randomized sample of the
 cycle corpus, the stability/equality laws of the ``cache_key`` methods,
-and the single-graph certification entry point against the seed's
-separate searches.
+and the single-graph certification entry point against separate
+searches: the fixed-memory completion check and a plain DFS over
+``non_promise_steps``.
 """
 
 import random
@@ -22,16 +23,17 @@ from repro.promising import (
     Memory,
     Msg,
     can_complete_without_promising,
-    certify_thread,
     explore,
     explore_naive,
     find_and_certify,
     initial_tstate,
+    is_terminated,
     machine_transitions,
+    non_promise_steps,
     promise_step,
 )
 from repro.promising.intern import IdInterner
-from repro.lang import DMB_SY, R, load, seq, store
+from repro.lang import DMB_SY, R, if_, load, seq, store
 
 
 def corpus_sample(count=8, seed=3):
@@ -68,7 +70,7 @@ class TestDedupPreservesOutcomes:
         off = explore(test.program, config)
         assert set(on.outcomes) == set(off.outcomes), test.name
         assert not on.stats.truncated and not off.stats.truncated
-        assert off.stats.dedup_hits == off.stats.thread_dedup_hits == 0
+        assert off.stats.dedup_hits == 0
 
     @pytest.mark.parametrize("test", corpus_sample(count=4, seed=5), ids=lambda t: t.name)
     def test_naive_dedup_off_is_identical(self, test, monkeypatch):
@@ -149,21 +151,39 @@ class TestCacheKeys:
         assert interner.hits == 1
 
 
+def dfs_register_files(stmt, ts, memory, arch, tid):
+    """Final register files under fixed memory, by a plain DFS."""
+    files, seen, stack = set(), set(), [(stmt, ts)]
+    while stack:
+        stmt, ts = stack.pop()
+        key = (stmt, ts.cache_key())
+        if key in seen:
+            continue
+        seen.add(key)
+        if is_terminated(stmt) and not ts.prom:
+            files.add(tuple(sorted(ts.register_values().items())))
+            continue
+        stack.extend((s.stmt, s.tstate) for s in non_promise_steps(stmt, ts, memory, arch, tid))
+    return files
+
+
 class TestCertifyThread:
     CONFIGS = [
         ("initial-store", store(0, 5), None),
         ("load-store", seq(load("r1", 8), store(0, R("r1"))), None),
         ("barrier", seq(load("r1", 8), DMB_SY, store(0, 42)), None),
+        # Finishes without a write only when it reads 0 (non-empty set).
+        ("conditional-store", seq(load("r1", 8), if_(R("r1"), store(0, 1))), None),
     ]
 
     @pytest.mark.parametrize("name,stmt,_x", CONFIGS, ids=[c[0] for c in CONFIGS])
     def test_matches_separate_searches(self, name, stmt, _x):
         ts = initial_tstate()
         memory, _ = Memory().append(Msg(8, 1, 9))
-        merged = certify_thread(stmt, ts, memory, Arch.ARM, 0)
-        separate = find_and_certify(stmt, ts, memory, Arch.ARM, 0)
-        assert merged.certified == separate.certified
-        assert merged.promises == separate.promises
+        merged = find_and_certify(stmt, ts, memory, Arch.ARM, 0)
+        assert merged.certified
+        assert merged.complete
+        assert set(merged.completions) == dfs_register_files(stmt, ts, memory, Arch.ARM, 0)
         assert merged.can_complete == can_complete_without_promising(
             stmt, ts, memory, Arch.ARM, 0
         )
@@ -171,6 +191,6 @@ class TestCertifyThread:
     def test_matches_with_outstanding_promise(self):
         stmt = store(0, 1)
         promised = promise_step(stmt, initial_tstate(), Memory(), Msg(0, 1, 0))
-        merged = certify_thread(stmt, promised.tstate, promised.memory, Arch.ARM, 0)
+        merged = find_and_certify(stmt, promised.tstate, promised.memory, Arch.ARM, 0)
         assert merged.certified
         assert merged.can_complete is True  # the promise is fulfilable in place

@@ -614,6 +614,17 @@ class TestFuzz:
             ["work", "--backend-url", "queue.db", "--poll-seconds", "-1"],
             ["work", "--backend-url", "queue.db", "--poll-seconds", "nan"],
             ["work", "--backend-url", "queue.db", "--idle-exit", "nan"],
+            # Serve settings that crash at start-up, refuse every request,
+            # or wedge the dispatcher (the crashers first: the others
+            # would start a server).
+            ["serve", "--lru-capacity", "0"],
+            ["serve", "--quota-tokens", "-1"],
+            ["serve", "--quota-refill", "0"],
+            ["serve", "--quota-tokens", "nan"],
+            ["serve", "--max-pending-jobs", "-1"],
+            ["serve", "--batch-max-size", "0"],
+            ["serve", "--batch-max-size", "-1"],
+            ["serve", "--batch-delay-ms", "inf"],
             # A misspelt architecture must not silently run ARM.
             ["--arch", "rsicv", "run", "--test", "MP"],
             ["--arch", "x86", "sweep"],

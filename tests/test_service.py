@@ -114,6 +114,11 @@ class TestNormalize:
             self.normalize({"test": "SB", "options": {"timeout": float("nan")}})
         with pytest.raises(ServiceError):
             self.normalize({"test": "SB", "options": {"max_states": 0}})
+        # bool is an int subclass: ``true`` must not run as 1.
+        for key in ("timeout", "loop_bound", "max_states"):
+            with pytest.raises(ServiceError) as excinfo:
+                self.normalize({"test": "SB", "options": {key: True}})
+            assert excinfo.value.status == 400, key
         # Over-limit timeouts are rejected like every other option, not
         # silently clamped.
         with pytest.raises(ServiceError):
@@ -162,6 +167,11 @@ class TestTokenBuckets:
             TokenBuckets(0, 1.0)
         with pytest.raises(ValueError):
             TokenBuckets(5, 0)
+        # NaN passes a ``<= 0`` check; infinity is no quota at all.
+        nan, inf = float("nan"), float("inf")
+        for capacity, refill in ((nan, 1.0), (5, nan), (inf, 1.0), (5, inf)):
+            with pytest.raises(ValueError):
+                TokenBuckets(capacity, refill)
 
     def test_spend_refill_and_retry_after(self):
         clock = [0.0]
@@ -717,6 +727,38 @@ class TestKeepAliveProtocol:
             assert status == 200
             assert headers["connection"] == "close"
             assert sock.recv(4096) == b""  # server actually closed
+
+    def test_unencodable_retry_after_is_a_500_not_a_hang(self):
+        # Retry-After used to be computed after _process's try block, so a
+        # NaN raised there and left the ordered response slot empty.
+        import socket
+
+        service = make_service()
+
+        async def nan_retry(payload, client_id=None):
+            return 429, {"ok": False, "error": "slow down", "retry_after": float("nan")}
+
+        service.handle_explore = nan_retry
+
+        def round_trip(host, port):
+            with socket.create_connection((host, port), timeout=5) as sock:
+                http = _RawHttp(sock)
+                sock.sendall(b"POST /v1/explore HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}")
+                status, headers, _body = http.read_response()
+                assert status == 500 and "retry-after" not in headers
+                # The connection stays usable.
+                sock.sendall(b"GET /v1/healthz HTTP/1.1\r\n\r\n")
+                assert http.read_response()[0] == 200
+
+        async def scenario():
+            server = ServiceServer(service, "127.0.0.1", 0)
+            host, port = await server.start()
+            try:
+                await asyncio.get_running_loop().run_in_executor(None, round_trip, host, port)
+            finally:
+                await server.stop()
+
+        run_async(scenario())
 
     def test_client_pool_reuses_connections(self, live_service):
         before = live_service.stats()["http"]
