@@ -16,25 +16,29 @@ The explorers therefore run on this backend, which removes all of that:
 * thread configurations ``(statement, thread state)`` and memories are
   interned to dense integer ids (:class:`~repro.promising.intern.IdInterner`),
   with the first-seen objects kept as the canonical decoded forms;
+* every thread configuration is stored relative to the thread's
+  *footprint memory* (:meth:`PackedPromisingBackend._encode_memory`):
+  the messages at the locations it can access, renumbered 1..k in
+  timestamp order.  Each memory id carries the footprint-memory id of
+  every thread, so the thread-local work below keys on the plain
+  ``(tid, cfg, fmem)`` ids and is shared by every memory that differs
+  only in messages the thread cannot see, or in where its own sit;
 * a machine state is the flat tuple ``(tcfg_0, …, tcfg_{T-1}, mem)`` of
   those ids — it is its own visited-set key, and every visited/memo
   table keys on small immutable int tuples;
 * certification builds its sequential graphs directly on interned
-  ``(stmt id, packed regs, mem id)`` nodes
+  ``(stmt id, packed regs, fmem id)`` nodes
   (:func:`~repro.promising.certification.certify_compiled`), and the
   same build answers the §7 completion sets: the register files the
   thread finishes with over non-write edges — no decode → certify →
   re-encode round trip on memo misses, and no second search;
 * dynamic behaviour still comes from the *reference* step rule bodies
   (:mod:`repro.promising.steps`) — run once per distinct ``(thread,
-  thread-config, memory)`` triple, encoded, and replayed from integer
-  memo tables on every later visit;
-* certification answers, completion sets included, are memoised on a
-  *canonical thread key* (:meth:`PackedPromisingBackend._thread_key`):
-  the thread's statement, its state with timestamps replaced by their
-  ranks, and only the messages at the locations it can access.
-  Configurations that differ in foreign messages, or in where their own
-  messages sit in memory, share one sequential-graph build.
+  thread-config, footprint memory)`` triple on the footprint memory,
+  encoded as ``(new config, written message or None)`` pairs, and
+  replayed from integer memo tables on every later visit;
+* one memo, keyed on ``(tid, cfg, fmem)``, holds the certification
+  answers, completion sets included.
 
 Successor *order* is preserved exactly (candidates before promises,
 promises sorted by location/value, as in
@@ -58,6 +62,7 @@ from ..outcomes import Outcome
 from ..promising.certification import CertificationResult, certify_compiled
 from ..promising.intern import IdInterner
 from ..promising.machine import MachineState, Thread
+from ..promising.state import ExclBank, Forward, Memory
 from ..promising.steps import promise_step
 
 #: Wall time per explorer phase (the registry returns the one counter for
@@ -72,6 +77,28 @@ EXPLORE_PHASE_SECONDS = metrics.counter(
 Packed = tuple
 
 
+def _relabel(ts, times):
+    """``ts`` with every timestamp ``t`` replaced by ``times[t]``.
+
+    Covers ``prom``, register views, ``coh``, the six views and the
+    ``fwdb``/``xclb`` times and views; register values carry none.
+    """
+    new = ts.copy()
+    new.prom = frozenset(times[t] for t in ts.prom)
+    new.regs = {r: (v, times[n]) for r, (v, n) in ts.regs.items()}
+    new.coh = {loc: times[n] for loc, n in ts.coh.items()}
+    new.vrOld = times[ts.vrOld]
+    new.vwOld = times[ts.vwOld]
+    new.vrNew = times[ts.vrNew]
+    new.vwNew = times[ts.vwNew]
+    new.vCAP = times[ts.vCAP]
+    new.vRel = times[ts.vRel]
+    new.fwdb = {loc: Forward(times[f.time], times[f.view], f.xcl) for loc, f in ts.fwdb.items()}
+    if ts.xclb is not None:
+        new.xclb = ExclBank(times[ts.xclb.time], times[ts.xclb.view])
+    return new
+
+
 class PackedPromisingBackend:
     """Promising-model backend over compiled programs and id tuples."""
 
@@ -83,30 +110,40 @@ class PackedPromisingBackend:
         self.compiled: CompiledProgram = compile_program(program)
         self._registers = self.compiled.registers
         #: (stmt id, packed tstate) -> dense id; objects are the
-        #: canonical decoded ``(stmt, tstate)`` pairs.
+        #: canonical decoded ``(stmt, tstate)`` pairs, the thread state
+        #: relabelled onto its footprint memory.
         self._tcfgs = IdInterner()
         #: Per-tcfg data, parallel to ``self._tcfgs.objects``.
         self._tcfg_final: list[bool] = []
         self._tcfg_prom: list[bool] = []
         self._tcfg_sid: list[int] = []
         #: messages tuple -> dense id; objects are the Memory instances.
-        #: Shared with certification, which interns the memories its
-        #: sequential writes create, so a memory is hashed once per run.
         self._mems = IdInterner()
         #: ``(mem, loc, val, tid)`` -> appended memory id: promise and
         #: normal-write steps extend memory deterministically, so the
         #: resulting id never needs a messages-tuple hash twice.
         self._appends: dict[tuple, int] = {}
         #: Per thread, the locations it can access (``None`` when some
-        #: address depends on registers): the projection of memory that
-        #: :meth:`_thread_key` keeps.
+        #: address depends on registers).
         self._footprints = [
             locs if static else None for locs, static in map(accessed_locations, program.threads)
         ]
-        #: Certification memo keyed by :meth:`_thread_key`.
+        #: Footprint memories, interned like ``_mems`` and shared with
+        #: certification, which interns the memories its sequential writes
+        #: create; ``_fmem_appends`` is their append memo, in the format
+        #: :class:`~repro.promising.certification.CompiledSequentialGraph`
+        #: uses.
+        self._fmems = IdInterner()
+        self._fmem_appends: dict[tuple, int] = {}
+        #: Per memory, each thread's footprint-memory id; parallel to
+        #: ``self._mems.objects``.
+        self._mem_fmems: list[tuple] = []
+        #: Certification memo keyed ``(tid, cfg, fmem)``.
         self._certs: dict[tuple, CertificationResult] = {}
         self._cert_hits = 0
         self._cert_misses = 0
+        #: Step memos keyed ``(tid, cfg, fmem)``: ``(new cfg, written
+        #: message or None)`` pairs in successor order.
         self._steps: dict[tuple, tuple] = {}
         self._promise_steps: dict[tuple, tuple] = {}
         #: mem id -> (final-values id, sorted final-values items); distinct
@@ -135,133 +172,168 @@ class PackedPromisingBackend:
             self._tcfg_sid.append(sid)
         return nid
 
-    def _encode_thread(self, stmt, ts) -> int:
-        return self._encode_cfg(self.compiled.stmt_id(stmt), ts)
+    def _kept_times(self, memory, tid: int) -> list[int]:
+        """0, then the timestamps of the messages in ``tid``'s footprint memory."""
+        footprint = self._footprints[tid]
+        return [0] + [
+            t
+            for t, msg in enumerate(memory.messages, 1)
+            if footprint is None or msg.loc in footprint
+        ]
 
     def _encode_memory(self, memory) -> int:
-        return self._mems.intern(memory.cache_key(), memory)
+        """Memory id of ``memory``, recording each thread's footprint memory.
 
-    def _append_id(self, mem: int, msg, memory) -> int:
-        """Memory id of ``mems[mem]`` extended with ``msg`` (= ``memory``)."""
+        A thread's footprint memory keeps the messages at the locations
+        it can access (all of them when some address depends on
+        registers), renumbered 1..k in timestamp order; its thread
+        configuration is stored relabelled onto it, timestamp ``t_r``
+        becoming ``r`` and 0 staying 0.  Certification (§4.3, §B,
+        Theorem 6.4), the §7 completion phase and the thread's machine
+        steps are thread-local, and the thread's steps on its footprint
+        memory are its steps on the full memory, relabelled:
+
+        1. In a reachable thread state, every timestamp is 0 or the
+           timestamp of a message at the thread's footprint.  Views only
+           take timestamps the thread read or wrote, or maxima of those.
+           ``prom``, ``fwdb`` and ``xclb`` hold the thread's own messages
+           or the ones it read.
+        2. The rules read memory only at footprint locations:
+           ``read_steps`` (``writes_to``, ``no_write_to_in``),
+           ``fulfil_steps``, ``_atomic`` and ``write_steps``.  They
+           compare timestamps only with each other and with ``|M|``, and
+           so does the promise harvest (``pre_view <= max_ts``).
+        3. Renumbering the footprint messages 1..k preserves every such
+           comparison and the order in which ``writes_to`` lists
+           candidates.  A fresh write at ``|M|+1`` becomes ``k+1``.  So
+           the thread's steps on its footprint memory are its steps on
+           the full memory, relabelled and in the same order.  Its
+           certification graph is the same graph, with the same
+           ``visited`` count and the same fuel cut-off.  Promises
+           (``Msg(loc, val, tid)``) and completion sets hold no
+           timestamps.
+        4. Appending a message renumbers nothing already in memory.  So
+           another thread's relabelled state stays valid when one thread
+           writes.  Only that other thread's footprint memory grows, and
+           only when the message is at its footprint (:meth:`_append_id`).
+        5. For a fixed memory the relabelling is a bijection.  So packed
+           states correspond one to one to reference states: the visited
+           set, state counts and successor order are the same, and seeded
+           ``sample`` walks retrace the same traces.
+        6. The certification key ``(tid, cfg, fmem)`` is the thread, its
+           statement, its relabelled state and its kept messages: two
+           configurations with equal keys get equal answers, field by
+           field.
+
+        Initial values, arch and ``cert_fuel`` are constant within a run
+        (the memos are per run), so the keys leave them out.  A row is
+        added only when the memory is new: :meth:`encode` may already
+        have interned the same messages.
+        """
+        table = self._mems
+        before = len(table)
+        mem = table.intern(memory.cache_key(), memory)
+        if len(table) != before:
+            row = []
+            for tid in range(len(self._footprints)):
+                times = self._kept_times(memory, tid)
+                kept = Memory(memory.initial, [memory.msg(t) for t in times[1:]])
+                row.append(self._fmems.intern(kept.cache_key(), kept))
+            self._mem_fmems.append(tuple(row))
+        return mem
+
+    def _fmem_append_id(self, fmem: int, msg) -> int:
+        """Footprint-memory id of ``fmems[fmem]`` extended with ``msg``."""
+        key = (fmem, msg.loc, msg.val, msg.tid)
+        nid = self._fmem_appends.get(key)
+        if nid is None:
+            memory, _t = self._fmems.objects[fmem].append(msg)
+            nid = self._fmems.intern(memory.cache_key(), memory)
+            self._fmem_appends[key] = nid
+        return nid
+
+    def _append_id(self, mem: int, msg) -> int:
+        """Memory id of ``mems[mem]`` extended with ``msg``.
+
+        A memory built here for the first time derives its footprint
+        memories from ``mem``'s: a thread whose footprint holds
+        ``msg.loc`` (or that has no static footprint) gets ``fmem + msg``,
+        every other thread keeps its id.
+        """
         key = (mem, msg.loc, msg.val, msg.tid)
         nid = self._appends.get(key)
         if nid is None:
-            nid = self._encode_memory(memory)
+            table = self._mems
+            before = len(table)
+            memory, _t = table.objects[mem].append(msg)
+            nid = table.intern(memory.cache_key(), memory)
+            if len(table) != before:
+                row = []
+                for fmem, footprint in zip(self._mem_fmems[mem], self._footprints):
+                    if footprint is None or msg.loc in footprint:
+                        fmem = self._fmem_append_id(fmem, msg)
+                    row.append(fmem)
+                self._mem_fmems.append(tuple(row))
             self._appends[key] = nid
         return nid
 
     def encode(self, state: MachineState) -> Packed:
-        encode_thread = self._encode_thread
-        return tuple(
-            encode_thread(t.stmt, t.tstate) for t in state.threads
-        ) + (self._encode_memory(state.memory),)
+        """Packed form of a reference state.
+
+        Raises :class:`ValueError` for a thread state holding a timestamp
+        outside its footprint memory, which no reachable state does.
+        """
+        memory = state.memory
+        cfgs = []
+        for tid, thread in enumerate(state.threads):
+            rank = {t: r for r, t in enumerate(self._kept_times(memory, tid))}
+            try:
+                ts = _relabel(thread.tstate, rank)
+            except KeyError as exc:
+                raise ValueError(
+                    f"thread {tid} holds timestamp {exc.args[0]} outside its footprint"
+                ) from None
+            cfgs.append(self._encode_cfg(self.compiled.stmt_id(thread.stmt), ts))
+        return tuple(cfgs) + (self._encode_memory(memory),)
 
     def decode(self, packed: Packed) -> MachineState:
+        memory = self._mems.objects[packed[-1]]
         objs = self._tcfgs.objects
-        threads = tuple(Thread(*objs[i]) for i in packed[:-1])
-        return MachineState(threads, self._mems.objects[packed[-1]], self.arch)
+        threads = tuple(
+            Thread(stmt, _relabel(ts, self._kept_times(memory, tid)))
+            for tid, (stmt, ts) in enumerate(objs[i] for i in packed[:-1])
+        )
+        return MachineState(threads, memory, self.arch)
 
     def initial(self) -> Packed:
         return self.encode(MachineState.initial(self.program, self.arch))
 
     # -- certification ------------------------------------------------------
-    def _thread_key(self, tid: int, cfg: int, mem: int) -> tuple:
-        """Memo key of thread ``tid`` at config ``cfg`` under memory ``mem``.
-
-        ``(tid, sid, relabelled state, kept messages)``: the kept messages
-        are those at the thread's static footprint, in timestamp order;
-        the state has every timestamp (``prom``, register views, ``coh``,
-        the six views, ``fwdb`` and ``xclb`` times and views) replaced by
-        its rank among the kept ones, 0 staying 0.  Certification
-        (§4.3, §B, Theorem 6.4) and the §7 completion phase are
-        thread-local (one sequential-graph build answers both), and their
-        answers are equal for any two configurations with equal keys:
-
-        1. Every timestamp in the thread state is 0 or the timestamp of a
-           message at the footprint.  Views only take the timestamps
-           this thread read or wrote, or maxima of those; ``prom`` holds
-           the thread's own messages, at locations it writes.
-        2. The rules the sequential build runs, on its write and
-           non-write edges alike, read memory only at footprint
-           locations: ``read_steps``
-           (``writes_to``, ``no_write_to_in``), ``fulfil_steps``,
-           ``_atomic`` and ``write_steps``.  They compare timestamps only
-           with each other and with ``|M|``, and so does the promise
-           harvest (``pre_view <= max_ts``).
-        3. Extend the rank map with ``|M|+k -> |K|+k`` for the build's own
-           writes.  It preserves every one of those comparisons, and the
-           order in which ``writes_to`` lists candidates, so the
-           relabelled build is the same graph in the same discovery
-           order, with the same fuel cut-off.
-        4. The answers hold no timestamps: promises are ``Msg(loc, val,
-           tid)`` and completion sets hold register values only.  So the
-           answer is equal field by field, ``visited`` included.
-
-        Initial values, arch and ``cert_fuel`` are constant within a run
-        (the memos are per run), so the key leaves them out.  A thread
-        with a register-dependent address, or a state holding a
-        timestamp outside the rank map (where 1. fails), keeps the raw
-        ``(tid, cfg, mem)`` key, which is sound in every case; raw keys
-        have three fields and canonical keys four, so the two never
-        collide in one dict.
-        """
-        footprint = self._footprints[tid]
-        if footprint is None:
-            return (tid, cfg, mem)
-        rank = {0: 0}
-        kept = []
-        for t, msg in enumerate(self._mems.objects[mem].messages, 1):
-            if msg.loc in footprint:
-                kept.append(msg)
-                rank[t] = len(kept)
-        ts = self._tcfgs.objects[cfg][1]
-        xclb = ts.xclb
-        try:
-            state = (
-                tuple(sorted(rank[t] for t in ts.prom)),
-                tuple(sorted((r, v, rank[n]) for r, (v, n) in ts.regs.items())),
-                tuple(sorted((loc, rank[n]) for loc, n in ts.coh.items())),
-                rank[ts.vrOld],
-                rank[ts.vwOld],
-                rank[ts.vrNew],
-                rank[ts.vwNew],
-                rank[ts.vCAP],
-                rank[ts.vRel],
-                tuple(
-                    sorted((loc, rank[f.time], rank[f.view], f.xcl) for loc, f in ts.fwdb.items())
-                ),
-                None if xclb is None else (rank[xclb.time], rank[xclb.view]),
-            )
-        except KeyError:
-            return (tid, cfg, mem)
-        return (tid, self._tcfg_sid[cfg], state, tuple(kept))
-
-    def _certify(self, tid: int, cfg: int, mem: int) -> CertificationResult:
-        """Memoised certification of one thread config under one memory.
+    def _certify(self, tid: int, cfg: int, fmem: int) -> CertificationResult:
+        """Memoised certification of one thread config on one footprint memory.
 
         A result cut short by ``cert_fuel`` marks the run truncated, for
-        both explorers alike, on a hit as well as on a miss: a canonical
-        key's hit may answer a configuration other than the one whose
-        miss computed it.
+        both explorers alike, on a hit as well as on a miss: a hit may
+        answer a configuration, under a full memory, other than the one
+        whose miss computed it.
         """
-        key = self._thread_key(tid, cfg, mem)
+        key = (tid, cfg, fmem)
         result = self._certs.get(key)
         if result is not None:
             self._cert_hits += 1
         else:
             self._cert_misses += 1
-            _stmt, ts = self._tcfgs.objects[cfg]
             result = certify_compiled(
                 self.compiled,
                 self._tcfg_sid[cfg],
-                ts,
-                self._mems.objects[mem],
+                self._tcfgs.objects[cfg][1],
+                self._fmems.objects[fmem],
                 self.arch,
                 tid,
                 self.config.cert_fuel,
-                self._mems,
-                mem_id=mem,
-                appends=self._appends,
+                self._fmems,
+                mem_id=fmem,
+                appends=self._fmem_appends,
             )
             self._certs[key] = result
         if not result.complete:
@@ -271,43 +343,38 @@ class PackedPromisingBackend:
     def certify_all(self, packed: Packed):
         """Certify every thread; returns (per-thread results, can-finish)."""
         phase_start = time.perf_counter()
-        mem = packed[-1]
-        per_thread = [self._certify(tid, packed[tid], mem) for tid in range(len(packed) - 1)]
+        fmems = self._mem_fmems[packed[-1]]
+        per_thread = [self._certify(tid, packed[tid], fmems[tid]) for tid in range(len(fmems))]
         self.phases.add("certify", time.perf_counter() - phase_start)
         return per_thread, [cert.can_complete for cert in per_thread]
 
     # -- promise-first exploration ------------------------------------------
     def promise_successors(self, packed: Packed, per_thread) -> list[Packed]:
         mem = packed[-1]
+        fmems = self._mem_fmems[mem]
         out: list[Packed] = []
         for tid, cert in enumerate(per_thread):
-            memo_key = (tid, packed[tid], mem)
+            memo_key = (tid, packed[tid], fmems[tid])
             pairs = self._promise_steps.get(memo_key)
             if pairs is None:
                 self._step_misses += 1
                 sid = self._tcfg_sid[packed[tid]]
                 stmt, ts = self._tcfgs.objects[packed[tid]]
-                memory = self._mems.objects[mem]
-                encoded = []
-                for msg in cert.promises:
-                    # promise_step normalises the (already normalised)
-                    # statement, so the successor keeps this thread's sid.
-                    step = promise_step(stmt, ts, memory, msg)
-                    encoded.append(
-                        (
-                            self._encode_cfg(sid, step.tstate),
-                            self._append_id(mem, msg, step.memory),
-                        )
-                    )
-                pairs = tuple(encoded)
+                memory = self._fmems.objects[fmems[tid]]
+                # promise_step normalises the (already normalised)
+                # statement, so the successor keeps this thread's sid.
+                pairs = tuple(
+                    (self._encode_cfg(sid, promise_step(stmt, ts, memory, msg).tstate), msg)
+                    for msg in cert.promises
+                )
                 self._promise_steps[memo_key] = pairs
             else:
                 self._step_hits += 1
             if pairs:
                 prefix = packed[:tid]
                 suffix = packed[tid + 1 : -1]
-                for new_cfg, new_mem in pairs:
-                    out.append(prefix + (new_cfg,) + suffix + (new_mem,))
+                for new_cfg, msg in pairs:
+                    out.append(prefix + (new_cfg,) + suffix + (self._append_id(mem, msg),))
         return out
 
     def accumulate_outcomes(self, outcomes, packed: Packed, per_thread) -> None:
@@ -352,14 +419,15 @@ class PackedPromisingBackend:
         phase_start = time.perf_counter()
         certify_s = 0.0
         mem = packed[-1]
+        fmems = self._mem_fmems[mem]
         out: list[Packed] = []
         steps = self._steps
-        for tid in range(len(packed) - 1):
-            memo_key = (tid, packed[tid], mem)
+        for tid in range(len(fmems)):
+            memo_key = (tid, packed[tid], fmems[tid])
             pairs = steps.get(memo_key)
             if pairs is None:
                 self._step_misses += 1
-                pairs, seconds = self._machine_steps(tid, packed[tid], mem)
+                pairs, seconds = self._machine_steps(*memo_key)
                 certify_s += seconds
                 steps[memo_key] = pairs
             else:
@@ -367,21 +435,24 @@ class PackedPromisingBackend:
             if pairs:
                 prefix = packed[:tid]
                 suffix = packed[tid + 1 : -1]
-                for new_cfg, new_mem in pairs:
+                for new_cfg, msg in pairs:
+                    new_mem = mem if msg is None else self._append_id(mem, msg)
                     out.append(prefix + (new_cfg,) + suffix + (new_mem,))
         self.phases.add("certify", certify_s)
         self.phases.add("enumerate", time.perf_counter() - phase_start - certify_s)
         return out
 
-    def _machine_steps(self, tid: int, cfg: int, mem: int) -> tuple[tuple, float]:
+    def _machine_steps(self, tid: int, cfg: int, fmem: int) -> tuple[tuple, float]:
         """Certified steps of one thread config, in machine-step order.
 
-        Also returns the seconds spent in :meth:`_certify`.
+        Runs on the thread's footprint memory; each step is a ``(new
+        cfg, written message or None)`` pair.  Also returns the seconds
+        spent in :meth:`_certify`.
         """
         clock = time.perf_counter
         sid = self._tcfg_sid[cfg]
         stmt, ts = self._tcfgs.objects[cfg]
-        memory = self._mems.objects[mem]
+        memory = self._fmems.objects[fmem]
         pairs = []
         certify_s = 0.0
         for succ_sid, step in self.compiled.candidate_steps(
@@ -389,25 +460,21 @@ class PackedPromisingBackend:
         ):
             step_cfg = self._encode_cfg(succ_sid, step.tstate)
             if step.memory is memory:
-                step_mem = mem
+                msg, step_fmem = None, fmem
             else:
-                step_mem = self._encode_memory(step.memory)
+                msg = step.memory.messages[-1]
+                step_fmem = self._fmem_append_id(fmem, msg)
             start = clock()
-            certified = self._certify(tid, step_cfg, step_mem).certified
+            certified = self._certify(tid, step_cfg, step_fmem).certified
             certify_s += clock() - start
             if certified:
-                pairs.append((step_cfg, step_mem))
+                pairs.append((step_cfg, msg))
         start = clock()
-        cert = self._certify(tid, cfg, mem)
+        cert = self._certify(tid, cfg, fmem)
         certify_s += clock() - start
         for msg in sorted(cert.promises, key=lambda m: (m.loc, m.val)):
             step = promise_step(stmt, ts, memory, msg)
-            pairs.append(
-                (
-                    self._encode_cfg(sid, step.tstate),
-                    self._append_id(mem, msg, step.memory),
-                )
-            )
+            pairs.append((self._encode_cfg(sid, step.tstate), msg))
         return tuple(pairs), certify_s
 
     def is_final(self, packed: Packed) -> bool:
@@ -419,13 +486,19 @@ class PackedPromisingBackend:
         return any(prom[i] for i in packed[:-1])
 
     def outcome(self, packed: Packed):
-        return self.decode(packed).outcome()
+        # Register values carry no timestamps: no relabelling needed.
+        objs = self._tcfgs.objects
+        return Outcome.make(
+            [objs[i][1].register_values() for i in packed[:-1]],
+            self._mems.objects[packed[-1]].final_values(),
+        )
 
     # -- accounting ----------------------------------------------------------
     def finalise(self, stats, model: str) -> None:
         """Fold the id-table, cert and memo counters into stats; flush phases."""
-        stats.interned_keys = self._tcfgs.unique + self._mems.unique
-        stats.intern_hits = self._tcfgs.hits + self._mems.hits
+        tables = (self._tcfgs, self._mems, self._fmems)
+        stats.interned_keys = sum(table.unique for table in tables)
+        stats.intern_hits = sum(table.hits for table in tables)
         stats.cert_calls += self._cert_hits + self._cert_misses
         stats.cert_memo_hits += self._cert_hits
         stats.step_memo_hits += self._step_hits

@@ -27,7 +27,8 @@ from .jobs import JobResult, STATUS_OK, outcome_to_json
 #: mismatch entry carries ``kind`` and ``source``.
 #: v5: the ``dedup`` block loses its two per-thread completion counters
 #: (completion sets are read off the certification graphs).
-REPORT_SCHEMA_VERSION = 5
+#: v6: the ``dedup`` block gains ``step_memo_hits``/``step_memo_misses``.
+REPORT_SCHEMA_VERSION = 6
 
 #: Explorer stats counters aggregated into the report's ``dedup`` block.
 DEDUP_COUNTERS = (
@@ -36,6 +37,8 @@ DEDUP_COUNTERS = (
     "cert_memo_hits",
     "interned_keys",
     "intern_hits",
+    "step_memo_hits",
+    "step_memo_misses",
 )
 
 
@@ -57,9 +60,11 @@ def outcome_set_digest(outcomes) -> Optional[str]:
 def describe_dedup(report: Mapping) -> str:
     """One-line rendering of the report's aggregated ``dedup`` block."""
     d = report.get("dedup") or {}
+    steps = d.get("step_memo_hits", 0)
     return (
         f"dedup: {d.get('dedup_hits', 0)} state hits, "
         f"cert memo: {d.get('cert_memo_hits', 0)}/{d.get('cert_calls', 0)} hits, "
+        f"step memo: {steps}/{steps + d.get('step_memo_misses', 0)} hits, "
         f"interning: {d.get('intern_hits', 0)} hits / {d.get('interned_keys', 0)} keys"
     )
 

@@ -331,10 +331,11 @@ def find_and_certify(
       yields a subset of the true set: every file in it is reachable.
       ``complete`` is then False, and the explorers mark the run
       truncated on every incomplete answer, recalled or built.
-    * The set holds register values and no timestamps, so the canonical
-      key that memoises certification
-      (:meth:`~repro.backend.packed.PackedPromisingBackend._thread_key`)
-      memoises it too.
+    * The set holds register values and no timestamps, so it is the same
+      for a configuration relabelled onto its footprint memory, and the
+      ``(tid, cfg, fmem)`` memo that holds certification answers
+      (:meth:`~repro.backend.packed.PackedPromisingBackend._certify`)
+      holds it too.
 
     A terminated, promise-free thread needs no graph: it is certified,
     promises nothing and finishes with its own register file.

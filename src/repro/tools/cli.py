@@ -39,7 +39,7 @@ from ..lang.kinds import ARCH_ALIASES, Arch, parse_arch
 from ..obs import LOG_FORMATS, configure_logging
 from ..litmus import all_tests, attach_expected, generate_cycle_battery, get_test
 from ..litmus.cycles import FAMILIES_BY_NAME
-from ..litmus.format import parse_litmus
+from ..litmus.format import LitmusFormatError, parse_litmus
 from ..promising import ExploreConfig, InteractiveSession
 
 
@@ -91,12 +91,37 @@ def _non_negative_number(text: str) -> float:
     return value
 
 
+def _port(text: str) -> int:
+    # bind() raises OverflowError outside 0..65535; refuse at parse time.
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError("must be an integer in 0..65535")
+    return value
+
+
+class _UsageError(Exception):
+    """A bad argument only found once the command runs (``main``: exit 2)."""
+
+
 def _load_test(args: argparse.Namespace):
     if args.file:
-        text = Path(args.file).read_text()
-        parsed = parse_litmus(text, unroll_bound=args.loop_bound)
+        try:
+            text = Path(args.file).read_text()
+        except OSError as exc:
+            raise _UsageError(f"cannot read {args.file}: {exc.strerror or exc}") from None
+        except UnicodeDecodeError:
+            raise _UsageError(f"cannot read {args.file}: not UTF-8 text") from None
+        try:
+            parsed = parse_litmus(text, unroll_bound=args.loop_bound)
+        except LitmusFormatError as exc:
+            raise _UsageError(f"{args.file}: {exc}") from None
         return parsed.test, parsed.arch
-    return get_test(args.test), args.arch
+    try:
+        return get_test(args.test), args.arch
+    except KeyError:
+        raise _UsageError(
+            f"unknown litmus test {args.test!r}; `promising-arm catalogue` lists them"
+        ) from None
 
 
 def _search_kwargs(args: argparse.Namespace) -> dict:
@@ -418,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     from ..explore import STRATEGIES
 
     parser.add_argument("--arch", type=_arch, default="arm", help="arm (default) or riscv")
-    parser.add_argument("--loop-bound", type=int, default=2, help="loop unrolling bound")
+    parser.add_argument("--loop-bound", type=_positive_int, default=2,
+                        help="loop unrolling bound (at least 1)")
     parser.add_argument("--strategy", choices=STRATEGIES, default="dfs",
                         help="search strategy: dfs enumerates exhaustively, "
                              "sample runs seeded bounded random walks "
@@ -506,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="start the long-lived exploration service (HTTP/JSON, warm worker pool)",
     )
     serve_parser.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve_parser.add_argument("--port", type=int, default=8765,
+    serve_parser.add_argument("--port", type=_port, default=8765,
                               help="bind port (0 = ephemeral, printed on start)")
     serve_parser.add_argument("--workers", type=int, default=2,
                               help="resident worker processes (<=1 = inline executor)")
@@ -540,7 +566,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     configure_logging(args.log_format, args.log_level)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":  # pragma: no cover

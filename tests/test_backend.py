@@ -9,15 +9,18 @@ architectures:
   field by field (certified, promises, complete, completions, visited);
 * completion sets, read off the certification graph, equal a DFS over
   :func:`~repro.promising.steps.non_promise_steps`;
-* both hold on canonical thread keys: answers recalled for a
+* both hold on footprint memories: answers recalled for a
   configuration that differs from the computed one only in foreign
   messages or timestamp placement are the reference answers too, and
-  the key separates what the rules can observe (values and order at the
-  footprint, views) while keeping the raw key for dynamic addresses;
+  the ``(cfg, fmem)`` pair separates what the rules can observe (values
+  and order at the footprint, views) while a dynamic address keeps the
+  whole memory;
 * promise-first successors and accumulated outcomes equal those built
   from the reference certification and ``promise_step``;
 * naive successors equal :func:`~repro.promising.machine.machine_transitions`
-  in state keys and order;
+  in state keys and order, and id for id once encoded, and the naive
+  explorer visits exactly the states and transitions of a search over
+  ``machine_transitions``;
 * Flat successors equal :func:`repro.flat.explorer.successors` in state
   keys, order and restart count;
 
@@ -57,7 +60,7 @@ from repro.promising import (
 )
 from repro.promising.exhaustive import ExplorationStats
 from repro.promising.machine import MachineState, Thread, machine_transitions
-from repro.promising.state import Memory, Msg, initial_tstate
+from repro.promising.state import Forward, Memory, Msg, initial_tstate
 
 ARCHS = [Arch.ARM, Arch.RISCV]
 ARCH_IDS = [a.value for a in ARCHS]
@@ -74,7 +77,7 @@ GENERATED = [
     if t.name in ("MP+po+po", "MP+po+addr", "MP+po+ctrl", "MP+po+ctrlisb")
 ]
 # Cycle-corpus tests with threads whose footprint misses a location
-# another thread writes: the inputs where canonical thread keys hit.
+# another thread writes: the inputs where footprint memories share work.
 CYCLES = {
     t.name: t
     for t in generate_cycle_battery(max_per_family=1)
@@ -151,9 +154,10 @@ def _assert_cert_equivalence(program, arch, limit):
     (down to the graph's visited count and the completion set) and, on
     every complete answer, its completion set must equal the plain DFS
     over ``non_promise_steps``.  One backend answers every
-    state, so its canonical-key memo is under test too: when a thread's
-    footprint misses some location, some answers must be recalled for a
-    ``(tid, cfg, mem)`` triple the backend had never certified before.
+    state, so its ``(tid, cfg, fmem)`` memo is under test too: when a
+    thread's footprint misses some location, some answers must be
+    recalled for a ``(tid, cfg, mem)`` triple the backend had never
+    certified before.
     """
     backend = _promising(program, arch)
     fuel = backend.config.cert_fuel
@@ -185,7 +189,7 @@ def _assert_cert_equivalence(program, arch, limit):
             checked_final_memories += 1
     assert checked_final_memories > 0, "slice never reached a final memory"
     if _partial_footprint(program):
-        assert recalled > 0, f"{program.name}: no answer came from a canonical key"
+        assert recalled > 0, f"{program.name}: no answer came from a shared footprint memory"
 
 
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
@@ -214,14 +218,14 @@ def _three_threads(address_dependency=False):
 
 
 def _triple(backend, messages, tstate=None, tid=0):
-    """``(tid, cfg, mem)`` of thread ``tid`` in ``tstate`` (default: initial)."""
+    """``(tid, cfg, fmem)`` of thread ``tid`` in ``tstate`` (default: initial)."""
     initial = MachineState.initial(backend.program, backend.arch)
     threads = list(initial.threads)
     if tstate is not None:
         threads[tid] = Thread(threads[tid].stmt, tstate)
     memory = Memory(backend.program.initial, messages)
     enc = backend.encode(MachineState(tuple(threads), memory, backend.arch))
-    return tid, enc[tid], enc[-1]
+    return tid, enc[tid], backend._mem_fmems[enc[-1]][tid]
 
 
 def _tstate(**fields):
@@ -231,27 +235,34 @@ def _tstate(**fields):
     return ts
 
 
-def test_canonical_thread_key_laws():
+def test_footprint_memory_laws():
     program, (x, y, z) = _three_threads()
     backend = _promising(program)
 
     def key(messages, tstate=None):
-        return backend._thread_key(*_triple(backend, messages, tstate))
+        return _triple(backend, messages, tstate)[1:]
 
     x1, y1, y2, z1 = Msg(x, 1, 0), Msg(y, 1, 2), Msg(y, 2, 2), Msg(z, 1, 1)
-    # Foreign messages drop out, and T0's own promise keeps its rank
-    # wherever it sits in memory.
+    # Foreign messages drop out, and T0's own message keeps its rank
+    # wherever it sits in memory: promised, or written and forwarded.
     own_at = {t: _tstate(prom=frozenset({t})) for t in (1, 2)}
     assert key([x1], own_at[1]) == key([z1, x1], own_at[2]) == key([x1, z1], own_at[1])
-    # What the rules can observe keeps keys apart.
+    wrote_at = {t: _tstate(coh={x: t}, vwOld=t, fwdb={x: Forward(t, 0, False)}) for t in (1, 2)}
+    assert key([x1], wrote_at[1]) == key([z1, x1], wrote_at[2])
+    assert backend._fmems.objects[key([z1, x1])[1]].messages == (x1,)
+    # What the rules can observe keeps pairs apart.
     assert key([y1]) != key([y2])
     assert key([x1, y1]) != key([y1, x1])
     assert key([y1]) != key([y1], _tstate(vrNew=1))
-    # A register-dependent address keeps the raw key.
+    # A timestamp outside the footprint is no reachable state: refused.
+    for stray in (_tstate(vrNew=1), _tstate(fwdb={x: Forward(1, 0, False)})):
+        with pytest.raises(ValueError, match="outside its footprint"):
+            key([z1], stray)
+    # A register-dependent address gets the whole memory.
     program, _locs = _three_threads(address_dependency=True)
     backend = _promising(program)
-    triple = _triple(backend, [z1])
-    assert backend._thread_key(*triple) == triple
+    assert backend._fmems.objects[key([z1])[1]].messages == (z1,)
+    assert key([z1]) != key([])
 
 
 def test_finished_thread_completes_with_its_own_register_file():
@@ -270,8 +281,9 @@ def test_finished_thread_completes_with_its_own_register_file():
 
 
 def test_recalled_incomplete_certification_still_truncates():
-    # A canonical hit answers a configuration other than the one that
-    # computed it, so the truncation flag must not ride on the miss.
+    # A hit on a shared footprint memory answers a configuration other
+    # than the one that computed it, so the truncation flag must not ride
+    # on the miss.
     program, (_x, _y, z) = _three_threads()
     backend = PackedPromisingBackend(program, ExploreConfig(cert_fuel=1), ExplorationStats())
     assert not backend._certify(*_triple(backend, [])).complete
@@ -344,16 +356,36 @@ def test_generated_corpus_conformance(test):
 
 
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
-@pytest.mark.parametrize("name", PROMISING_SLICE)
+@pytest.mark.parametrize("name", [*PROMISING_SLICE, *CYCLES])
 def test_naive_conformance(name, arch):
-    program = get_test(name).program
+    program = (CYCLES.get(name) or get_test(name)).program
     backend = _promising(program, arch)
     for state in _reachable(program, arch, limit=60):
-        expected = [t.state.cache_key() for t in machine_transitions(state)]
-        actual = [
-            backend.decode(succ).cache_key() for succ in backend.successors(backend.encode(state))
-        ]
+        transitions = machine_transitions(state)
+        successors = backend.successors(backend.encode(state))
+        expected = [t.state.cache_key() for t in transitions]
+        actual = [backend.decode(succ).cache_key() for succ in successors]
         assert actual == expected, f"{name}: successor lists (or order) diverge"
+        # Replayed steps land on the ids encoding the reference states.
+        assert successors == [backend.encode(t.state) for t in transitions], name
+
+
+@pytest.mark.parametrize("name", ["WRC+po+po", "IRIW+po+po", "ISA2+po+po+po"])
+def test_naive_state_counts_equal_reference_search(name):
+    # Packed states correspond one to one to reference states, so the
+    # naive explorer visits exactly what a search over the rules visits.
+    program = CYCLES[name].program
+    config = ExploreConfig(localise=False)
+    packed = explore_naive(program, config)
+    kernel = SearchKernel(
+        lambda state: [] if state.is_final else [t.state for t in machine_transitions(state)],
+        strategy=strategy_for(config),
+        max_states=config.max_states,
+        key_fn=MachineState.cache_key,
+    )
+    stats = kernel.run([MachineState.initial(program, config.arch)])
+    assert packed.stats.promise_states == stats.states
+    assert packed.stats.promise_transitions == stats.transitions
 
 
 def test_sample_strategy_walks_identical_traces():
@@ -389,12 +421,33 @@ def test_sample_strategy_walks_identical_traces():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["MP", "LSE-atomicity"])
+# Full footprints (MP, LSE-atomicity), where relabelling is the
+# identity, and partial ones (WRC+pos, IRIW+pos), where it is not.
+ROUNDTRIP = ["MP", "LSE-atomicity", "WRC+pos", "IRIW+pos"]
+
+
+def _assert_on_footprint_memory(backend, packed):
+    """Each stored thread state lives on its footprint memory.
+
+    Every promise and forwarding entry names the thread's own message there.
+    """
+    fmems = backend._mem_fmems[packed[-1]]
+    for tid, cfg in enumerate(packed[:-1]):
+        ts = backend._tcfgs.objects[cfg][1]
+        messages = backend._fmems.objects[fmems[tid]].messages
+        own = {t: msg.loc for t, msg in enumerate(messages, 1) if msg.tid == tid}
+        assert ts.prom <= own.keys(), f"thread {tid}: promises off its footprint memory"
+        for loc, fwd in ts.fwdb.items():
+            assert fwd.time == 0 or own.get(fwd.time) == loc, f"thread {tid}: stale fwdb"
+
+
+@pytest.mark.parametrize("name", ROUNDTRIP)
 def test_packed_roundtrip_laws(name):
     program = get_test(name).program
     backend = _promising(program)
     for state in _reachable(program, Arch.ARM):
         packed = backend.encode(state)
+        _assert_on_footprint_memory(backend, packed)
         # encode/decode round-trips through the same packed id.
         assert backend.encode(backend.decode(packed)) == packed
         # decode lands in the same reference-key equivalence class.
@@ -404,14 +457,17 @@ def test_packed_roundtrip_laws(name):
 def test_packed_key_equivalence_classes():
     # Two reference states with equal cache keys intern to the same id;
     # distinct keys to distinct ids.
-    program = get_test("MP").program
-    backend = _promising(program)
-    by_key = {}
-    for state in _reachable(program, Arch.ARM):
-        by_key.setdefault(state.cache_key(), set()).add(backend.encode(state))
-    ids = [next(iter(v)) for v in by_key.values()]
-    assert all(len(v) == 1 for v in by_key.values())
-    assert len(ids) == len(set(ids))
+    for name in ROUNDTRIP:
+        program = get_test(name).program
+        backend = _promising(program)
+        by_key = {}
+        for state in _reachable(program, Arch.ARM):
+            packed = backend.encode(state)
+            _assert_on_footprint_memory(backend, packed)
+            by_key.setdefault(state.cache_key(), set()).add(packed)
+        ids = [next(iter(v)) for v in by_key.values()]
+        assert all(len(v) == 1 for v in by_key.values()), name
+        assert len(ids) == len(set(ids)), name
 
 
 # ---------------------------------------------------------------------------

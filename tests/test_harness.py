@@ -465,11 +465,16 @@ class TestReport:
         dedup = report["dedup"]
         assert dedup["cert_calls"] > 0
         assert dedup["dedup_hits"] >= 0 and dedup["interned_keys"] > 0
+        # Both explorers' step memos are summed in.
+        for counter in ("step_memo_hits", "step_memo_misses"):
+            assert dedup[counter] == sum(r.stats[counter] for r in results) > 0
         # And the human rendering mentions the counters.
         from repro.harness import describe_dedup
 
         text = describe_dedup(report)
         assert "cert memo" in text and "interning" in text
+        hits, misses = dedup["step_memo_hits"], dedup["step_memo_misses"]
+        assert f"step memo: {hits}/{hits + misses} hits" in text
 
     def test_outcome_digest_tracks_outcome_sets(self):
         from repro.harness import outcome_set_digest
@@ -633,6 +638,15 @@ class TestFuzz:
             ["agreement"],
             # So is the bfs strategy: dfs enumerates the same outcome sets.
             ["--strategy", "bfs", "run"],
+            # Unrolling needs a bound of at least 1.
+            ["--loop-bound", "0", "run", "--test", "MP"],
+            ["--loop-bound", "-1", "run", "--file", "x.litmus"],
+            # An unknown test is a usage error, not a KeyError traceback.
+            ["run", "--test", "NOPE"],
+            ["interactive", "--test", "NOPE"],
+            # bind() overflows outside 0..65535.
+            ["serve", "--port", "-1"],
+            ["serve", "--port", "70000"],
         ):
             assert exit_code(argv) == 2, argv
         # A battery that checked nothing fails and says so.

@@ -109,3 +109,15 @@ class TestCli:
         assert main(["run", "--file", str(litmus)]) == 0
         out = capsys.readouterr().out
         assert "MP-file" in out and "allowed" in out
+
+    def test_run_rejects_a_missing_or_malformed_litmus_file(self, tmp_path, capsys):
+        malformed = tmp_path / "bad.litmus"
+        malformed.write_text("garbage\n")
+        for path in (tmp_path / "missing.litmus", malformed):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--file", str(path)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            # One usage-error line naming the file, no traceback.
+            assert err.startswith("promising-arm: error: ") and err.count("\n") == 1
+            assert str(path) in err
