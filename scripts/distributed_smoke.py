@@ -138,7 +138,7 @@ def http_fleet_leg(tests, pooled_report: dict, tmp: Path) -> list[str]:
     ready: "queue_module.Queue[tuple[str, int]]" = queue_module.Queue()
     server = threading.Thread(
         target=run_server,
-        args=(ServiceConfig(workers=1, batch_max_delay=0.0), "127.0.0.1", 0),
+        args=(ServiceConfig(workers=1), "127.0.0.1", 0),
         kwargs={"on_ready": lambda host, port: ready.put((host, port))},
         daemon=True,
     )

@@ -410,9 +410,6 @@ class PackedPromisingBackend:
                 outcomes.add(Outcome(combo, items))
         self.phases.add("enumerate", time.perf_counter() - phase_start)
 
-    def final_memory(self, packed: Packed) -> dict:
-        return self._mems.objects[packed[-1]].final_values()
-
     # -- naive (fully interleaved) exploration -------------------------------
     def successors(self, packed: Packed) -> list[Packed]:
         """Certified machine steps; certification time books as ``certify``."""

@@ -177,6 +177,10 @@ def run_distributed(
 ) -> DistribRun:
     """Execute ``jobs`` through a work backend; results in submission order."""
     config = config or DistribConfig()
+    if config.workers <= 0 and not config.backend_url:
+        # Nothing is spawned, and no external fleet can reach a private
+        # temporary queue: the run would wait forever.
+        raise ValueError("a distributed run with no local workers needs a backend_url")
     cache = open_cache(cache)
     if config.backend_url:
         backend_url, backend = config.backend_url, open_backend(config.backend_url)

@@ -1,10 +1,11 @@
 """The unified exploration kernel.
 
-Every state-space search in the repo — the promise-first explorer, the
-naive fully-interleaved explorer, the Flat-style explorer, and the
-per-thread run-to-completion enumeration inside the promise-first
-strategy — used to hand-roll the same loop: a frontier, a visited set,
-a state budget, truncation accounting, and stats counters.  The
+Every machine-level state-space search in the repo — the promise-first
+explorer, the naive fully-interleaved explorer and the Flat-style
+explorer — used to hand-roll the same loop: a frontier, a visited set,
+a state budget, truncation accounting, and stats counters.  (Per-thread
+completion sets are read off the certification graph instead; see
+:func:`~repro.promising.certification.find_and_certify`.)  The
 :class:`SearchKernel` owns all of that once, parameterised by
 
 * a **transition-enumeration callback** ``successors(state)`` returning

@@ -128,7 +128,14 @@ def _entry_kind(stmt: Stmt) -> str:
 
 
 def _earlier_blocks_load(thread: FlatThread, index: int, addr) -> bool:
-    """May the load at ``index`` (address ``addr``) execute now?"""
+    """May the load at ``index`` (address ``addr``) execute now?
+
+    Flat would satisfy the load speculatively and restart it when an
+    earlier access turns out to alias; this model blocks it instead, so
+    a load waits for the address of every po-earlier pending access
+    (coRR and coWR through an address dependency).
+    """
+    strong_acquire = thread.window[index].stmt.kind.is_strong_acquire
     for j, earlier in enumerate(thread.window[:index]):
         if earlier.done:
             continue
@@ -141,12 +148,21 @@ def _earlier_blocks_load(thread: FlatThread, index: int, addr) -> bool:
         elif earlier.kind == "load" and isinstance(stmt, Load):
             if stmt.kind.is_acquire:
                 return True
-            if entry_address(thread, j) == addr:
+            if entry_address(thread, j) in (None, addr):
                 return True
         elif earlier.kind == "store" and isinstance(stmt, Store):
-            if entry_address(thread, j) == addr:
+            # ARMv8 orders a strong release before a po-later strong
+            # acquire ([L]; po; [A]).
+            if strong_acquire and stmt.kind.is_strong_release:
+                return True
+            earlier_addr = entry_address(thread, j)
+            if earlier_addr is None:
+                return True
+            if earlier_addr == addr:
                 # Handled by forwarding when data is ready; block otherwise.
-                if try_eval(stmt.data, window_regs(thread, j)) is None:
+                # A pending store exclusive may still fail and write
+                # nothing, so there is nothing to forward until it is done.
+                if stmt.exclusive or try_eval(stmt.data, window_regs(thread, j)) is None:
                     return True
     return False
 
@@ -192,10 +208,13 @@ def _fence_ready(thread: FlatThread, index: int, fence: Fence) -> bool:
 
 
 def _forwarded_value(thread: FlatThread, index: int, addr):
-    """Value forwarded from the nearest earlier same-address store, if any."""
+    """Value forwarded from the nearest earlier same-address store, if any.
+
+    A store exclusive that failed wrote nothing, so it is skipped.
+    """
     for j in range(index - 1, -1, -1):
         earlier = thread.window[j]
-        if earlier.kind != "store":
+        if earlier.kind != "store" or earlier.success is False:
             continue
         stmt = earlier.stmt
         if entry_address(thread, j) != addr:

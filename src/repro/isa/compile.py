@@ -9,8 +9,8 @@ enumerated *statically, once*, before exploration starts.
 
 :class:`CompiledProgram` performs that closure and assigns every
 reachable statement a dense integer id, together with a static record
-(:class:`CompiledStmt`) of its head kind, register dependencies, and
-successor statement ids.  The packed backend then represents a thread's
+(:class:`CompiledStmt`) of its head kind, decomposed head and successor
+statement ids.  The packed backend then represents a thread's
 program counter as one int, and a machine state as a flat tuple of ints,
 instead of re-deriving structure from the AST on every visit.
 
@@ -37,7 +37,7 @@ from ..lang.ast import (
     Stmt,
     Store,
 )
-from ..lang.expr import Reg, expr_registers
+from ..lang.expr import Reg
 from ..lang.kinds import Arch
 from ..lang.program import Program, TId
 from ..promising.state import Memory, TState
@@ -75,21 +75,6 @@ def _head_kind(head: Stmt) -> str:
     raise TypeError(f"cannot compile statement head {head!r}")
 
 
-def _head_registers(head: Stmt) -> tuple[tuple[Reg, ...], tuple[Reg, ...]]:
-    """Static (reads, writes) register dependencies of a statement head."""
-    if isinstance(head, Load):
-        return tuple(sorted(expr_registers(head.addr))), (head.reg,)
-    if isinstance(head, Store):
-        reads = sorted(expr_registers(head.addr) | expr_registers(head.data))
-        writes = (head.succ_reg,) if head.succ_reg is not None else ()
-        return tuple(reads), writes
-    if isinstance(head, Assign):
-        return tuple(sorted(expr_registers(head.expr))), (head.reg,)
-    if isinstance(head, If):
-        return tuple(sorted(expr_registers(head.cond))), ()
-    return (), ()
-
-
 def _static_successors(head: Stmt, rest: Optional[Stmt]) -> tuple[Stmt, ...]:
     """The continuation statements a step from this head can produce.
 
@@ -115,8 +100,7 @@ class CompiledStmt:
 
     ``succ_ids`` are the statically known continuation statement ids (a
     branch lists both arms in (then, else) order; a terminated statement
-    lists none).  ``reads`` and ``writes`` are the head's register
-    dependencies.  ``head`` is the decomposed head statement, stored so
+    lists none).  ``head`` is the decomposed head statement, stored so
     candidate enumeration never re-walks the ``Seq`` spine at run time.
     """
 
@@ -124,8 +108,6 @@ class CompiledStmt:
     stmt: Stmt
     kind: str
     terminated: bool
-    reads: tuple[Reg, ...]
-    writes: tuple[Reg, ...]
     succ_ids: tuple[int, ...]
     head: Optional[Stmt] = None
 
@@ -139,14 +121,11 @@ class CompiledProgram:
     ``stmt_id`` maps any reachable statement to its dense id.
     """
 
-    __slots__ = ("program", "registers", "reg_index", "_ids", "stmts")
+    __slots__ = ("program", "registers", "_ids", "stmts")
 
     def __init__(self, program: Program) -> None:
         self.program = program
         self.registers: tuple[Reg, ...] = tuple(sorted(program.registers()))
-        self.reg_index: dict[Reg, int] = {
-            r: i for i, r in enumerate(self.registers)
-        }
         self._ids: dict[Stmt, int] = {}
         self.stmts: list[CompiledStmt] = []
         for stmt in program.threads:
@@ -174,8 +153,6 @@ class CompiledProgram:
                 stmt=record.stmt,
                 kind=record.kind,
                 terminated=record.terminated,
-                reads=record.reads,
-                writes=record.writes,
                 succ_ids=tuple(succ_ids),
                 head=record.head,
             )
@@ -188,15 +165,12 @@ class CompiledProgram:
         sid = len(self.stmts)
         self._ids[stmt] = sid
         head, _rest = split_head(stmt)
-        reads, writes = _head_registers(head)
         self.stmts.append(
             CompiledStmt(
                 sid=sid,
                 stmt=stmt,
                 kind=_head_kind(head),
                 terminated=is_terminated(stmt),
-                reads=reads,
-                writes=writes,
                 succ_ids=(),
                 head=head,
             )
@@ -216,28 +190,17 @@ class CompiledProgram:
             return sid
         return self._close(normalise(stmt))
 
-    def record(self, sid: int) -> CompiledStmt:
-        return self.stmts[sid]
-
     def candidate_steps(
-        self,
-        sid: int,
-        ts: TState,
-        memory: Memory,
-        arch: Arch,
-        tid: TId,
-        include_writes: bool = True,
+        self, sid: int, ts: TState, memory: Memory, arch: Arch, tid: TId
     ) -> list[tuple[int, ThreadStep]]:
         """Candidate steps of statement ``sid``, with successor ids.
 
         Returns ``(successor statement id, step)`` pairs in exactly the
         order of :func:`~repro.promising.machine.thread_candidate_steps`
-        (thread-local steps, then normal writes); with
-        ``include_writes=False`` it is the
-        :func:`~repro.promising.steps.non_promise_steps` relation
-        instead.  Dynamic behaviour comes from the same reference rule
-        bodies in :mod:`repro.promising.steps`; what the table removes is
-        the per-visit head decomposition, continuation normalisation and
+        (thread-local steps, then normal writes).  Dynamic behaviour
+        comes from the same reference rule bodies in
+        :mod:`repro.promising.steps`; what the table removes is the
+        per-visit head decomposition, continuation normalisation and
         statement hashing — the head, continuation, and successor ids are
         all static per-statement facts.
         """
@@ -269,9 +232,8 @@ class CompiledProgram:
                 out.append((cont_id, step))
             if head.exclusive:
                 out.append((cont_id, exclusive_fail_step(head, cont, ts, memory, tid)))
-            if include_writes:
-                for step in write_steps(head, cont, ts, memory, arch, tid):
-                    out.append((cont_id, step))
+            for step in write_steps(head, cont, ts, memory, arch, tid):
+                out.append((cont_id, step))
         elif kind == "fence":
             out.append((cont_id, fence_step(head, cont, ts, memory, tid)))
         elif kind == "isb":
@@ -282,15 +244,6 @@ class CompiledProgram:
             raise TypeError(f"cannot step compiled head kind {kind!r}")
         return out
 
-    def statement(self, sid: int) -> Stmt:
-        return self.stmts[sid].stmt
-
-    @property
-    def n_statements(self) -> int:
-        return len(self.stmts)
-
-    def __len__(self) -> int:
-        return len(self.stmts)
 
 
 def compile_program(program: Program) -> CompiledProgram:

@@ -196,9 +196,7 @@ class CompiledSequentialGraph(_SequentialGraphBase):
     them to that.
     """
 
-    def __init__(
-        self, compiled, arch: Arch, tid: TId, fuel: int, mem_ids, appends=None
-    ) -> None:
+    def __init__(self, compiled, arch: Arch, tid: TId, fuel: int, mem_ids, appends: dict) -> None:
         super().__init__(arch, tid, fuel)
         self.compiled = compiled
         self.mem_ids = mem_ids
@@ -209,7 +207,7 @@ class CompiledSequentialGraph(_SequentialGraphBase):
         #: append memo here, making the ids flow *through* the build:
         #: every successor memory id is derived from its predecessor's id
         #: and the written message, never from a by-value memory hash.
-        self.appends: dict[tuple, int] = {} if appends is None else appends
+        self.appends = appends
 
     def _intern(self, sid: int, ts: TState, mem_id: int) -> tuple[int, bool]:
         key = (sid, ts.pack(self.compiled.registers), mem_id)
@@ -221,15 +219,11 @@ class CompiledSequentialGraph(_SequentialGraphBase):
         self.edges.append(None)
         return nid, True
 
-    def _memory_id(self, memory: Memory) -> int:
-        return self.mem_ids.intern(memory.cache_key(), memory)
-
-    def build(self, sid: int, ts: TState, memory: Memory, mem_id=None) -> int:
+    def build(self, sid: int, ts: TState, memory: Memory, mem_id: int) -> int:
+        """Build from ``(sid, ts)`` under ``memory``, already interned as ``mem_id``."""
         compiled = self.compiled
         records = compiled.stmts
         appends = self.appends
-        if mem_id is None:
-            mem_id = self._memory_id(memory)
         root, _ = self._intern(sid, ts, mem_id)
         stack = [(root, sid, ts, memory, mem_id)]
         while stack:
@@ -248,16 +242,16 @@ class CompiledSequentialGraph(_SequentialGraphBase):
             for succ_sid, step in compiled.candidate_steps(
                 sid, ts, memory, self.arch, self.tid
             ):
-                if step.memory is memory:
-                    succ_mem = mem_id
-                elif step.kind == "write":
+                if step.kind == "write":
                     akey = (mem_id, step.loc, step.value, self.tid)
                     succ_mem = appends.get(akey)
                     if succ_mem is None:
-                        succ_mem = self._memory_id(step.memory)
+                        succ_mem = self.mem_ids.intern(step.memory.cache_key(), step.memory)
                         appends[akey] = succ_mem
                 else:
-                    succ_mem = self._memory_id(step.memory)
+                    # Every non-write rule in ``steps.py`` returns
+                    # ``memory`` itself.
+                    succ_mem = mem_id
                 succ, fresh = self._intern(succ_sid, step.tstate, succ_mem)
                 successors.append((succ, step if step.kind == "write" else None))
                 if fresh:
@@ -317,10 +311,10 @@ def find_and_certify(
     Step 4 is that phase, not an approximation of it:
 
     * The non-write edges are exactly the ``thread_local_steps`` =
-      :func:`~repro.promising.steps.non_promise_steps` relation
-      (``CompiledProgram.candidate_steps(..., include_writes=False)``).
-      None of them changes memory, so every node reached without a write
-      edge has the root's memory.
+      :func:`~repro.promising.steps.non_promise_steps` relation: the
+      candidate steps other than the normal writes.  None of them
+      changes memory, so every node reached without a write edge has the
+      root's memory.
     * A finished node is the accepting state of a fixed-memory run; its
       register file is ``tuple(sorted(ts.register_values().items()))``.
     * Nodes are deduplicated on the thread state at a fixed memory, as a
@@ -399,8 +393,8 @@ def certify_compiled(
     tid: TId,
     fuel: int,
     mem_ids,
-    mem_id=None,
-    appends=None,
+    mem_id: int,
+    appends: dict,
 ) -> CertificationResult:
     """:func:`find_and_certify` over the compiled statement tables.
 
@@ -408,10 +402,9 @@ def certify_compiled(
     ``sid`` the dense id of the thread's statement, and ``mem_ids`` an
     :class:`~repro.promising.intern.IdInterner` for memories (shared
     per exploration run by the packed backend).  ``mem_id`` is the
-    already-interned id of ``memory`` when the caller knows it, and
-    ``appends`` an optional shared append memo (see
-    :class:`CompiledSequentialGraph`); both let the build run without
-    hashing a single messages tuple.  Answers every question from one
+    already-interned id of ``memory``, and ``appends`` the shared append
+    memo (see :class:`CompiledSequentialGraph`); both let the build run
+    without hashing a single messages tuple.  Answers every question from one
     :class:`CompiledSequentialGraph` build, with the same results as the
     reference entry — only the node keys and step dispatch differ.
     """
@@ -432,9 +425,12 @@ def can_complete_without_promising(
 ) -> bool:
     """Can the thread terminate, fulfilling all promises, with memory fixed?
 
-    Used by the exhaustive explorer to decide when promise-mode may end:
+    A plain DFS over :func:`~repro.promising.steps.non_promise_steps`:
     every remaining step must be a non-promise step (no new messages), the
-    statement must reduce to ``skip`` and the promise set must drain.
+    statement must reduce to ``skip`` and the promise set must drain.  The
+    explorers read the same answer off the certification graph
+    (:attr:`CertificationResult.can_complete`); this search is the tests'
+    independent reference for it.
     """
     seen: set[tuple] = set()
     stack = [(stmt, ts)]

@@ -125,14 +125,6 @@ class ThreadStep:
     #: Coherence view of the accessed location *before* the step.
     coh_before: Optional[View] = None
 
-    @property
-    def writes_memory(self) -> bool:
-        return self.kind in ("write", "promise")
-
-    @property
-    def is_promise(self) -> bool:
-        return self.kind == "promise"
-
     def __repr__(self) -> str:
         return f"<{self.kind} {self.description}>"
 

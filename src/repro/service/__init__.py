@@ -3,10 +3,10 @@
 Every CLI invocation pays interpreter start-up, imports, and cold caches
 before the first transition fires — fatal under many small requests.
 This package keeps all of that resident: an asyncio HTTP/JSON front-end
-(:mod:`~repro.service.http`) feeds a batching engine
-(:mod:`~repro.service.core`) that answers from a process-resident LRU
-over the persistent result cache, coalesces identical in-flight
-requests, and dispatches cold micro-batches to a warm
+(:mod:`~repro.service.http`) feeds an engine (:mod:`~repro.service.core`)
+that answers from a process-resident LRU over the persistent result
+cache, coalesces identical in-flight requests, and runs each cold job on
+the next free slot of a warm
 :class:`~repro.harness.scheduler.WorkerPool`.
 :mod:`~repro.service.client` is the matching blocking client.
 """

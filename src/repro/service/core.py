@@ -1,4 +1,4 @@
-"""The exploration service engine: normalize → cache → coalesce → batch.
+"""The exploration service engine: normalize → cache → coalesce → compute.
 
 This is the transport-agnostic core of the long-lived serving layer.  A
 request (a JSON-shaped dict) names a litmus test — either inline litmus
@@ -14,7 +14,8 @@ layer that can:
    (shared with CLI sweeps; hits are promoted into the LRU);
 3. an identical in-flight computation (**coalescing**: concurrent
    requests with the same fingerprint share one execution);
-4. a micro-batch dispatched to a resident
+4. a computation of its own, which takes the next free one of
+   ``workers`` slots and runs on a resident
    :class:`~repro.harness.scheduler.WorkerPool`, whose workers stay warm
    across requests so imports and interner pools amortize.
 
@@ -215,12 +216,10 @@ class ServiceConfig:
 
     #: Resident worker processes.  ``<= 1`` runs jobs inline on an
     #: executor thread (no pool, no enforceable per-job deadline) — the
-    #: lightweight mode used by unit tests and tiny deployments.
+    #: lightweight mode used by unit tests and tiny deployments.  Cold
+    #: jobs run one per worker (one at a time inline); the rest wait for
+    #: a free slot.
     workers: int = 2
-    #: Cold jobs are gathered for up to this long (seconds) or until
-    #: ``batch_max_size`` of them are waiting, then dispatched together.
-    batch_max_delay: float = 0.01
-    batch_max_size: int = 16
     #: Capacity of the process-resident LRU result layer.
     lru_capacity: int = 4096
     #: Directory of the persistent result cache (``None`` = LRU only).
@@ -229,9 +228,10 @@ class ServiceConfig:
     default_timeout: Optional[float] = 60.0
     #: Largest accepted litmus source, in bytes.
     max_source_bytes: int = 65_536
-    #: Admission control: once this many jobs are queued or in flight,
-    #: new explore requests get ``429 + Retry-After`` instead of piling
-    #: onto the dispatch queue (``0`` disables the check).
+    #: Admission control: once this many cold jobs are pending (waiting
+    #: for a slot or running), new explore requests get
+    #: ``429 + Retry-After`` instead of piling up behind them (``0``
+    #: disables the check).
     max_pending_jobs: int = 1024
     #: Per-client token-bucket capacity for explore requests, keyed on
     #: the identity header (one token per job; ``None`` = quotas off).
@@ -259,12 +259,9 @@ class ServiceStats:
     disk_hits: int = 0
     coalesced: int = 0
     computed: int = 0
-    batches: int = 0
-    batched_jobs: int = 0
-    max_batch_size: int = 0
-    #: Error accounting: jobs that raised or timed out during batch
-    #: compute, and whole batches lost to pool breakage.  A failing job
-    #: must surface here (and in /metrics), never vanish.
+    #: Error accounting: jobs that raised or timed out during compute,
+    #: and jobs lost to pool breakage (``batch_failures``).  A failing
+    #: job must surface here (and in /metrics), never vanish.
     job_errors: int = 0
     job_timeouts: int = 0
     batch_failures: int = 0
@@ -282,11 +279,6 @@ class ServiceStats:
     @property
     def errors_total(self) -> int:
         return self.job_errors + self.job_timeouts + self.batch_failures
-
-    def record_batch(self, size: int) -> None:
-        self.batches += 1
-        self.batched_jobs += size
-        self.max_batch_size = max(self.max_batch_size, size)
 
     def record_latency(self, seconds: float, window: int) -> None:
         self.latencies.append(seconds)
@@ -332,11 +324,10 @@ class ExplorationService:
         self._pool: Optional[WorkerPool] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._inflight: dict[str, asyncio.Future] = {}
-        self._queue: deque = deque()
-        self._queue_event = asyncio.Event()
-        self._dispatcher: Optional[asyncio.Task] = None
-        self._batch_slots: Optional[asyncio.Semaphore] = None
-        self._batch_tasks: set = set()
+        self._slots: Optional[asyncio.Semaphore] = None
+        #: The running _compute tasks, and how many of them wait for a slot.
+        self._tasks: set = set()
+        self._waiting = 0
         self._running = False
         self._draining = False
         self.quotas: Optional[TokenBuckets] = (
@@ -350,11 +341,10 @@ class ExplorationService:
         self._loop = asyncio.get_running_loop()
         if self.config.workers > 1:
             self._pool = WorkerPool(self.config.workers)
-        # One micro-batch in flight per worker (see _dispatch_loop).
-        self._batch_slots = asyncio.Semaphore(max(1, self.config.workers))
+        # One cold job in flight per worker (see _compute).
+        self._slots = asyncio.Semaphore(max(1, self.config.workers))
         self._running = True
         self._draining = False
-        self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
 
     def begin_drain(self) -> None:
         """Stop admitting new cold work; everything accepted keeps running.
@@ -365,10 +355,10 @@ class ExplorationService:
         """
         if not self._draining:
             self._draining = True
-            log_event(_log, "drain started", queued=len(self._queue), inflight=len(self._inflight))
+            log_event(_log, "drain started", queued=self._waiting, inflight=len(self._inflight))
 
     async def drain(self, timeout: Optional[float] = None) -> bool:
-        """Graceful shutdown, phase one: finish queued and in-flight work.
+        """Graceful shutdown, phase one: finish waiting and running work.
 
         Returns ``True`` once nothing is pending (``False`` if ``timeout``
         expired first); :meth:`stop` afterwards finds nothing to fail, so
@@ -376,13 +366,13 @@ class ExplorationService:
         """
         self.begin_drain()
         deadline = None if timeout is None else time.monotonic() + timeout
-        while self._queue or self._inflight or self._batch_tasks:
+        while self._inflight or self._tasks:
             if deadline is not None and time.monotonic() >= deadline:
                 log_event(
                     _log,
                     "drain timed out",
                     level=30,  # logging.WARNING
-                    queued=len(self._queue),
+                    queued=self._waiting,
                     inflight=len(self._inflight),
                 )
                 return False
@@ -392,28 +382,19 @@ class ExplorationService:
 
     async def stop(self) -> None:
         self._running = False
-        self._queue_event.set()
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            try:
-                await self._dispatcher
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._dispatcher = None
-        for task in list(self._batch_tasks):
+        for task in list(self._tasks):
             task.cancel()
             try:
                 await task
             except (asyncio.CancelledError, Exception):
                 pass
-        self._batch_tasks.clear()
-        # Fail every pending future — queued ones *and* those whose batch
-        # is still executing (the cancelled dispatcher will never resolve
-        # them) — so no coalesced or computing waiter hangs forever.
+        self._tasks.clear()
+        # Fail every pending future — waiting for a slot or still executing
+        # (a cancelled task never resolves its own) — so no coalesced or
+        # computing waiter hangs forever.
         for fut in self._inflight.values():
             if not fut.done():
                 fut.set_exception(ServiceError("service stopping", status=503))
-        self._queue.clear()
         self._inflight.clear()
         if self._pool is not None:
             pool = self._pool
@@ -591,12 +572,13 @@ class ExplorationService:
     def _admit(self, request: NormalizedRequest, client_id: Optional[str]) -> None:
         """Admission control: raises a 429 :class:`ServiceError` or returns.
 
-        Two gates, both with explicit ``Retry-After``: the global dispatch
-        queue depth (protects the service) and the per-client token bucket
-        keyed on the identity header (protects everyone else's share).
+        Two gates, both with explicit ``Retry-After``: the number of
+        pending cold jobs (protects the service) and the per-client token
+        bucket keyed on the identity header (protects everyone else's
+        share).
         """
         if self.config.max_pending_jobs:
-            depth = len(self._queue) + len(self._inflight)
+            depth = len(self._inflight)
             if depth >= self.config.max_pending_jobs:
                 self.stats.admission_rejections += 1
                 _SERVICE_ADMISSION.inc(outcome="queue_full")
@@ -733,17 +715,17 @@ class ExplorationService:
         inflight = self._inflight.get(fingerprint)
         if inflight is not None:
             # Coalescing: an identical computation is already running (or
-            # queued); share its result instead of executing twice.  This
-            # is the third cache tier, so it shares the layer-labeled
-            # counter vocabulary with the LRU and disk layers.
+            # waiting for a slot); share its result instead of executing
+            # twice.  This is the third cache tier, so it shares the
+            # layer-labeled counter vocabulary with the LRU and disk layers.
             self.stats.coalesced += 1
             CACHE_REQUESTS.inc(layer="coalesced", outcome="hit")
             result, _label = await asyncio.shield(inflight)
             return self._rebind(result, job), "coalesced"
         if not self._running or self._draining:
             # New arrivals only: cache hits and coalesced joins above were
-            # already served, and queued/in-flight work keeps running to
-            # completion — the graceful-drain contract.
+            # already served, and pending work keeps running to completion
+            # — the graceful-drain contract.
             raise ServiceError(
                 "service draining" if self._running else "service stopping",
                 status=503,
@@ -751,11 +733,12 @@ class ExplorationService:
             )
         future = self._loop.create_future()
         self._inflight[fingerprint] = future
-        self._queue.append((job, timeout, future, time.monotonic()))
-        self._queue_event.set()
-        # The dispatcher resolves the future with (result, label): label
-        # is "computed" normally, or "lru" for a duplicate that slipped
-        # past the in-flight check and was answered at dispatch time.
+        task = asyncio.ensure_future(self._compute(job, timeout, future))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        # _compute resolves the future with (result, label): label is
+        # "computed" normally, or "lru" for a duplicate that slipped past
+        # the in-flight check and was answered once it had a slot.
         result, label = await future
         if label == "computed":
             self.stats.computed += 1
@@ -773,156 +756,106 @@ class ExplorationService:
             stats=dict(result.stats),
         )
 
-    # -- batching ------------------------------------------------------------
-    async def _dispatch_loop(self) -> None:
-        """Gather cold jobs into micro-batches and run them on the pool.
+    # -- compute -------------------------------------------------------------
+    async def _compute(self, job: Job, timeout: Optional[float], future: asyncio.Future) -> None:
+        """Run one cold job on the next free slot and resolve its future.
 
-        Up to one batch per worker executes at once, so a fast request
-        arriving behind a slow batch is dispatched to an idle worker
-        instead of waiting the slow batch out; within that limit, jobs
-        queueing while every slot is busy accumulate into larger batches,
-        which keeps dispatch overhead amortised under load while an idle
-        service dispatches a lone request after at most
-        ``batch_max_delay``.
+        Up to one job per worker executes at once, so a fast request
+        arriving behind a slow one runs on an idle worker instead of
+        waiting the slow one out.
         """
-        while self._running:
-            await self._queue_event.wait()
-            if not self._running:
-                return
-            if not self._queue:
-                self._queue_event.clear()
-                continue
-            if self.config.batch_max_delay > 0 and len(self._queue) < self.config.batch_max_size:
-                await asyncio.sleep(self.config.batch_max_delay)
-            batch = []
-            while self._queue and len(batch) < self.config.batch_max_size:
-                batch.append(self._queue.popleft())
-            if not self._queue:
-                self._queue_event.clear()
+        fingerprint = job.fingerprint()
+        arrived = time.monotonic()
+        self._waiting += 1
+        try:
+            await self._slots.acquire()
+        finally:
+            self._waiting -= 1
+        try:
             # A duplicate can slip past _resolve's in-flight check when
             # its disk probe overlaps the original's completion; anything
-            # already in the LRU by dispatch time is served from it
-            # instead of being executed again.  The membership probe
-            # avoids charging the LRU a second miss for genuinely cold
-            # jobs (``_resolve`` already recorded one).
-            still_cold = []
-            for entry in batch:
-                job, _timeout, future, _enqueued = entry
-                if job.fingerprint() in self.lru:
-                    hit = self.lru.get(job)
-                    self._inflight.pop(job.fingerprint(), None)
-                    if not future.done():
-                        future.set_result((hit, "lru"))
-                else:
-                    still_cold.append(entry)
-            if not still_cold:
-                continue
-            self.stats.record_batch(len(still_cold))
-            await self._batch_slots.acquire()
-            if not self._running:
-                self._batch_slots.release()
+            # already in the LRU by now is served from it instead of being
+            # executed again.  The membership probe avoids charging the
+            # LRU a second miss for genuinely cold jobs (``_resolve``
+            # already recorded one).
+            if fingerprint in self.lru:
+                self._inflight.pop(fingerprint, None)
+                if not future.done():
+                    future.set_result((self.lru.get(job), "lru"))
                 return
-            task = asyncio.ensure_future(self._run_batch(still_cold))
-            self._batch_tasks.add(task)
-            task.add_done_callback(self._batch_tasks.discard)
-
-    async def _run_batch(self, batch: list) -> None:
-        """Execute one micro-batch on the pool and resolve its futures."""
-        jobs = [job for job, _, _, _ in batch]
-        timeouts = [timeout for _, timeout, _, _ in batch]
-        dispatch = time.monotonic()
-        try:
-            with span("batch_compute", jobs=len(jobs)):
-                results = await self._loop.run_in_executor(
-                    None, self._execute_batch, jobs, timeouts
-                )
-        except Exception as exc:  # pool breakage: fail this batch, keep serving
+            started = time.monotonic()
+            with span("batch_compute", jobs=1):
+                result = await self._loop.run_in_executor(None, self._execute, job, timeout)
+        except Exception as exc:  # pool breakage: fail this job, keep serving
             self.stats.batch_failures += 1
             _SERVICE_ERRORS.inc(kind="batch_failure")
             log_event(
                 _log,
                 "batch failed",
                 level=40,  # logging.ERROR
-                jobs=len(jobs),
+                jobs=1,
                 error=f"{type(exc).__name__}: {exc}",
             )
-            for job, _, future, _ in batch:
-                self._inflight.pop(job.fingerprint(), None)
-                if not future.done():
-                    future.set_exception(
-                        ServiceError(f"batch execution failed: {exc}", status=500)
-                    )
+            self._inflight.pop(fingerprint, None)
+            if not future.done():
+                future.set_exception(ServiceError(f"batch execution failed: {exc}", status=500))
             return
         finally:
-            self._batch_slots.release()
-        for (job, _, future, enqueued), result in zip(batch, results):
-            self._inflight.pop(job.fingerprint(), None)
-            # Total queue time = wait in the service's dispatch queue plus
-            # any wait inside the worker pool (measured by the worker).
-            result.queue_seconds = max(0.0, dispatch - enqueued) + (
-                result.queue_seconds or 0.0
+            self._slots.release()
+        self._inflight.pop(fingerprint, None)
+        # Total queue time = the wait for a slot plus any wait inside the
+        # worker pool (measured by the worker).
+        result.queue_seconds = (started - arrived) + (result.queue_seconds or 0.0)
+        if result.status == STATUS_ERROR:
+            # A job that raised during compute must be *counted*, not
+            # just passed through as a row the caller may ignore.
+            self.stats.job_errors += 1
+            _SERVICE_ERRORS.inc(kind="job_error")
+            log_event(
+                _log,
+                "job error",
+                level=40,  # logging.ERROR
+                test=result.name,
+                model=result.model,
+                fingerprint=result.fingerprint[:12],
+                error=result.error.splitlines()[0] if result.error else "",
             )
-            if result.status == STATUS_ERROR:
-                # A job that raised during compute must be *counted*, not
-                # just passed through as a row the caller may ignore.
-                self.stats.job_errors += 1
-                _SERVICE_ERRORS.inc(kind="job_error")
-                log_event(
-                    _log,
-                    "job error",
-                    level=40,  # logging.ERROR
-                    test=result.name,
-                    model=result.model,
-                    fingerprint=result.fingerprint[:12],
-                    error=result.error.splitlines()[0] if result.error else "",
-                )
-            elif result.status == STATUS_TIMEOUT:
-                self.stats.job_timeouts += 1
-                _SERVICE_ERRORS.inc(kind="job_timeout")
-                log_event(
-                    _log,
-                    "job timeout",
-                    level=30,  # logging.WARNING
-                    test=result.name,
-                    model=result.model,
-                    fingerprint=result.fingerprint[:12],
-                )
-            self.lru.put(job, result)
-            if not future.done():
-                future.set_result((result, "computed"))
+        elif result.status == STATUS_TIMEOUT:
+            self.stats.job_timeouts += 1
+            _SERVICE_ERRORS.inc(kind="job_timeout")
+            log_event(
+                _log,
+                "job timeout",
+                level=30,  # logging.WARNING
+                test=result.name,
+                model=result.model,
+                fingerprint=result.fingerprint[:12],
+            )
+        self.lru.put(job, result)
+        if not future.done():
+            future.set_result((result, "computed"))
 
-    def _execute_batch(
-        self, jobs: list[Job], timeouts: list[Optional[float]]
-    ) -> list[JobResult]:
-        """Run one micro-batch (called on an executor thread).
+    def _execute(self, job: Job, timeout: Optional[float]) -> JobResult:
+        """Run one cold job (called on an executor thread).
 
-        With a resident pool the batch fans out across warm workers and
-        per-job ``SIGALRM`` deadlines are enforced on their main threads.
-        Inline mode (``workers <= 1``) executes serially on this thread,
-        where deadlines are best-effort only (no ``SIGALRM`` off the main
-        thread) — acceptable for tests and single-user deployments.
+        With a resident pool the job runs on a warm worker, whose main
+        thread enforces its ``SIGALRM`` deadline.  Inline mode
+        (``workers <= 1``) runs it on this thread, where deadlines are
+        best-effort only (no ``SIGALRM`` off the main thread) — acceptable
+        for tests and single-user deployments.
 
-        Disk persistence also happens here, on this thread, streamed as
-        each result lands: it never blocks the event loop, and there is
-        no cancellation point between computing a result and persisting
-        it, so a service stopping right after answering has already
-        written its cache entries.
+        Disk persistence also happens here, on this thread: it never
+        blocks the event loop, and there is no cancellation point between
+        computing a result and persisting it, so a service stopping right
+        after answering has already written its cache entry.
         """
         if self._pool is not None:
-
-            def persist(index: int, result: JobResult) -> None:
-                self.disk.put(jobs[index], result)
-
-            return self._pool.run(
-                jobs, timeouts, on_result=persist if self.disk is not None else None
-            )
-        results = []
-        for job, timeout in zip(jobs, timeouts):
+            result = self._pool.run([job], timeout)[0]
+        else:
             result = execute_job(job, timeout=timeout)
-            if self.disk is not None:
-                self.disk.put(job, result)
-            results.append(result)
-        return results
+        if self.disk is not None:
+            self.disk.put(job, result)
+        return result
 
     # -- introspection -------------------------------------------------------
     def healthz(self) -> dict:
@@ -946,7 +879,7 @@ class ExplorationService:
         return metrics.get_registry().render_prometheus()
 
     def stats_snapshot(self) -> dict:
-        """The ``/stats`` payload: cache hit rates, batching, latency."""
+        """The ``/stats`` payload: cache hit rates, dispatches, latency."""
         stats = self.stats
         latencies = list(stats.latencies)
         served_without_execution = stats.lru_hits + stats.disk_hits + stats.coalesced
@@ -988,11 +921,13 @@ class ExplorationService:
                     "store_failures": self.disk.store_failures,
                 }
             ),
+            # Each dispatch carries one job; the block keeps the shape
+            # that schema version 1 promised.
             "batches": {
-                "count": stats.batches,
-                "jobs": stats.batched_jobs,
-                "max_size": stats.max_batch_size,
-                "mean_size": stats.batched_jobs / stats.batches if stats.batches else 0.0,
+                "count": stats.computed,
+                "jobs": stats.computed,
+                "max_size": min(1, stats.computed),
+                "mean_size": 1.0 if stats.computed else 0.0,
             },
             "latency_seconds": {
                 "count": len(latencies),
@@ -1000,7 +935,7 @@ class ExplorationService:
                 "p50": percentile(latencies, 0.50),
                 "p95": percentile(latencies, 0.95),
             },
-            "queue_depth": len(self._queue),
+            "queue_depth": self._waiting,
             "inflight": len(self._inflight),
             "workers": self.config.workers,
             "pool": "resident" if self._pool is not None else "inline",

@@ -4,7 +4,7 @@ A deliberately small HTTP/1.1 server on ``asyncio.start_server`` — no
 frameworks, no new dependencies — serving one versioned surface:
 
 * ``GET /v1/healthz`` — liveness (status, uptime, worker mode, build);
-* ``GET /v1/stats``   — cache hit rates, batching, latency percentiles,
+* ``GET /v1/stats``   — cache hit rates, dispatches, latency percentiles,
   admission/quota accounting, keep-alive connection reuse;
 * ``GET /v1/metrics`` — the process-wide metrics registry in Prometheus
   text exposition format;

@@ -12,7 +12,7 @@ Sub-commands mirror how the paper's rmem-based tool is used:
   models and architectures;
 * ``serve`` — start the long-lived exploration service: an HTTP/JSON
   front-end over a process-resident LRU, the persistent result cache,
-  and a warm worker pool, with request coalescing and micro-batching;
+  and a warm worker pool, with request coalescing;
 * ``work`` — join a distributed fleet: claim leased litmus jobs from a
   shared work backend (``sweep``/``fuzz`` ``--distributed`` enqueue
   them), execute them, and write results into the shared cache.
@@ -56,7 +56,7 @@ def _arch(name: str) -> Arch:
 
 def _positive_int(text: str) -> int:
     # Reject out-of-range counts at parse time (exit 2) instead of a
-    # traceback mid-run, or a serve batch size of 0 that wedges dispatch.
+    # traceback mid-run, or a worker that exits having claimed nothing.
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
@@ -75,19 +75,12 @@ def _positive_number(text: str) -> float:
 
 def _non_negative_int(text: str) -> int:
     # A negative battery bound would become a Python slice (-1 silently
-    # drops the last test) or an empty corpus, and a negative pending-job
-    # cap refuses every request; refuse them at parse time.
+    # drops the last test) or an empty corpus, a negative pending-job cap
+    # refuses every request, and a negative worker count runs a battery
+    # serially or a server inline; refuse them at parse time.
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
-
-
-def _non_negative_number(text: str) -> float:
-    # An infinite batch window never dispatches a batch short of full.
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError("must be a finite number of at least 0")
     return value
 
 
@@ -146,20 +139,39 @@ def _flat_config(args: argparse.Namespace) -> "FlatConfig":
 
 
 def _distrib_config(args: argparse.Namespace):
-    """``--distributed`` knobs → a :class:`DistribConfig` (or ``None``)."""
-    if not getattr(args, "distributed", False):
+    """``--distributed`` knobs → a :class:`DistribConfig` (or ``None``).
+
+    Raises :class:`_UsageError` for a fleet flag without ``--distributed``
+    (the battery would silently run on the local pool) and for
+    ``--external-workers`` without ``--backend-url`` (no external worker
+    can reach a private temporary queue, so the run would wait forever).
+    """
+    if not args.distributed:
+        given = [
+            flag
+            for flag, value in (
+                ("--backend-url", args.backend_url),
+                ("--external-workers", args.external_workers),
+                ("--stall-timeout", args.stall_timeout),
+            )
+            if value
+        ]
+        if given:
+            raise _UsageError(f"{', '.join(given)} needs --distributed")
         return None
+    if args.external_workers and not args.backend_url:
+        raise _UsageError("--external-workers needs a --backend-url the fleet can reach")
     from ..distrib import DistribConfig
     from ..harness import default_workers
 
-    if getattr(args, "external_workers", False):
+    if args.external_workers:
         fleet = 0
     else:
         fleet = args.workers if args.workers > 0 else default_workers()
     return DistribConfig(
-        backend_url=getattr(args, "backend_url", None) or "",
+        backend_url=args.backend_url or "",
         workers=fleet,
-        stall_timeout=getattr(args, "stall_timeout", None),
+        stall_timeout=args.stall_timeout,
     )
 
 
@@ -263,7 +275,9 @@ def _parse_models(text: str) -> tuple[str, ...] | None:
     return models
 
 
-def _run_battery(args: argparse.Namespace, tests, models, archs, *, name: str, cache) -> int:
+def _run_battery(
+    args: argparse.Namespace, tests, models, archs, *, name: str, cache, distrib
+) -> int:
     """Run and judge one battery, print its summary, return the exit code."""
     from ..axiomatic import AxiomaticConfig
 
@@ -279,7 +293,7 @@ def _run_battery(args: argparse.Namespace, tests, models, archs, *, name: str, c
         explore_config=_explore_config(args),
         axiomatic_config=AxiomaticConfig(loop_bound=args.loop_bound),
         flat_config=_flat_config(args),
-        distrib=_distrib_config(args),
+        distrib=distrib,
     )
     print(result.describe())
     if args.report:
@@ -291,11 +305,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     models = _parse_models(args.models)
     if models is None:
         return 2
+    distrib = _distrib_config(args)
     tests = generate_cycle_battery(max_tests=args.max_tests)
     if args.catalogue:
         tests = tests + [t for t in all_tests() if t.program.n_threads <= 3]
     return _run_battery(
-        args, tests, models, (args.arch,), name="litmus-sweep", cache=args.cache_dir
+        args,
+        tests,
+        models,
+        (args.arch,),
+        name="litmus-sweep",
+        cache=args.cache_dir,
+        distrib=distrib,
     )
 
 
@@ -318,6 +339,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"no architectures given; choose from {', '.join(_ARCH_NAMES)}")
         return 2
     archs = tuple(parse_arch(a) for a in arch_names)
+    distrib = _distrib_config(args)
     families = None
     if args.families:
         families = [f.strip() for f in args.families.split(",") if f.strip()]
@@ -355,7 +377,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                 cache=cache_dir,
                 axiomatic_config=AxiomaticConfig(loop_bound=args.loop_bound),
             )
-        return _run_battery(args, tests, models, archs, name="fuzz-battery", cache=cache_dir)
+        return _run_battery(
+            args, tests, models, archs, name="fuzz-battery", cache=cache_dir, distrib=distrib
+        )
 
 
 def cmd_work(args: argparse.Namespace) -> int:
@@ -383,8 +407,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     config = ServiceConfig(
         workers=args.workers,
-        batch_max_delay=args.batch_delay_ms / 1000.0,
-        batch_max_size=args.batch_max_size,
         lru_capacity=args.lru_capacity,
         cache_dir=args.cache_dir,
         default_timeout=args.timeout,
@@ -401,7 +423,7 @@ def _add_battery_args(parser: argparse.ArgumentParser) -> None:
     """The flags ``sweep`` and ``fuzz`` share: models, execution, report."""
     parser.add_argument("--models", default="promising,axiomatic",
                         help="comma-separated: promising,axiomatic,flat,promising-naive")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=_non_negative_int, default=1,
                         help="worker processes (0 = one per CPU)")
     parser.add_argument("--cache-dir", default=None, help="persistent result cache directory")
     parser.add_argument("--timeout", type=_positive_number, default=None,
@@ -521,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="claim lease length; heartbeats extend it while running")
     work_parser.add_argument("--poll-seconds", type=_positive_number, default=0.1,
                              help="idle back-off between claim attempts")
-    work_parser.add_argument("--max-jobs", type=int, default=None,
+    work_parser.add_argument("--max-jobs", type=_positive_int, default=None,
                              help="exit after claiming this many items (default: serve forever)")
     work_parser.add_argument("--idle-exit", type=_positive_number, default=None,
                              help="exit after the queue has been empty this long")
@@ -534,21 +556,17 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--host", default="127.0.0.1", help="bind address")
     serve_parser.add_argument("--port", type=_port, default=8765,
                               help="bind port (0 = ephemeral, printed on start)")
-    serve_parser.add_argument("--workers", type=int, default=2,
-                              help="resident worker processes (<=1 = inline executor)")
+    serve_parser.add_argument("--workers", type=_non_negative_int, default=2,
+                              help="resident worker processes (0 or 1 = inline executor)")
     serve_parser.add_argument("--cache-dir", default=None,
                               help="persistent result cache directory (shared with sweeps)")
     serve_parser.add_argument("--lru-capacity", type=_positive_int, default=4096,
                               help="entries kept in the in-process LRU result cache")
-    serve_parser.add_argument("--batch-max-size", type=_positive_int, default=16,
-                              help="most cold jobs dispatched in one micro-batch")
-    serve_parser.add_argument("--batch-delay-ms", type=_non_negative_number, default=10.0,
-                              help="micro-batch accumulation window in milliseconds")
     serve_parser.add_argument("--timeout", type=_positive_number, default=60.0,
                               help="default per-job deadline in seconds")
     serve_parser.add_argument("--max-pending-jobs", type=_non_negative_int, default=1024,
                               help="admission control: answer 429 + Retry-After once this "
-                                   "many jobs are queued or in flight (0 = unlimited)")
+                                   "many cold jobs are pending (0 = unlimited)")
     serve_parser.add_argument("--quota-tokens", type=_positive_number, default=None,
                               help="per-client token-bucket capacity for /v1/explore, keyed "
                                    "on X-Client-Id (one token per job; default: quotas off)")

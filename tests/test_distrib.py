@@ -71,7 +71,7 @@ def ledger(request, tmp_path):
         ready: "queue_module.Queue[tuple[str, int]]" = queue_module.Queue()
         thread = threading.Thread(
             target=run_server,
-            args=(ServiceConfig(workers=1, batch_max_delay=0.0), "127.0.0.1", 0),
+            args=(ServiceConfig(workers=1), "127.0.0.1", 0),
             kwargs={
                 "on_ready": lambda host, port: ready.put((host, port)),
                 "queue_backend": SqliteBackend(tmp_path / "served.db", clock=clock),
@@ -568,7 +568,7 @@ class TestDistributedParity:
         ready: "queue_module.Queue[tuple[str, int]]" = queue_module.Queue()
         thread = threading.Thread(
             target=run_server,
-            args=(ServiceConfig(workers=1, batch_max_delay=0.0), "127.0.0.1", 0),
+            args=(ServiceConfig(workers=1), "127.0.0.1", 0),
             kwargs={"on_ready": lambda host, port: ready.put((host, port))},
             daemon=True,
         )
@@ -708,6 +708,14 @@ class TestTeardown:
                     backend_url=str(tmp_path / "q.db"), workers=1, poll_seconds=0.01
                 ),
             )
+        assert multiprocessing.active_children() == []
+
+    def test_no_local_fleet_needs_a_reachable_backend(self):
+        # Nothing would be spawned, and no external worker can reach a
+        # private temporary queue: refuse instead of waiting forever.
+        jobs = arm_jobs([get_test("MP")])
+        with pytest.raises(ValueError, match="backend_url"):
+            run_distributed(jobs, config=DistribConfig(workers=0))
         assert multiprocessing.active_children() == []
 
     def test_sigint_coordinator_leaves_no_orphans(self, tmp_path):

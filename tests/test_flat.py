@@ -4,8 +4,8 @@ import pytest
 
 from repro.flat import FlatConfig, explore_flat
 from repro.harness import Job, differential_mismatches, execute_job, run_jobs
-from repro.lang import LocationEnv, R, if_, load, make_program, seq, store
-from repro.lang.kinds import Arch
+from repro.lang import LocationEnv, R, dependency_idiom, if_, load, make_program, seq, store
+from repro.lang.kinds import VFAIL, Arch, ReadKind, WriteKind
 from repro.litmus import all_tests, get_test, run_flat
 
 #: Shapes on which the approximate Flat-style model must agree with the
@@ -117,34 +117,92 @@ def test_restart_squashing_an_exclusive_load_clears_the_reservation():
     assert not any(non_atomic_sc(o) for o in promising.outcomes)
 
 
-#: Known Flat over-approximations: outcomes Flat admits that the
-#: axiomatic oracle forbids, identical on both architectures.  Strict
-#: xfail, so fixing Flat turns these into failures until the entry goes.
-FLAT_EXTRA_OUTCOMES = {
-    "SB+rel+acq": "0:r1=0 1:r2=0 (Flat verdict allowed, oracle and catalogue forbidden)",
-    "MP+dmb+addr+coh": (
-        "1:r1=0 1:r2=37 1:r3=0; 1:r1=42 1:r2=37 1:r3=0 "
-        "(Flat verdict allowed, oracle and catalogue forbidden)"
-    ),
-    "PPOAA": (
-        "1:r0=0 1:r1=0 1:r2=0; 1:r0=0 1:r1=0 1:r2=1; 1:r0=1 1:r1=0 1:r2=0; "
-        "1:r0=1 1:r1=0 1:r2=1 (verdict still forbidden)"
-    ),
-    "LSE-fwd-acq": (
-        "1:r0=1 1:r1=1 1:r2=0 1:r6=0; 1:r0=1 1:r1=1 1:r2=0 1:r6=1; "
-        "1:r0=1 1:r1=1 1:r2=1 1:r6=1 (Flat verdict allowed, oracle and catalogue forbidden)"
-    ),
-}
+def _flat_and_oracle(program):
+    """Flat's and the axiomatic oracle's outcome sets of a bare program."""
+    flat, oracle = (
+        execute_job(Job.for_program(program, model), capture_errors=False)
+        for model in ("flat", "axiomatic")
+    )
+    assert not flat.truncated and not oracle.truncated
+    return set(flat.outcomes), set(oracle.outcomes)
+
+
+def test_strong_acquire_load_waits_for_earlier_strong_release():
+    """[L]; po; [A]: SB through release stores and acquire loads."""
+    env = LocationEnv()
+    x, y = env["x"], env["y"]
+    program = make_program(
+        [
+            seq(store(x, 1, kind=WriteKind.REL), load("r1", y, kind=ReadKind.ACQ)),
+            seq(store(y, 1, kind=WriteKind.REL), load("r2", x, kind=ReadKind.ACQ)),
+        ],
+        env=env,
+    )
+    flat, oracle = _flat_and_oracle(program)
+    assert not any(o.reg(0, "r1") == 0 and o.reg(1, "r2") == 0 for o in flat)
+    assert flat == oracle
+
+
+def test_load_waits_for_earlier_unresolved_addresses():
+    """coRR and coWR through an address dependency: a load may not run
+    ahead of a po-earlier access whose address may turn out to alias."""
+    env = LocationEnv()
+    x, z = env["x"], env["z"]
+    corr = make_program(
+        [
+            store(x, 1),
+            seq(
+                load("r0", z),
+                load("r1", dependency_idiom(x, "r0")),
+                load("r2", x),
+            ),
+        ],
+        env=env,
+    )
+    flat, oracle = _flat_and_oracle(corr)
+    assert not any(o.reg(1, "r1") == 1 and o.reg(1, "r2") == 0 for o in flat)
+    assert flat == oracle
+    cowr = make_program(
+        [
+            store(x, 1),
+            seq(load("r0", z), store(dependency_idiom(x, "r0"), 2), load("r1", x)),
+        ],
+        env=env,
+    )
+    flat, oracle = _flat_and_oracle(cowr)
+    assert not any(o.reg(1, "r1") == 1 and o.mem(x) == 2 for o in flat)
+    assert flat == oracle
+
+
+def test_load_never_forwards_from_a_store_exclusive_that_fails():
+    """A failed store exclusive wrote nothing, so nothing forwards from it.
+
+    The leading load of ``y`` can stay pending, which keeps a done store
+    exclusive in the window (unretired) when the load of ``x`` executes.
+    """
+    env = LocationEnv()
+    x, y = env["x"], env["y"]
+    program = make_program(
+        [
+            seq(
+                load("r9", y),
+                load("r0", x, exclusive=True),
+                store(x, 1, exclusive=True, succ_reg="rs"),
+                load("r1", x),
+            )
+        ],
+        env=env,
+    )
+    flat, oracle = _flat_and_oracle(program)
+    failed = {o.reg(0, "r1") for o in flat if o.reg(0, "rs") == VFAIL}
+    assert failed == {0}
+    assert flat == oracle
 
 
 def _containment_cases():
     for test in all_tests():
         for arch in (Arch.ARM, Arch.RISCV):
-            marks = ()
-            if test.name in FLAT_EXTRA_OUTCOMES:
-                reason = f"Flat admits {FLAT_EXTRA_OUTCOMES[test.name]}"
-                marks = pytest.mark.xfail(strict=True, reason=reason)
-            yield pytest.param(test.name, arch, marks=marks, id=f"{test.name}-{arch.value}")
+            yield pytest.param(test.name, arch, id=f"{test.name}-{arch.value}")
 
 
 @pytest.mark.parametrize("name,arch", _containment_cases())

@@ -365,7 +365,6 @@ def live_service(tmp_path_factory):
     ready: "queue.Queue[tuple[str, int]]" = queue.Queue()
     config = ServiceConfig(
         workers=1,
-        batch_max_delay=0.0,
         lru_capacity=64,
         cache_dir=str(tmp_path_factory.mktemp("obs-service-cache")),
     )
@@ -477,9 +476,7 @@ class TestServiceErrorAccounting:
             )
 
         async def scenario():
-            service = ExplorationService(
-                ServiceConfig(workers=1, batch_max_delay=0.0, lru_capacity=8)
-            )
+            service = ExplorationService(ServiceConfig(workers=1, lru_capacity=8))
             await service.start()
             try:
                 before = _SERVICE_ERRORS.value(kind="job_error")

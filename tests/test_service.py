@@ -2,8 +2,10 @@
 
 Covers request normalization, the resident :class:`WorkerPool`, the
 caching/coalescing engine (the coalesced-counter assertion is an
-acceptance criterion of the service PR), and a live HTTP round-trip
-through the blocking client — the same path the CI smoke job drives.
+acceptance criterion of the service PR), the cold path's admission
+count and failure paths (an exploration that raises, a pool timeout, a
+broken executor), and a live HTTP round-trip through the blocking
+client — the same path the CI smoke job drives.
 """
 
 import asyncio
@@ -40,9 +42,28 @@ MP_SOURCE = (
 
 
 def make_service(**overrides) -> ExplorationService:
-    defaults = dict(workers=1, batch_max_delay=0.0)
+    defaults = dict(workers=1)
     defaults.update(overrides)
     return ExplorationService(ServiceConfig(**defaults))
+
+
+def hold_compute(service: ExplorationService) -> threading.Event:
+    """Hold every cold job of ``service`` until the returned event is set.
+
+    The job waits on its executor thread, so it stays pending (in flight,
+    or waiting for a slot behind a held one) for as long as a scenario
+    needs.  Set the event before the scenario returns: ``asyncio.run``
+    waits for executor threads on exit.
+    """
+    release = threading.Event()
+    execute = service._execute
+
+    def held(job, timeout):
+        release.wait(timeout=30)
+        return execute(job, timeout)
+
+    service._execute = held
+    return release
 
 
 def run_async(coroutine):
@@ -259,18 +280,37 @@ class TestServiceCore:
 
         run_async(scenario())
 
+    def test_cold_request_starts_without_waiting(self):
+        async def scenario():
+            # On the default settings a lone cold job runs as soon as it
+            # arrives: its billed queue time is the slot check, not a window.
+            service = ExplorationService(ServiceConfig(workers=1))
+            await service.start()
+            try:
+                status, response = await service.handle_explore({"test": "SB"})
+                assert status == 200
+                cost = response["results"][0]["cost"]
+                assert cost["served_from"] == "computed"
+                assert cost["queue_ms"] < 5
+            finally:
+                await service.stop()
+
+        run_async(scenario())
+
     def test_identical_inflight_requests_coalesce(self):
         async def scenario():
-            # A generous batch window keeps the first job in flight while
+            # Holding the computation keeps the first job in flight while
             # the identical followers arrive, making coalescing
             # deterministic rather than a timing accident.
-            service = make_service(batch_max_delay=0.2)
+            service = make_service()
+            release = hold_compute(service)
             await service.start()
             try:
                 request = {"test": "LB", "models": ["promising"]}
-                responses = await asyncio.gather(
-                    *(service.handle_explore(request) for _ in range(3))
-                )
+                gathered = asyncio.gather(*(service.handle_explore(request) for _ in range(3)))
+                await asyncio.sleep(0.05)
+                release.set()
+                responses = await gathered
                 snapshot = service.stats_snapshot()
                 assert snapshot["served"]["computed"] == 1
                 assert snapshot["served"]["coalesced"] == 2
@@ -285,6 +325,7 @@ class TestServiceCore:
                 )
                 assert kinds == ["coalesced", "coalesced", "computed"]
             finally:
+                release.set()
                 await service.stop()
 
         run_async(scenario())
@@ -344,15 +385,19 @@ class TestServiceCore:
 
     def test_stop_fails_pending_requests_instead_of_hanging(self):
         async def scenario():
-            # A huge batch window guarantees the request is still queued
+            # A held computation guarantees the request is still pending
             # when the service stops; the waiter must get a 503, not hang.
-            service = make_service(batch_max_delay=30.0)
+            service = make_service()
+            release = hold_compute(service)
             await service.start()
-            pending = asyncio.create_task(service.handle_explore({"test": "SB"}))
-            await asyncio.sleep(0.05)
-            await service.stop()
-            status, response = await asyncio.wait_for(pending, timeout=5.0)
-            assert status == 503 and not response["ok"]
+            try:
+                pending = asyncio.create_task(service.handle_explore({"test": "SB"}))
+                await asyncio.sleep(0.05)
+                await service.stop()
+                status, response = await asyncio.wait_for(pending, timeout=5.0)
+                assert status == 503 and not response["ok"]
+            finally:
+                release.set()
 
         run_async(scenario())
 
@@ -414,18 +459,47 @@ class TestServiceCore:
 class TestAdmissionControl:
     def test_queue_depth_gate_is_429_with_retry_after(self):
         async def scenario():
-            # One job already queued (the huge batch window keeps it there)
-            # fills the whole admission budget; the next request bounces.
-            service = make_service(batch_max_delay=30.0, max_pending_jobs=1)
+            # One job already pending (held in flight) fills the whole
+            # admission budget; the next request bounces.
+            service = make_service(max_pending_jobs=1)
+            release = hold_compute(service)
             await service.start()
-            pending = asyncio.create_task(service.handle_explore({"test": "SB"}))
-            await asyncio.sleep(0.05)
-            status, response = await service.handle_explore({"test": "MP"})
-            assert status == 429 and not response["ok"]
-            assert response["retry_after"] == pytest.approx(ADMISSION_RETRY_AFTER)
-            assert service.stats.admission_rejections == 1
-            await service.stop()
-            await asyncio.wait_for(pending, timeout=5.0)
+            try:
+                pending = asyncio.create_task(service.handle_explore({"test": "SB"}))
+                await asyncio.sleep(0.05)
+                status, response = await service.handle_explore({"test": "MP"})
+                assert status == 429 and not response["ok"]
+                assert response["retry_after"] == pytest.approx(ADMISSION_RETRY_AFTER)
+                assert service.stats.admission_rejections == 1
+                await service.stop()
+                await asyncio.wait_for(pending, timeout=5.0)
+            finally:
+                release.set()
+
+        run_async(scenario())
+
+    def test_each_pending_job_counts_once(self):
+        async def scenario():
+            # Three pending jobs (one running, two waiting for the single
+            # slot) leave room for a fourth under a budget of four.
+            service = make_service(max_pending_jobs=4)
+            release = hold_compute(service)
+            await service.start()
+            try:
+                requests = []
+                for name in ("SB", "MP", "LB", "2+2W"):
+                    requests.append(asyncio.create_task(service.handle_explore({"test": name})))
+                    await asyncio.sleep(0.02)
+                assert service.stats.admission_rejections == 0
+                snapshot = service.stats_snapshot()
+                assert (snapshot["inflight"], snapshot["queue_depth"]) == (4, 3)
+                release.set()
+                responses = await asyncio.wait_for(asyncio.gather(*requests), timeout=30)
+                assert [status for status, _ in responses] == [200] * 4
+                assert service.stats_snapshot()["queue_depth"] == 0
+            finally:
+                release.set()
+                await service.stop()
 
         run_async(scenario())
 
@@ -482,23 +556,27 @@ class TestAdmissionControl:
 class TestGracefulDrain:
     def test_drain_serves_cache_and_inflight_but_rejects_cold_work(self):
         async def scenario():
-            service = make_service(batch_max_delay=0.05)
+            service = make_service()
             await service.start()
             _, warm = await service.handle_explore({"test": "SB"})
             assert warm["ok"]
-            # In-flight work admitted before the drain began must finish.
-            inflight = asyncio.create_task(service.handle_explore({"test": "MP"}))
-            await asyncio.sleep(0.01)
-            service.begin_drain()
-            # New cold work is turned away with an explicit come-back-later.
-            status, rejected = await service.handle_explore({"test": "LB"})
-            assert status == 503 and not rejected["ok"]
-            assert rejected["retry_after"] == pytest.approx(DRAIN_RETRY_AFTER)
-            assert service.stats.drain_rejections == 1
-            # Cache hits still answer during the drain.
-            status, cached = await service.handle_explore({"test": "SB"})
-            assert status == 200
-            assert cached["results"][0]["served_from"] == "lru"
+            release = hold_compute(service)
+            try:
+                # In-flight work admitted before the drain began must finish.
+                inflight = asyncio.create_task(service.handle_explore({"test": "MP"}))
+                await asyncio.sleep(0.01)
+                service.begin_drain()
+                # New cold work is turned away with an explicit come-back-later.
+                status, rejected = await service.handle_explore({"test": "LB"})
+                assert status == 503 and not rejected["ok"]
+                assert rejected["retry_after"] == pytest.approx(DRAIN_RETRY_AFTER)
+                assert service.stats.drain_rejections == 1
+                # Cache hits still answer during the drain.
+                status, cached = await service.handle_explore({"test": "SB"})
+                assert status == 200
+                assert cached["results"][0]["served_from"] == "lru"
+            finally:
+                release.set()
             status, finished = await asyncio.wait_for(inflight, timeout=10.0)
             assert status == 200 and finished["ok"]
             assert await service.drain(timeout=10.0)
@@ -509,16 +587,93 @@ class TestGracefulDrain:
 
     def test_drain_times_out_rather_than_hanging(self):
         async def scenario():
-            # Nothing will ever flush a 30s batch window; drain must give
-            # up at its own deadline, not wait the window out.
-            service = make_service(batch_max_delay=30.0)
+            # A held computation outlives the drain's deadline; drain must
+            # give up at that deadline, not wait the computation out.
+            service = make_service()
+            release = hold_compute(service)
             await service.start()
-            pending = asyncio.create_task(service.handle_explore({"test": "SB"}))
-            await asyncio.sleep(0.05)
-            service.begin_drain()
-            assert not await service.drain(timeout=0.2)
-            await service.stop()
-            await asyncio.wait_for(pending, timeout=5.0)
+            try:
+                pending = asyncio.create_task(service.handle_explore({"test": "SB"}))
+                await asyncio.sleep(0.05)
+                service.begin_drain()
+                assert not await service.drain(timeout=0.2)
+                await service.stop()
+                await asyncio.wait_for(pending, timeout=5.0)
+            finally:
+                release.set()
+
+        run_async(scenario())
+
+
+class TestFailurePaths:
+    def test_exploration_error_is_an_error_row_and_counted(self, monkeypatch):
+        import repro.harness.jobs as jobs_module
+
+        def exploding(program, config):
+            raise RuntimeError("synthetic exploration failure")
+
+        monkeypatch.setattr(jobs_module, "explore_flat", exploding)
+
+        async def scenario():
+            service = make_service()
+            await service.start()
+            try:
+                status, response = await service.handle_explore({"test": "SB", "models": ["flat"]})
+                assert status == 200 and not response["ok"]
+                row = response["results"][0]
+                assert row["status"] == "error"
+                assert "synthetic exploration failure" in row["error"]
+                errors = service.stats_snapshot()["errors"]
+                assert errors == {"jobs": 1, "timeouts": 0, "batches": 0, "total": 1}
+            finally:
+                await service.stop()
+
+        run_async(scenario())
+
+    def test_pool_timeout_is_a_timeout_row_and_counted(self):
+        async def scenario():
+            service = make_service(workers=2)
+            await service.start()
+            try:
+                status, response = await service.handle_explore(
+                    {
+                        "test": "2+2W",
+                        "models": ["promising-naive"],
+                        "options": {"timeout": 0.001},
+                    }
+                )
+                assert status == 200 and not response["ok"]
+                assert response["results"][0]["status"] == "timeout"
+                errors = service.stats_snapshot()["errors"]
+                assert errors == {"jobs": 0, "timeouts": 1, "batches": 0, "total": 1}
+            finally:
+                await service.stop()
+
+        run_async(scenario())
+
+    def test_execute_failure_is_a_500_and_the_service_keeps_serving(self):
+        async def scenario():
+            service = make_service()
+            execute = service._execute
+
+            def broken(job, timeout):
+                service._execute = execute
+                raise RuntimeError("synthetic pool breakage")
+
+            service._execute = broken
+            await service.start()
+            try:
+                status, response = await service.handle_explore({"test": "SB"})
+                assert status == 500 and not response["ok"]
+                assert "synthetic pool breakage" in response["error"]
+                errors = service.stats_snapshot()["errors"]
+                assert errors == {"jobs": 0, "timeouts": 0, "batches": 1, "total": 1}
+                assert service.stats_snapshot()["inflight"] == 0
+                status, response = await service.handle_explore({"test": "SB"})
+                assert status == 200 and response["ok"]
+                assert response["results"][0]["served_from"] == "computed"
+            finally:
+                await service.stop()
 
         run_async(scenario())
 
@@ -560,7 +715,7 @@ class TestQueueMount:
 def live_service():
     """A real server on an ephemeral port, driven through the client."""
     ready: "queue.Queue[tuple[str, int]]" = queue.Queue()
-    config = ServiceConfig(workers=1, batch_max_delay=0.0, lru_capacity=64)
+    config = ServiceConfig(workers=1, lru_capacity=64)
     thread = threading.Thread(
         target=run_server,
         args=(config, "127.0.0.1", 0),
@@ -776,7 +931,6 @@ def quota_service():
     ready: "queue.Queue[tuple[str, int]]" = queue.Queue()
     config = ServiceConfig(
         workers=1,
-        batch_max_delay=0.0,
         quota_tokens=2.0,
         quota_refill_per_second=2.0,
     )

@@ -68,9 +68,9 @@ class TestCli:
     def test_parser_serve_subcommand(self):
         parser = build_parser()
         args = parser.parse_args(["serve", "--port", "0", "--workers", "4",
-                                  "--batch-delay-ms", "2.5", "--cache-dir", "/tmp/c"])
+                                  "--max-pending-jobs", "8", "--cache-dir", "/tmp/c"])
         assert args.command == "serve" and args.port == 0
-        assert args.workers == 4 and args.batch_delay_ms == 2.5
+        assert args.workers == 4 and args.max_pending_jobs == 8
         assert args.cache_dir == "/tmp/c" and args.lru_capacity == 4096
 
     def test_run_command(self, capsys):
