@@ -81,9 +81,6 @@ class Relation:
             if (domain is None or domain(a)) and (range_ is None or range_(b))
         )
 
-    def irreflexive(self) -> bool:
-        return all(a != b for a, b in self._pairs)
-
     def transitive_closure(self) -> "Relation":
         """The transitive closure ``self+`` (used only on small graphs)."""
         succ: dict[EventId, set[EventId]] = {}

@@ -27,7 +27,7 @@ The explorers therefore run on this backend, which removes all of that:
   those ids — it is its own visited-set key, and every visited/memo
   table keys on small immutable int tuples;
 * certification builds its sequential graphs directly on interned
-  ``(stmt id, packed regs, fmem id)`` nodes
+  ``(stmt id, thread-state key, fmem id)`` nodes
   (:func:`~repro.promising.certification.certify_compiled`), and the
   same build answers the §7 completion sets: the register files the
   thread finishes with over non-write edges — no decode → certify →
@@ -108,8 +108,7 @@ class PackedPromisingBackend:
         self.arch = config.arch
         self.stats = stats
         self.compiled: CompiledProgram = compile_program(program)
-        self._registers = self.compiled.registers
-        #: (stmt id, packed tstate) -> dense id; objects are the
+        #: (stmt id, tstate key) -> dense id; objects are the
         #: canonical decoded ``(stmt, tstate)`` pairs, the thread state
         #: relabelled onto its footprint memory.
         self._tcfgs = IdInterner()
@@ -160,7 +159,7 @@ class PackedPromisingBackend:
 
     # -- encoding ----------------------------------------------------------
     def _encode_cfg(self, sid: int, ts) -> int:
-        key = (sid, ts.pack(self._registers))
+        key = (sid, ts.cache_key())
         table = self._tcfgs
         before = len(table)
         nid = table.intern(key, (self.compiled.stmts[sid].stmt, ts))
@@ -494,7 +493,7 @@ class PackedPromisingBackend:
     def finalise(self, stats, model: str) -> None:
         """Fold the id-table, cert and memo counters into stats; flush phases."""
         tables = (self._tcfgs, self._mems, self._fmems)
-        stats.interned_keys = sum(table.unique for table in tables)
+        stats.interned_keys = sum(map(len, tables))
         stats.intern_hits = sum(table.hits for table in tables)
         stats.cert_calls += self._cert_hits + self._cert_misses
         stats.cert_memo_hits += self._cert_hits
@@ -674,7 +673,7 @@ class PackedFlatBackend:
     # -- accounting ----------------------------------------------------------
     def finalise(self, stats, model: str) -> None:
         """Fold the id-table and memo counters into stats; flush phases."""
-        stats.interned_keys = self._threads.unique + self._storages.unique
+        stats.interned_keys = len(self._threads) + len(self._storages)
         stats.intern_hits = self._threads.hits + self._storages.hits
         stats.step_memo_hits += self._step_hits
         stats.step_memo_misses += self._step_misses

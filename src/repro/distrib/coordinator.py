@@ -20,7 +20,6 @@ processes on other machines.
 from __future__ import annotations
 
 import multiprocessing
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +27,7 @@ from typing import Optional, Sequence, Union
 
 from ..harness.cache import ResultCache, open_cache
 from ..harness.jobs import Job, JobResult, STATUS_ERROR
-from ..harness.scheduler import BatchStats, plan_batch, rebind_duplicates
+from ..harness.scheduler import BatchStats, _pool_context, plan_batch, rebind_duplicates
 from ..obs import metrics
 from ..obs.logging import get_logger, log_event
 from ..obs.tracing import span
@@ -89,13 +88,6 @@ def _process_worker_main(
     )
 
 
-def _spawn_context() -> multiprocessing.context.BaseContext:
-    # Mirror the resident pool: fork where it is safe (Linux), platform
-    # default elsewhere — everything shipped to a worker is picklable.
-    use_fork = sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if use_fork else None)
-
-
 class _Fleet:
     """Locally spawned worker processes with one teardown path.
 
@@ -116,7 +108,7 @@ class _Fleet:
         cache: Optional[ResultCache],
         config: DistribConfig,
     ) -> None:
-        ctx = _spawn_context()
+        ctx = _pool_context()  # the resident pool's start method
         cache_path = str(cache.path) if cache is not None else None
         for index in range(count):
             process = ctx.Process(

@@ -1,12 +1,12 @@
-"""Unified exploration kernel with pluggable search strategies.
+"""Unified exploration kernel.
 
 One :class:`SearchKernel` owns what every explorer used to hand-roll —
-frontier, interned visited sets, state/wall-clock budgets, truncation
-accounting, and a shared stats vocabulary — parameterised by a
-transition-enumeration callback and a :class:`Strategy`:
+frontier, visited set, state/wall-clock budgets, truncation accounting,
+and a shared stats vocabulary — parameterised by a
+transition-enumeration callback and the explorer's config, whose
+``strategy`` picks one of the kernel's two loops:
 
-* ``dfs`` — exhaustive enumeration (the historical, bit-identical
-  default);
+* ``dfs`` — exhaustive depth-first enumeration (the default);
 * ``sample`` — seeded bounded random walks with restart, producing a
   sound under-approximation of the outcome set on state spaces that
   exhaustive search cannot touch.
@@ -18,17 +18,8 @@ delegated to the execution backend (:mod:`repro.backend`); the kernel
 only ever sees opaque packed states, each its own visited-set key.
 """
 
-from .config import BaseSearchConfig, DEFAULT_STRATEGY
+from .config import DEFAULT_STRATEGY, STRATEGIES, BaseSearchConfig
 from .kernel import KernelStats, SearchKernel, SearchStats
-from .strategy import (
-    STRATEGIES,
-    DepthFirst,
-    RandomWalks,
-    Strategy,
-    is_exhaustive,
-    make_strategy,
-    strategy_for,
-)
 
 __all__ = [
     "BaseSearchConfig",
@@ -37,10 +28,4 @@ __all__ = [
     "SearchKernel",
     "SearchStats",
     "STRATEGIES",
-    "Strategy",
-    "DepthFirst",
-    "RandomWalks",
-    "is_exhaustive",
-    "make_strategy",
-    "strategy_for",
 ]

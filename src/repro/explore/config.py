@@ -11,7 +11,6 @@ fields only.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,6 +18,8 @@ from ..lang.kinds import Arch
 
 #: Strategy applied when a config does not name one.
 DEFAULT_STRATEGY = "dfs"
+#: Strategy names accepted by configs, the CLI, and the service.
+STRATEGIES = ("dfs", "sample")
 
 
 @dataclass
@@ -47,18 +48,21 @@ class BaseSearchConfig:
     #: PRNG seed of a ``sample`` run (same seed ⇒ same outcome set).
     seed: int = 0
 
-    def for_arch(self, arch: Arch):
-        # ``dataclasses.replace`` rather than a field-by-field copy, so a
-        # config field added later is carried over instead of silently
-        # reset to its default when the harness re-targets an arch.
-        return dataclasses.replace(self, arch=arch)
+    def __post_init__(self) -> None:
+        if self.strategy not in STRATEGIES:
+            raise ValueError(
+                f"unknown search strategy {self.strategy!r}; expected one of {STRATEGIES}"
+            )
+        if self.strategy == "sample":
+            if self.samples < 1:
+                raise ValueError("samples must be at least 1")
+            if self.sample_depth < 1:
+                raise ValueError("sample depth must be at least 1")
 
     @property
     def exhaustive(self) -> bool:
         """Whether this configuration enumerates the full state space."""
-        from .strategy import is_exhaustive
-
-        return is_exhaustive(self.strategy)
+        return self.strategy == "dfs"
 
 
-__all__ = ["BaseSearchConfig", "DEFAULT_STRATEGY"]
+__all__ = ["BaseSearchConfig", "DEFAULT_STRATEGY", "STRATEGIES"]

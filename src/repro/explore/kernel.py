@@ -11,8 +11,9 @@ completion sets are read off the certification graph instead; see
 * a **transition-enumeration callback** ``successors(state)`` returning
   the successor states (and recording outcomes/deadlocks as a side
   effect when the popped state is terminal), and
-* a pluggable :class:`~repro.explore.strategy.Strategy` deciding the
-  frontier discipline (``dfs`` exhaustive, ``sample`` random walks).
+* the explorer's config, whose ``strategy`` picks one of the kernel's
+  two loops (``dfs`` exhaustive depth-first, ``sample`` seeded random
+  walks) and whose fields set its budgets.
 
 The kernel's counters land in a :class:`KernelStats`, which the concrete
 explorers fold into their domain-specific stats dataclasses (both of
@@ -22,12 +23,13 @@ uniformly into job results and sweep reports).
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..obs import metrics
-from .strategy import Strategy, is_exhaustive
+from .config import BaseSearchConfig
 
 # Flushed once per kernel run — the inner loop touches only KernelStats'
 # plain ints, so instrumentation cost is O(1) per search, not per state.
@@ -93,7 +95,7 @@ class SearchStats:
     @property
     def sampled(self) -> bool:
         """Whether this result is a statistical under-approximation."""
-        return not is_exhaustive(self.strategy)
+        return self.strategy != "dfs"
 
     def sampling_suffix(self) -> str:
         """The ``describe()`` tail shared by every explorer's stats."""
@@ -120,12 +122,12 @@ class KernelStats:
     unique_sample_states: int = 0
     coverage_estimate: Optional[float] = None
 
-    def merge_into(self, stats: SearchStats, strategy: Strategy) -> None:
+    def merge_into(self, stats: SearchStats, strategy: str) -> None:
         """Fold this run's counters into an explorer's stats object."""
         stats.truncated = stats.truncated or self.truncated
         stats.deadline_hit = stats.deadline_hit or self.deadline_hit
         stats.dedup_hits += self.dedup_hits
-        stats.strategy = strategy.name
+        stats.strategy = strategy
         stats.samples_run += self.samples_run
         stats.sample_steps += self.sample_steps
         stats.sample_depth_hits += self.sample_depth_hits
@@ -144,37 +146,29 @@ class SearchKernel:
         state; returns (an iterable of) successor states.  Terminal
         handling is the callback's job: a final state returns no
         successors and records its outcome as a side effect.
-    strategy:
-        Frontier discipline (see :mod:`repro.explore.strategy`).
-    max_states:
-        Visited-state budget; exceeding it marks the run truncated.
-    deadline_seconds:
-        Wall-clock budget measured with ``time.monotonic`` (NTP steps on
-        the wall clock must never fire a deadline early or late).
+    config:
+        The explorer's :class:`~repro.explore.config.BaseSearchConfig`.
+        ``strategy`` picks the loop, ``max_states`` and
+        ``deadline_seconds`` are the budgets (the deadline is measured
+        with ``time.monotonic``, so NTP steps on the wall clock never
+        fire it early or late), and ``samples``, ``sample_depth`` and
+        ``seed`` shape the random walks.
     key_fn:
-        Hashable-identity function for the visited set (a packed state
-        tuple is its own key).
+        Visited-set identity of a state.  ``None`` (every explorer)
+        makes a state its own key; tests pass a function to compare
+        against reference states or to turn pruning off.
     """
 
     def __init__(
         self,
         successors: Callable[[object], Iterable],
+        config: BaseSearchConfig,
         *,
-        strategy: Strategy,
-        max_states: int,
-        deadline_seconds: Optional[float] = None,
-        key_fn: Callable[[object], object],
+        key_fn: Optional[Callable[[object], object]] = None,
     ) -> None:
         self.successors = successors
-        self.strategy = strategy
-        self.max_states = max_states
-        self.deadline_seconds = deadline_seconds
-        #: Sampling strategies must be free to revisit states, so only
-        #: exhaustive strategies get a visited set; ``sample`` uses
-        #: ``key_fn`` to count the unique states behind its coverage
-        #: estimate.
+        self.config = config
         self.key_fn = key_fn
-        self.visited: Optional[set] = set() if strategy.exhaustive else None
         self.stats = KernelStats()
         self._deadline: Optional[float] = None
 
@@ -189,15 +183,94 @@ class SearchKernel:
     def run(self, roots: Sequence) -> KernelStats:
         """Search from ``roots`` until exhaustion or a budget trips."""
         start = time.perf_counter()
-        if self.deadline_seconds is not None:
-            self._deadline = time.monotonic() + self.deadline_seconds
-        self.strategy.search(self, roots)
+        if self.config.deadline_seconds is not None:
+            self._deadline = time.monotonic() + self.config.deadline_seconds
+        if self.config.strategy == "dfs":
+            self._depth_first(roots)
+        else:
+            self._random_walks(roots)
         self._record_metrics(time.perf_counter() - start)
         return self.stats
 
+    def _depth_first(self, roots: Sequence) -> None:
+        """``dfs``: exhaustive enumeration, LIFO frontier, visited-set pruning."""
+        stats = self.stats
+        max_states = self.config.max_states
+        key_fn = self.key_fn
+        frontier: list = []
+        visited: set = set()
+        for root in roots:
+            visited.add(root if key_fn is None else key_fn(root))
+            frontier.append(root)
+        while frontier:
+            state = frontier.pop()
+            stats.states += 1
+            if stats.states > max_states or self.deadline_exceeded():
+                stats.truncated = True
+                break
+            for successor in self.successors(state):
+                stats.transitions += 1
+                key = successor if key_fn is None else key_fn(successor)
+                if key in visited:
+                    stats.dedup_hits += 1
+                    continue
+                visited.add(key)
+                frontier.append(successor)
+
+    def _random_walks(self, roots: Sequence) -> None:
+        """``sample``: ``samples`` seeded walks of at most ``sample_depth`` steps.
+
+        In the spirit of litmus-style statistical running (vs. herd-style
+        enumeration).  No pruning — a walk follows one random successor
+        per step until it bottoms out or hits its depth bound — so the
+        outcome set is a sound *under-approximation*: every outcome found
+        is genuinely reachable, but absence proves nothing.
+        """
+        stats = self.stats
+        config = self.config
+        key_fn = self.key_fn
+        rng = random.Random(config.seed)
+        #: Unique states touched across all walks — not used for pruning
+        #: (a walk must be free to re-traverse), only for the coverage
+        #: estimate: a low new-state rate means the walks keep
+        #: reconverging and the sample is saturating.
+        seen: set = set()
+        roots = list(roots)
+        exhausted = False
+        for _walk in range(config.samples):
+            if exhausted:
+                break
+            state = roots[0] if len(roots) == 1 else rng.choice(roots)
+            completed = False
+            for _step in range(config.sample_depth):
+                stats.states += 1
+                if stats.states > config.max_states or self.deadline_exceeded():
+                    stats.truncated = True
+                    exhausted = True
+                    break
+                seen.add(state if key_fn is None else key_fn(state))
+                successors = list(self.successors(state))
+                stats.transitions += len(successors)
+                if not successors:
+                    # Terminal (or deadlocked): the transition callback has
+                    # recorded whatever outcome the state carries; restart.
+                    completed = True
+                    break
+                state = rng.choice(successors)
+                stats.sample_steps += 1
+            else:
+                # Depth bound hit mid-walk: the walk is abandoned without
+                # reaching a terminal state (and is not counted as run).
+                stats.sample_depth_hits += 1
+            if completed:
+                stats.samples_run += 1
+        stats.unique_sample_states = len(seen)
+        if stats.states:
+            stats.coverage_estimate = round(len(seen) / stats.states, 6)
+
     def _record_metrics(self, elapsed: float) -> None:
         """Flush this run's counters to the metrics registry (once)."""
-        name = self.strategy.name
+        name = self.config.strategy
         _KERNEL_RUNS.inc(strategy=name)
         _KERNEL_STATES.inc(self.stats.states, strategy=name)
         _KERNEL_TRANSITIONS.inc(self.stats.transitions, strategy=name)
@@ -211,7 +284,7 @@ class SearchKernel:
 
     def finish(self, stats: SearchStats) -> None:
         """Fold the kernel counters into an explorer's stats object."""
-        self.stats.merge_into(stats, self.strategy)
+        self.stats.merge_into(stats, self.config.strategy)
 
 
 __all__ = ["KernelStats", "SearchKernel", "SearchStats"]

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-from ..explore import BaseSearchConfig, SearchKernel, SearchStats, strategy_for
+from ..explore import BaseSearchConfig, SearchKernel, SearchStats
 from ..lang.ast import Assign, Fence, If, Isb, Load, Seq, Skip, Stmt, Store
 from ..lang.kinds import FenceSet, VFAIL, VSUCC
 from ..lang.program import Program
@@ -50,7 +50,9 @@ class FlatConfig(BaseSearchConfig):
 
     The search-kernel fields (``arch``, ``loop_bound``, ``max_states``,
     ``deadline_seconds``, ``strategy``, ``samples``,
-    ``sample_depth``, ``seed``) come from :class:`BaseSearchConfig`.
+    ``sample_depth``, ``seed``) come from :class:`BaseSearchConfig`, and
+    :func:`explore_flat` hands the whole config to the
+    :class:`~repro.explore.kernel.SearchKernel`.
     """
 
     #: Cap on explored machine states.
@@ -435,14 +437,7 @@ def explore_flat(program: Program, config: Optional[FlatConfig] = None) -> FlatR
             return []
         return backend.successors(packed)
 
-    kernel = SearchKernel(
-        expand,
-        strategy=strategy_for(config),
-        max_states=config.max_states,
-        deadline_seconds=config.deadline_seconds,
-        # A packed state tuple is its own visited-set key.
-        key_fn=lambda packed: packed,
-    )
+    kernel = SearchKernel(expand, config)
     kernel.run([backend.initial()])
     stats.states += kernel.stats.states
     stats.transitions += kernel.stats.transitions

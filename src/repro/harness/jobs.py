@@ -60,6 +60,16 @@ if TYPE_CHECKING:  # litmus imports harness (runner); keep ours lazy.
 #: instead of ever being served wrong.
 FINGERPRINT_VERSION = 3
 
+#: The config fields only the ``sample`` strategy reads, at their
+#: defaults.  A ``dfs`` job is fingerprinted with these values, so a seed
+#: or walk budget it never reads cannot split its cache entries (and a
+#: default config keys exactly as before).
+_SAMPLING_DEFAULTS = {
+    f.name: f.default
+    for f in dataclasses.fields(ExploreConfig)
+    if f.name in ("samples", "sample_depth", "seed")
+}
+
 #: Models a job can request.
 MODELS = ("promising", "promising-naive", "axiomatic", "flat")
 
@@ -219,8 +229,10 @@ class Job:
         Covers the program text (threads + initial memory), the condition,
         the projection, the model/arch, and every field of the effective
         configuration — so any change that could change the outcome set
-        (or its projection) yields a fresh key.  Memoized: the scheduler,
-        the cache, and the executor each consult it.
+        (or its projection) yields a fresh key.  The one exception is the
+        sampling fields of a ``dfs`` run, which key at their defaults
+        because an exhaustive search never reads them.  Memoized: the
+        scheduler, the cache, and the executor each consult it.
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is not None:
@@ -231,6 +243,8 @@ class Job:
             cfg = self.effective_axiomatic_config()
         else:
             cfg = self.effective_flat_config()
+        if getattr(cfg, "strategy", None) == "dfs":
+            cfg = dataclasses.replace(cfg, **_SAMPLING_DEFAULTS)
         cfg_items = sorted((f.name, repr(getattr(cfg, f.name))) for f in dataclasses.fields(cfg))
         regs, locs = self.observables()
         parts = [
@@ -304,10 +318,8 @@ class JobResult:
         nothing.  Comparisons must therefore use containment, never
         equality, and a ``forbidden`` verdict is unverified.
         """
-        from ..explore import is_exhaustive
-
         strategy = self.stats.get("strategy")
-        return strategy is not None and not is_exhaustive(strategy)
+        return strategy is not None and strategy != "dfs"
 
     @property
     def warning(self) -> Optional[str]:

@@ -174,28 +174,22 @@ class WorkerPool:
     def run(
         self,
         jobs: Sequence[Job],
-        timeout: Union[None, float, Sequence[Optional[float]]] = None,
+        timeout: Optional[float] = None,
         *,
         on_result=None,
     ) -> list[JobResult]:
         """Execute one batch, returning results in submission order.
 
-        ``timeout`` is either one deadline for every job or a per-job
-        sequence.  ``on_result(index, result)`` (optional) is called the
-        moment each job finishes — out of submission order — so callers
-        can persist results while slower jobs are still running.
+        ``timeout`` is one deadline applied to each job.
+        ``on_result(index, result)`` (optional) is called the moment each
+        job finishes — out of submission order — so callers can persist
+        results while slower jobs are still running.
         """
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
         if not jobs:
             return []
-        if timeout is None or isinstance(timeout, (int, float)):
-            timeouts: list[Optional[float]] = [timeout] * len(jobs)
-        else:
-            if len(timeout) != len(jobs):
-                raise ValueError("per-job timeout sequence must match the job count")
-            timeouts = list(timeout)
-        if any(t is not None for t in timeouts) and not hasattr(signal, "SIGALRM"):
+        if timeout is not None and not hasattr(signal, "SIGALRM"):
             warnings.warn(
                 "per-job timeouts need SIGALRM, which this platform lacks; "
                 "jobs will run unbounded",
@@ -204,9 +198,7 @@ class WorkerPool:
             )
         results: list[Optional[JobResult]] = [None] * len(jobs)
         enqueued = time.monotonic()
-        payloads = [
-            (index, job, timeouts[index], enqueued) for index, job in enumerate(jobs)
-        ]
+        payloads = [(index, job, timeout, enqueued) for index, job in enumerate(jobs)]
         registry = metrics.get_registry()
         batch_start = time.perf_counter()
         compute_total = 0.0

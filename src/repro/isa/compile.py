@@ -37,7 +37,6 @@ from ..lang.ast import (
     Stmt,
     Store,
 )
-from ..lang.expr import Reg
 from ..lang.kinds import Arch
 from ..lang.program import Program, TId
 from ..promising.state import Memory, TState
@@ -115,17 +114,14 @@ class CompiledStmt:
 class CompiledProgram:
     """Statement-closure tables of one litmus program.
 
-    Built once per exploration job.  ``registers`` is the sorted global
-    register universe used by :meth:`TState.pack
-    <repro.promising.state.TState.pack>` for dense register encoding;
-    ``stmt_id`` maps any reachable statement to its dense id.
+    Built once per exploration job.  ``stmt_id`` maps any reachable
+    statement to its dense id.
     """
 
-    __slots__ = ("program", "registers", "_ids", "stmts")
+    __slots__ = ("program", "_ids", "stmts")
 
     def __init__(self, program: Program) -> None:
         self.program = program
-        self.registers: tuple[Reg, ...] = tuple(sorted(program.registers()))
         self._ids: dict[Stmt, int] = {}
         self.stmts: list[CompiledStmt] = []
         for stmt in program.threads:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .ast import Stmt, count_memory_accesses, statement_constants, statement_registers
+from .ast import Stmt, count_memory_accesses, statement_constants
 from .expr import Value
 
 Loc = int
@@ -56,13 +56,6 @@ class Program:
 
     def thread(self, tid: TId) -> Stmt:
         return self.threads[tid]
-
-    def registers(self) -> frozenset[str]:
-        """All registers used by any thread."""
-        regs: set[str] = set()
-        for stmt in self.threads:
-            regs |= statement_registers(stmt)
-        return frozenset(regs)
 
     def constants(self) -> frozenset[int]:
         """All integer literals used by any thread plus initial values."""

@@ -214,10 +214,6 @@ class Cycle:
             raise CycleError(f"{self.name}: exactly one location change cannot close the cycle")
 
     @property
-    def n_events(self) -> int:
-        return len(self.edges)
-
-    @property
     def n_threads(self) -> int:
         return sum(1 for e in self.edges if e.external)
 

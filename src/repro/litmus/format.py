@@ -199,26 +199,4 @@ def _normalise_registers_in_condition(condition: Condition, arch: Arch) -> Condi
     return rewrite(condition)
 
 
-def format_litmus(test: LitmusTest, arch: Arch, threads_asm: list[str], condition: str) -> str:
-    """Render a litmus file from assembly fragments (used by the examples)."""
-    arch_name = "AArch64" if arch is Arch.ARM else "RISCV"
-    init_parts = []
-    for loc, name in sorted(test.program.loc_names.items()):
-        init_parts.append(f"{name}={test.program.initial_value(loc)};")
-    header = " ".join(f"P{tid}" for tid in range(len(threads_asm)))
-    columns = " | ".join(f"P{tid}" for tid in range(len(threads_asm)))
-    body_rows = []
-    split = [asm.splitlines() for asm in threads_asm]
-    height = max(len(s) for s in split) if split else 0
-    for i in range(height):
-        cells = [s[i] if i < len(s) else "" for s in split]
-        body_rows.append(" | ".join(cell.ljust(18) for cell in cells) + " ;")
-    del header
-    return "\n".join(
-        [f"{arch_name} {test.name}", "{ " + " ".join(init_parts) + " }", columns + " ;"]
-        + body_rows
-        + [f"exists ({condition})", ""]
-    )
-
-
-__all__ = ["LitmusFormatError", "ParsedLitmus", "parse_litmus", "format_litmus"]
+__all__ = ["LitmusFormatError", "ParsedLitmus", "parse_litmus"]

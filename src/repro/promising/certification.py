@@ -182,7 +182,7 @@ class _SequentialGraph(_SequentialGraphBase):
 
 
 class CompiledSequentialGraph(_SequentialGraphBase):
-    """The packed build: nodes keyed ``(stmt id, packed regs, mem id)``.
+    """The packed build: nodes keyed ``(stmt id, thread-state key, mem id)``.
 
     Statements are dense compiled ids (no AST hashing), memories intern
     to dense ids through a caller-supplied
@@ -210,7 +210,7 @@ class CompiledSequentialGraph(_SequentialGraphBase):
         self.appends = appends
 
     def _intern(self, sid: int, ts: TState, mem_id: int) -> tuple[int, bool]:
-        key = (sid, ts.pack(self.compiled.registers), mem_id)
+        key = (sid, ts.cache_key(), mem_id)
         nid = self._ids.get(key)
         if nid is not None:
             return nid, False

@@ -1,8 +1,8 @@
 """Exploration of Promising-ARM/RISC-V executions (§7).
 
 Two explorers are provided, both driven by the unified search kernel
-(:mod:`repro.explore`) and its pluggable strategies (``dfs``
-exhaustive, ``sample`` seeded random walks):
+(:mod:`repro.explore`), which runs the loop the config's ``strategy``
+names (``dfs`` exhaustive, ``sample`` seeded random walks):
 
 * :func:`explore` — the paper's optimised strategy.  By Theorem 7.1 every
   trace can be reordered so that all promises come first; the explorer
@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from ..explore import BaseSearchConfig, SearchKernel, SearchStats, strategy_for
+from ..explore import BaseSearchConfig, SearchKernel, SearchStats
 from ..lang.program import Loc, Program
 from ..lang.transform import localise_private_locations, unroll_program
 from ..lang import has_loops
@@ -56,8 +56,10 @@ class ExploreConfig(BaseSearchConfig):
 
     The search-kernel fields (``arch``, ``loop_bound``, ``max_states``,
     ``deadline_seconds``, ``strategy``, ``samples``,
-    ``sample_depth``, ``seed``) come from :class:`BaseSearchConfig`; only
-    the promising-specific knobs live here.
+    ``sample_depth``, ``seed``) come from :class:`BaseSearchConfig`, and
+    the explorers hand the whole config to the
+    :class:`~repro.explore.kernel.SearchKernel`; only the
+    promising-specific knobs live here.
     """
 
     #: Cap on promise-mode machine states (safety valve; exploration is
@@ -177,14 +179,7 @@ def explore(program: Program, config: Optional[ExploreConfig] = None) -> Explora
 
         return backend.promise_successors(packed, per_thread)
 
-    kernel = SearchKernel(
-        expand,
-        strategy=strategy_for(config),
-        max_states=config.max_states,
-        deadline_seconds=config.deadline_seconds,
-        # A packed state tuple is its own visited-set key.
-        key_fn=lambda packed: packed,
-    )
+    kernel = SearchKernel(expand, config)
     kernel.run([backend.initial()])
     stats.promise_states += kernel.stats.states
     stats.promise_transitions += kernel.stats.transitions
@@ -229,13 +224,7 @@ def explore_naive(program: Program, config: Optional[ExploreConfig] = None) -> E
             stats.deadlocked_states += 1
         return successors
 
-    kernel = SearchKernel(
-        expand,
-        strategy=strategy_for(config),
-        max_states=config.max_states,
-        deadline_seconds=config.deadline_seconds,
-        key_fn=lambda packed: packed,
-    )
+    kernel = SearchKernel(expand, config)
     kernel.run([backend.initial()])
     stats.promise_states += kernel.stats.states
     stats.promise_transitions += kernel.stats.transitions

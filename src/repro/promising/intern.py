@@ -2,7 +2,7 @@
 
 The execution backend (:mod:`repro.backend.packed`) replaces thread
 configurations, memories and register files by small integer ids:
-structurally equal keys (:meth:`TState.cache_key`,
+structurally equal keys (a statement id with :meth:`TState.cache_key`,
 :meth:`Memory.cache_key`, …) are produced over and over along different
 interleavings, and interning collapses them to one id so
 
@@ -49,12 +49,8 @@ class IdInterner:
         self.objects.append(obj)
         return nid
 
-    @property
-    def unique(self) -> int:
-        """Number of distinct keys seen."""
-        return len(self.objects)
-
     def __len__(self) -> int:
+        """Number of distinct keys seen."""
         return len(self.objects)
 
 

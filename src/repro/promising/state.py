@@ -117,21 +117,12 @@ class Memory:
             values[msg.loc] = msg.val
         return values
 
-    def locations(self) -> frozenset[Loc]:
-        return frozenset(self.initial) | frozenset(m.loc for m in self.messages)
-
     # -- identity ---------------------------------------------------------
-    def key(self) -> tuple:
-        """Hashable identity (the initial map is constant per program)."""
-        return self.messages
-
     def cache_key(self) -> tuple:
         """Canonical hashable identity for dedup/memo tables.
 
-        Identical to :meth:`key` (the message tuple; the initial map is a
-        per-program constant so it never discriminates within one
-        exploration), named separately so call sites that feed visited
-        sets, certification memos, and interning tables are greppable.
+        The message tuple: the initial map is a per-program constant, so
+        it never discriminates within one exploration.
         """
         return self.messages
 
@@ -263,59 +254,14 @@ class TState:
         new._ckey = None
         return new
 
-    def pack(self, registers: Sequence[Reg]) -> tuple:
-        """Flat-tuple encoding over a fixed register universe.
-
-        Bijective with the :meth:`key` equivalence classes as long as
-        every register this state mentions appears in ``registers`` (the
-        compiled program's sorted universe): the register file becomes a
-        dense tuple with ``None`` for never-written registers, which
-        preserves the absent-vs-``(0, 0)`` distinction :meth:`key` makes.
-        Used by the packed execution backend, whose visited/memo tables
-        key on these tuples instead of interned deep keys.
-        """
-        regs = self.regs
-        return (
-            tuple(sorted(self.prom)),
-            tuple(regs.get(r) for r in registers),
-            tuple(sorted(self.coh.items())),
-            self.vrOld,
-            self.vwOld,
-            self.vrNew,
-            self.vwNew,
-            self.vCAP,
-            self.vRel,
-            tuple(sorted(self.fwdb.items())),
-            tuple(self.xclb) if self.xclb is not None else None,
-        )
-
-    @classmethod
-    def unpack(cls, packed: tuple, registers: Sequence[Reg]) -> "TState":
-        """Inverse of :meth:`pack` (round-trip law: ``unpack(pack(ts)) == ts``)."""
-        new = cls.__new__(cls)
-        (
-            prom,
-            regs,
-            coh,
-            new.vrOld,
-            new.vwOld,
-            new.vrNew,
-            new.vwNew,
-            new.vCAP,
-            new.vRel,
-            fwdb,
-            xclb,
-        ) = packed
-        new.prom = frozenset(prom)
-        new.regs = {r: v for r, v in zip(registers, regs) if v is not None}
-        new.coh = dict(coh)
-        new.fwdb = {loc: Forward(*f) for loc, f in fwdb}
-        new.xclb = ExclBank(*xclb) if xclb is not None else None
-        new._ckey = None
-        return new
-
     def key(self) -> tuple:
-        """Canonical hashable snapshot of the thread state."""
+        """Canonical hashable snapshot of the thread state.
+
+        The thread state's one identity: every visited set, memo and
+        intern table keys on it (through :meth:`cache_key`).  ``regs``
+        holds only the registers the thread wrote, so a never-written
+        register stays apart from one holding ``(0, 0)``.
+        """
         return (
             self.prom,
             tuple(sorted(self.regs.items())),

@@ -537,7 +537,8 @@ class ExplorationService:
         # Strategy and sampling knobs are ordinary config fields, so they
         # enter each job's fingerprint: a sampled run caches, coalesces,
         # and LRU-serves under its own key, never shadowing an exhaustive
-        # result for the same test.
+        # result for the same test.  A ``dfs`` job keys the sampling knobs
+        # at their defaults, since it never reads them.
         explore_config = ExploreConfig(**search_kwargs)
         flat_config = FlatConfig(**search_kwargs)
         jobs = [
@@ -617,24 +618,22 @@ class ExplorationService:
             return exc.status, self._rejection(exc)
         self.stats.requests += 1
         self.stats.jobs += len(request.jobs)
-        # Fast path: when every job is already LRU-resident the whole
-        # request is answerable without touching the event loop — no
-        # coroutines, no gather, no scheduler round-trip.  This is the
-        # steady state of a warm service, so it is worth keeping flat.
-        fast: Optional[list[tuple[JobResult, str]]] = []
-        for job in request.jobs:
-            hit = self.lru.get(job)
-            if hit is None:
-                fast = None
-                break
-            fast.append((hit, "lru"))
-        if fast is not None:
-            self.stats.lru_hits += len(fast)
-            resolved = fast
+        # One counted LRU lookup per job.  Fast path: when every job is
+        # already LRU-resident the whole request is answerable without
+        # touching the event loop — no coroutines, no gather, no scheduler
+        # round-trip.  This is the steady state of a warm service, so it
+        # is worth keeping flat.
+        hits = [self.lru.get(job) for job in request.jobs]
+        if all(hit is not None for hit in hits):
+            self.stats.lru_hits += len(hits)
+            resolved = [(hit, "lru") for hit in hits]
         else:
             try:
                 resolved = await asyncio.gather(
-                    *(self._resolve(job, request.timeout) for job in request.jobs)
+                    *(
+                        self._resolve(job, hit, request.timeout)
+                        for job, hit in zip(request.jobs, hits)
+                    )
                 )
             except ServiceError as exc:
                 if exc.retry_after is not None and exc.status == 503:
@@ -695,9 +694,14 @@ class ExplorationService:
             response["truncated"] = any(result.truncated for result, _ in resolved)
         return 200, response
 
-    async def _resolve(self, job: Job, timeout: Optional[float]) -> tuple[JobResult, str]:
-        """Serve one job from the cheapest layer that can answer it."""
-        hit = self.lru.get(job)
+    async def _resolve(
+        self, job: Job, hit: Optional[JobResult], timeout: Optional[float]
+    ) -> tuple[JobResult, str]:
+        """Serve one job from the cheapest layer that can answer it.
+
+        ``hit`` is the caller's LRU lookup for ``job``, so the LRU counts
+        one lookup per job.
+        """
         if hit is not None:
             self.stats.lru_hits += 1
             return hit, "lru"
@@ -776,8 +780,8 @@ class ExplorationService:
             # its disk probe overlaps the original's completion; anything
             # already in the LRU by now is served from it instead of being
             # executed again.  The membership probe avoids charging the
-            # LRU a second miss for genuinely cold jobs (``_resolve``
-            # already recorded one).
+            # LRU a second miss for genuinely cold jobs (the request's
+            # lookup already recorded one).
             if fingerprint in self.lru:
                 self._inflight.pop(fingerprint, None)
                 if not future.done():

@@ -35,7 +35,7 @@ from itertools import product
 import pytest
 
 from repro.backend import PackedFlatBackend, PackedPromisingBackend
-from repro.explore import SearchKernel, strategy_for
+from repro.explore import SearchKernel
 from repro.flat import (
     FlatConfig,
     FlatStats,
@@ -379,8 +379,7 @@ def test_naive_state_counts_equal_reference_search(name):
     packed = explore_naive(program, config)
     kernel = SearchKernel(
         lambda state: [] if state.is_final else [t.state for t in machine_transitions(state)],
-        strategy=strategy_for(config),
-        max_states=config.max_states,
+        config,
         key_fn=MachineState.cache_key,
     )
     stats = kernel.run([MachineState.initial(program, config.arch)])
@@ -403,12 +402,7 @@ def test_sample_strategy_walks_identical_traces():
             return []
         return [t.state for t in machine_transitions(state, config.cert_fuel)]
 
-    kernel = SearchKernel(
-        expand,
-        strategy=strategy_for(config),
-        max_states=config.max_states,
-        key_fn=MachineState.cache_key,
-    )
+    kernel = SearchKernel(expand, config, key_fn=MachineState.cache_key)
     stats = kernel.run([MachineState.initial(program, config.arch)])
     assert set(packed.outcomes) == reference
     assert packed.stats.samples_run == stats.samples_run

@@ -13,10 +13,12 @@ import os
 
 import pytest
 
+from repro.flat import FlatConfig
 from repro.harness.cache import LruResultCache, ResultCache
 from repro.harness.jobs import Job, execute_job
 from repro.lang.kinds import Arch
 from repro.litmus import get_test
+from repro.promising import ExploreConfig
 
 
 @pytest.fixture(scope="module")
@@ -190,3 +192,45 @@ class TestResultCacheRecovery:
         cache.put(arm, execute_job(arm))
         recalled = cache.get(arm)
         assert recalled.expected == get_test("SB").expected_verdict(Arch.ARM)
+
+
+#: Default ``MP`` fingerprints, recorded before the sampling fields
+#: stopped keying ``dfs`` jobs: a default config must key exactly as it
+#: did, so no cache entry is invalidated.
+MP_FINGERPRINTS = {
+    "promising": "adf9a09b3dd5aa362193dd338a278930696de9e48751d93b05de018f9d8e7d35",
+    "promising-naive": "ecd6d6481f934b553abff421b21c683c739b28314e005f507916b95faa1046a2",
+    "axiomatic": "a88ba750775f6e6b0b62f86e222f0c99bf7ba88cc8061842e432de702672c9ae",
+    "flat": "0789b56d14643a5dd2bc44c514a2b3e7a3df6ee1386a0466b2b849f8f82b19b2",
+}
+
+
+def mp_job(model, **fields):
+    if model == "flat":
+        return Job(test=get_test("MP"), model=model, flat_config=FlatConfig(**fields))
+    return Job(test=get_test("MP"), model=model, explore_config=ExploreConfig(**fields))
+
+
+class TestFingerprints:
+    @pytest.mark.parametrize("model", sorted(MP_FINGERPRINTS))
+    def test_default_fingerprints_are_unchanged(self, model):
+        assert Job(test=get_test("MP"), model=model).fingerprint() == MP_FINGERPRINTS[model]
+
+    @pytest.mark.parametrize("model", ["promising", "promising-naive", "flat"])
+    def test_only_sampled_jobs_key_the_sampling_fields(self, model):
+        # An exhaustive search never reads them, so they must not split
+        # its cache entries; a sampled run keys its own.
+        seeded = mp_job(model, seed=7, samples=3, sample_depth=9)
+        assert seeded.fingerprint() == mp_job(model).fingerprint() == MP_FINGERPRINTS[model]
+        sampled = mp_job(model, strategy="sample", seed=7)
+        assert sampled.fingerprint() != mp_job(model, strategy="sample").fingerprint()
+
+    def test_seeded_sweep_is_served_from_a_warm_cache(self, tmp_path, capsys):
+        from repro.tools.cli import main
+
+        argv = ["sweep", "--max-tests", "8", "--models", "promising,flat"]
+        argv += ["--workers", "1", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["--seed", "7"] + argv) == 0
+        assert "cache hit rate 100%" in capsys.readouterr().out

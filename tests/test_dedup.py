@@ -54,9 +54,8 @@ def disable_pruning(monkeypatch):
     """
     init = SearchKernel.__init__
 
-    def never_matching(self, successors, **kwargs):
-        kwargs["key_fn"] = lambda _state: object()
-        init(self, successors, **kwargs)
+    def never_matching(self, successors, config, **kwargs):
+        init(self, successors, config, key_fn=lambda _state: object())
 
     monkeypatch.setattr(SearchKernel, "__init__", never_matching)
 
@@ -134,7 +133,7 @@ class TestCacheKeys:
         assert interner.intern(a, a) == 0
         assert interner.intern(b, b) == 0  # equal key collapses to the first
         assert interner.objects[0] is a
-        assert interner.hits == 1 and interner.unique == 1
+        assert interner.hits == 1 and len(interner) == 1
         assert interner.intern((4,), (4,)) == 1  # ids stay dense
 
     def test_machine_state_cache_key_interns_equal_states(self):

@@ -162,7 +162,6 @@ class TestProgram:
         env = LocationEnv()
         program = make_program([seq(load("r1", env["x"]), store(env["y"], 5))], env=env, name="t")
         assert program.n_threads == 1
-        assert program.registers() == {"r1"}
         assert 5 in program.constants()
         assert program.memory_access_count() == 2
         assert program.loc_name(env["x"]) == "x"

@@ -134,14 +134,14 @@ class TestTState:
 
 
 class TestSlotDriftGuards:
-    """Hand-rolled copies must keep up with ``__slots__``.
+    """Hand-rolled copies and keys must keep up with ``__slots__``.
 
-    ``TState.copy``, ``TState.unpack`` and ``Memory.append`` build
-    instances via ``__new__`` and assign every attribute explicitly for
-    speed.  Adding a slot without extending them would silently ship
-    states with missing attributes; these tests statically diff the
-    assigned-attribute sets against ``__slots__`` so the drift fails CI
-    instead.
+    ``TState.copy`` and ``Memory.append`` build instances via ``__new__``
+    and assign every attribute explicitly for speed, and ``TState.key``
+    lists every slot it identifies a state by.  Adding a slot without
+    extending them would silently ship states with missing attributes,
+    or merge states that differ in it; these tests diff each against
+    ``__slots__`` so the drift fails CI instead.
     """
 
     @staticmethod
@@ -163,15 +163,12 @@ class TestSlotDriftGuards:
     def test_tstate_copy_assigns_every_slot(self):
         assert self._assigned_attrs(TState.copy, "new") == set(TState.__slots__)
 
-    def test_tstate_unpack_assigns_every_slot(self):
-        assert self._assigned_attrs(TState.unpack, "new") == set(TState.__slots__)
-
     def test_memory_append_assigns_every_slot(self):
         assert self._assigned_attrs(Memory.append, "new") == set(Memory.__slots__)
 
-    def test_pack_covers_every_semantic_slot(self):
-        # ``pack`` reads every slot except the memoised ``_ckey``; guard
-        # by round-tripping a fully populated state.
+    def test_key_covers_every_semantic_slot(self):
+        # ``key`` must tell apart two states that differ in any one slot
+        # except the memoised ``_ckey``; guard on a fully populated state.
         ts = initial_tstate()
         ts.prom = frozenset({3})
         ts.regs["r1"] = (1, 2)
@@ -180,5 +177,21 @@ class TestSlotDriftGuards:
         ts.vwNew, ts.vCAP, ts.vRel = 4, 5, 6
         ts.fwdb[8] = Forward(3, 1, True)
         ts.xclb = ExclBank(2, 2)
-        registers = ("r1",)
-        assert TState.unpack(ts.pack(registers), registers) == ts
+        changed = {
+            "prom": frozenset({3, 4}),
+            "regs": {"r1": (1, 2), "r2": (0, 0)},
+            "coh": {0: 5},
+            "vrOld": 7,
+            "vwOld": 7,
+            "vrNew": 7,
+            "vwNew": 7,
+            "vCAP": 7,
+            "vRel": 7,
+            "fwdb": {8: Forward(3, 1, False)},
+            "xclb": None,
+        }
+        assert set(changed) == set(TState.__slots__) - {"_ckey"}
+        for slot, value in changed.items():
+            other = ts.copy()
+            setattr(other, slot, value)
+            assert other.key() != ts.key(), slot

@@ -242,12 +242,6 @@ class TestWorkerPool:
             pool.run(jobs, on_result=lambda index, result: seen.__setitem__(index, result))
         assert sorted(seen) == [0, 1, 2]
 
-    def test_timeout_sequence_must_match(self):
-        job = Job(test=get_test("SB"), model="axiomatic")
-        with WorkerPool(1) as pool:
-            with pytest.raises(ValueError):
-                pool.run([job, job], timeout=[1.0])
-
     def test_closed_pool_rejects_work(self):
         pool = WorkerPool(1)
         pool.close()
@@ -275,6 +269,43 @@ class TestServiceCore:
                 assert snapshot["served"]["computed"] == 1
                 assert snapshot["served"]["lru"] == 1
                 assert snapshot["cache_hit_rate"] == 0.5
+            finally:
+                await service.stop()
+
+        run_async(scenario())
+
+    def test_each_job_is_one_counted_lru_lookup(self):
+        async def scenario():
+            from repro.harness.cache import CACHE_REQUESTS
+
+            def lru_counts():
+                return (
+                    CACHE_REQUESTS.value(layer="lru", outcome="hit"),
+                    CACHE_REQUESTS.value(layer="lru", outcome="miss"),
+                )
+
+            service = make_service()
+            await service.start()
+            try:
+                hits0, misses0 = lru_counts()
+                status, _ = await service.handle_explore({"test": "MP"})
+                assert status == 200
+                lru = service.stats_snapshot()["lru"]
+                assert (lru["hits"], lru["misses"]) == (0, 1)
+                hits1, misses1 = lru_counts()
+                assert (hits1 - hits0, misses1 - misses0) == (0, 1)
+                # One resident job, one cold: a hit and a miss, once each.
+                status, response = await service.handle_explore(
+                    {"test": "MP", "models": ["promising", "axiomatic"]}
+                )
+                assert status == 200
+                assert [row["served_from"] for row in response["results"]] == ["lru", "computed"]
+                lru = service.stats_snapshot()["lru"]
+                assert (lru["hits"], lru["misses"]) == (1, 2)
+                hits2, misses2 = lru_counts()
+                assert (hits2 - hits1, misses2 - misses1) == (1, 1)
+                served = service.stats_snapshot()["served"]
+                assert (served["lru"], served["computed"]) == (1, 2)
             finally:
                 await service.stop()
 

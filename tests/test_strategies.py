@@ -1,6 +1,6 @@
-"""The unified search kernel and its pluggable strategies.
+"""The unified search kernel and its two strategies.
 
-Pins the PR 5 contract:
+Pins the kernel's contract:
 
 * the kernel itself — frontier discipline, dedup accounting, state and
   wall-clock budgets, truncation flags — on a toy graph;
@@ -19,16 +19,7 @@ import random
 
 import pytest
 
-from repro.explore import (
-    STRATEGIES,
-    BaseSearchConfig,
-    DepthFirst,
-    RandomWalks,
-    SearchKernel,
-    is_exhaustive,
-    make_strategy,
-    strategy_for,
-)
+from repro.explore import STRATEGIES, BaseSearchConfig, SearchKernel
 from repro.flat import FlatConfig, explore_flat
 from repro.harness import (
     Job,
@@ -71,9 +62,7 @@ def _binary_tree(depth):
 
 class TestSearchKernel:
     def test_dfs_visits_the_whole_tree_once(self):
-        kernel = SearchKernel(
-            _binary_tree(3), strategy=DepthFirst(), max_states=1000, key_fn=lambda n: n
-        )
+        kernel = SearchKernel(_binary_tree(3), BaseSearchConfig(max_states=1000))
         kernel.run([()])
         # 1 + 2 + 4 + 8 nodes, every edge taken, nothing deduplicated.
         assert kernel.stats.states == 15
@@ -84,37 +73,28 @@ class TestSearchKernel:
     def test_dedup_prunes_reconverging_paths(self):
         # A diamond: two paths reconverge on the same node.
         graph = {"a": ["b", "c"], "b": ["d"], "c": ["d"], "d": []}
-        kernel = SearchKernel(
-            graph.__getitem__, strategy=DepthFirst(), max_states=1000, key_fn=lambda n: n
-        )
+        kernel = SearchKernel(graph.__getitem__, BaseSearchConfig(max_states=1000))
         kernel.run(["a"])
         assert kernel.stats.states == 4  # d expanded once
         assert kernel.stats.dedup_hits == 1
 
     def test_max_states_budget_marks_truncated(self):
-        kernel = SearchKernel(
-            _binary_tree(10), strategy=DepthFirst(), max_states=5, key_fn=lambda n: n
-        )
+        kernel = SearchKernel(_binary_tree(10), BaseSearchConfig(max_states=5))
         kernel.run([()])
         assert kernel.stats.truncated
         assert kernel.stats.states == 6  # the budget-tripping pop is counted
 
     def test_deadline_marks_truncated_and_deadline_hit(self):
-        kernel = SearchKernel(
-            _binary_tree(10),
-            strategy=DepthFirst(),
-            max_states=10**6,
-            deadline_seconds=0.0,
-            key_fn=lambda n: n,
-        )
+        config = BaseSearchConfig(max_states=10**6, deadline_seconds=0.0)
+        kernel = SearchKernel(_binary_tree(10), config)
         kernel.run([()])
         assert kernel.stats.truncated and kernel.stats.deadline_hit
 
     def test_sample_walks_are_seeded_and_counted(self):
-        strategy = RandomWalks(samples=7, depth=100, seed=42)
-        kernel = SearchKernel(
-            _binary_tree(4), strategy=strategy, max_states=10**6, key_fn=lambda n: n
+        config = BaseSearchConfig(
+            strategy="sample", samples=7, sample_depth=100, seed=42, max_states=10**6
         )
+        kernel = SearchKernel(_binary_tree(4), config)
         kernel.run([()])
         assert kernel.stats.samples_run == 7
         assert kernel.stats.sample_steps == 7 * 4  # every walk reaches a leaf
@@ -126,8 +106,10 @@ class TestSearchKernel:
         def endless(node):
             return [node + 1]
 
-        strategy = RandomWalks(samples=3, depth=5, seed=0)
-        kernel = SearchKernel(endless, strategy=strategy, max_states=10**6, key_fn=lambda n: n)
+        config = BaseSearchConfig(
+            strategy="sample", samples=3, sample_depth=5, seed=0, max_states=10**6
+        )
+        kernel = SearchKernel(endless, config)
         kernel.run([0])
         assert kernel.stats.sample_depth_hits == 3
         # Abandoned walks are not "completed": samples_run must not count
@@ -137,19 +119,20 @@ class TestSearchKernel:
 
     def test_strategy_registry(self):
         assert set(STRATEGIES) == {"dfs", "sample"}
-        assert is_exhaustive("dfs")
-        assert not is_exhaustive("sample")
+        assert BaseSearchConfig().exhaustive
+        assert not BaseSearchConfig(strategy="sample").exhaustive
+        # A bad strategy or walk budget is refused when the config is
+        # built, before any search starts.
         with pytest.raises(ValueError):
-            make_strategy("montecarlo")
+            BaseSearchConfig(strategy="montecarlo")
         with pytest.raises(ValueError):
-            make_strategy("sample", samples=0)
-
-    def test_strategy_for_reads_the_config(self):
-        config = BaseSearchConfig(strategy="sample", samples=9, sample_depth=17, seed=3)
-        strategy = strategy_for(config)
-        assert isinstance(strategy, RandomWalks)
-        assert (strategy.samples, strategy.depth, strategy.seed) == (9, 17, 3)
-        assert not config.exhaustive and BaseSearchConfig().exhaustive
+            BaseSearchConfig(strategy="sample", samples=0)
+        with pytest.raises(ValueError):
+            ExploreConfig(strategy="sample", sample_depth=0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(FlatConfig(), strategy="bfs")
+        # dfs never reads the walk budget.
+        assert BaseSearchConfig(samples=0, sample_depth=0).exhaustive
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +187,75 @@ class TestSampleSoundness:
         assert first.stats.samples_run == second.stats.samples_run
         assert first.stats.sample_steps == second.stats.sample_steps
         assert first.stats.unique_sample_states == second.stats.unique_sample_states
+
+
+# ---------------------------------------------------------------------------
+# Seeded walks replay across versions
+# ---------------------------------------------------------------------------
+
+#: ``test/model/arch[/field=value]`` -> ``(outcome digest, samples_run,
+#: sample_steps, sample_depth_hits, unique_sample_states,
+#: coverage_estimate, states, transitions)`` of a 16-walk, depth-64,
+#: seed-5 ``sample`` run (the optional ``field=value`` overrides one
+#: config field), recorded before the strategy classes were folded into
+#: the kernel.  Holds the kernel's own order of ``rng`` calls (and its
+#: walk accounting) fixed, which comparing two runs of the same build
+#: cannot do.
+SEEDED_WALKS = {
+    "MP/promising/arm": ("2a68ac11e4e0be3b", 16, 32, 0, 5, 0.104167, 48, 48),
+    "MP/promising-naive/arm": ("2a68ac11e4e0be3b", 16, 84, 0, 34, 0.34, 100, 246),
+    "MP/flat/arm": ("2a68ac11e4e0be3b", 16, 128, 0, 47, 0.326389, 144, 295),
+    "SB/promising/arm": ("e77bf89a00539702", 16, 32, 0, 5, 0.104167, 48, 48),
+    "SB/promising-naive/arm": ("e77bf89a00539702", 16, 80, 0, 33, 0.34375, 96, 228),
+    "SB/flat/arm": ("e77bf89a00539702", 16, 128, 0, 47, 0.326389, 144, 295),
+    "MP+dmb+addr/promising/arm": ("01231587ee0286aa", 16, 32, 0, 3, 0.0625, 48, 32),
+    "MP+dmb+addr/promising-naive/arm": ("01231587ee0286aa", 16, 103, 0, 33, 0.277311, 119, 256),
+    "MP+dmb+addr/flat/arm": ("01231587ee0286aa", 16, 160, 0, 53, 0.301136, 176, 354),
+    "2+2W/promising/arm": ("9dc88857a34913b0", 16, 64, 0, 41, 0.5125, 80, 160),
+    "2+2W/promising-naive/arm": ("9dc88857a34913b0", 16, 101, 0, 72, 0.615385, 117, 348),
+    "2+2W/flat/arm": ("9dc88857a34913b0", 16, 128, 0, 47, 0.326389, 144, 295),
+    "MP/promising/riscv": ("2a68ac11e4e0be3b", 16, 32, 0, 5, 0.104167, 48, 48),
+    "MP/promising-naive/riscv": ("2a68ac11e4e0be3b", 16, 84, 0, 34, 0.34, 100, 246),
+    "MP/flat/riscv": ("2a68ac11e4e0be3b", 16, 128, 0, 47, 0.326389, 144, 295),
+    # Every walk abandoned at the depth bound: no outcome, no walk run.
+    "SB/promising-naive/arm/sample_depth=3": ("e3b0c44298fc1c14", 0, 48, 16, 13, 0.270833, 48, 156),
+    # The state budget cuts the run short mid-walk.
+    "MP/flat/arm/max_states=20": ("c0997f0da2d45aa6", 2, 18, 0, 17, 0.809524, 21, 41),
+    "2+2W/promising/arm/max_states=20": ("1fc77cbf4e1f941d", 4, 16, 0, 16, 0.761905, 21, 40),
+}
+
+
+@pytest.mark.parametrize("key", list(SEEDED_WALKS))
+def test_seeded_walk_replays_its_recorded_trace(key):
+    from repro.harness.report import outcome_set_digest
+
+    name, model, arch, *overrides = key.split("/")
+    fields = dict(strategy="sample", samples=16, sample_depth=64, seed=5)
+    for override in overrides:
+        field, value = override.split("=")
+        fields[field] = int(value)
+    job = Job(
+        test=get_test(name),
+        model=model,
+        arch=Arch.ARM if arch == "arm" else Arch.RISCV,
+        explore_config=None if model == "flat" else ExploreConfig(**fields),
+        flat_config=FlatConfig(**fields) if model == "flat" else None,
+    )
+    result = execute_job(job, capture_errors=False)
+    stats = result.stats
+    prefix = "" if model == "flat" else "promise_"
+    observed = (
+        outcome_set_digest(result.outcomes),
+        stats["samples_run"],
+        stats["sample_steps"],
+        stats["sample_depth_hits"],
+        stats["unique_sample_states"],
+        stats["coverage_estimate"],
+        stats[prefix + "states"],
+        stats[prefix + "transitions"],
+    )
+    assert observed == SEEDED_WALKS[key]
+    assert stats["truncated"] is ("max_states" in fields)
 
 
 # ---------------------------------------------------------------------------
