@@ -20,10 +20,13 @@ processes on other machines.
 from __future__ import annotations
 
 import multiprocessing
+import signal
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from ..harness.cache import ResultCache, open_cache
 from ..harness.jobs import Job, JobResult, STATUS_ERROR
@@ -79,6 +82,9 @@ def _process_worker_main(
     lease_seconds: float,
     poll_seconds: float,
 ) -> None:
+    # Forked inside _sigint_held: take back the handler a worker had
+    # before the coordinator swapped in its temporary one.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     run_worker(
         backend_url,
         cache_path,
@@ -86,6 +92,29 @@ def _process_worker_main(
         lease_seconds=lease_seconds,
         poll_seconds=poll_seconds,
     )
+
+
+@contextmanager
+def _sigint_held() -> Iterator[None]:
+    """Hold a SIGINT that lands inside the block until the block is done.
+
+    Ctrl-C between a worker's fork and its entry in the fleet would leave
+    a process :meth:`_Fleet.stop` never learns of.  The held signal is
+    raised again, to the restored handler, once the block finishes.
+    Only the main thread runs (and may set) signal handlers, so
+    elsewhere this does nothing.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    held: list[int] = []
+    previous = signal.signal(signal.SIGINT, lambda signum, frame: held.append(signum))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    if held:
+        signal.raise_signal(signal.SIGINT)
 
 
 class _Fleet:
@@ -123,8 +152,9 @@ class _Fleet:
                 name=f"distrib-worker-{index}",
                 daemon=True,
             )
-            process.start()
-            self.processes.append(process)
+            with _sigint_held():
+                process.start()
+                self.processes.append(process)
 
     @property
     def spawned(self) -> int:

@@ -17,71 +17,43 @@ commands both use it): it turns a battery into serializable
   verdicts, counterexamples, cache hit rate).
 """
 
-from .jobs import (
-    FINGERPRINT_VERSION,
-    MODELS,
-    STATUS_ERROR,
-    STATUS_OK,
-    STATUS_TIMEOUT,
-    Job,
-    JobResult,
-    JobTimeout,
-    execute_job,
-    result_from_json,
-    result_to_json,
-    timeouts_enforceable,
-)
-from .cache import LruResultCache, ResultCache, open_cache
-from .scheduler import BatchStats, WorkerPool, default_workers, run_jobs
-from .report import (
-    DEDUP_COUNTERS,
-    REPORT_SCHEMA_VERSION,
-    build_report,
-    describe_dedup,
-    outcome_set_digest,
-    write_report,
-)
-from .fuzz import (
-    CONTAINMENT_PAIRS,
-    EQUALITY_PAIRS,
-    FUZZ_MODELS,
-    FuzzResult,
-    build_fuzz_jobs,
-    differential_mismatches,
-    run_fuzz,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FINGERPRINT_VERSION",
-    "MODELS",
-    "STATUS_ERROR",
-    "STATUS_OK",
-    "STATUS_TIMEOUT",
-    "Job",
-    "JobResult",
-    "JobTimeout",
-    "execute_job",
-    "result_from_json",
-    "result_to_json",
-    "timeouts_enforceable",
-    "LruResultCache",
-    "ResultCache",
-    "open_cache",
-    "BatchStats",
-    "WorkerPool",
-    "default_workers",
-    "run_jobs",
-    "DEDUP_COUNTERS",
-    "REPORT_SCHEMA_VERSION",
-    "build_report",
-    "describe_dedup",
-    "outcome_set_digest",
-    "write_report",
-    "CONTAINMENT_PAIRS",
-    "EQUALITY_PAIRS",
-    "FUZZ_MODELS",
-    "FuzzResult",
-    "build_fuzz_jobs",
-    "differential_mismatches",
-    "run_fuzz",
-]
+# Each name loads its submodule on first use: a one-shot ``run`` needs
+# ``jobs`` only, never the scheduler's multiprocessing or the battery runner.
+_EXPORTS = {
+    "jobs": (
+        "FINGERPRINT_VERSION",
+        "MODELS",
+        "STATUS_ERROR",
+        "STATUS_OK",
+        "STATUS_TIMEOUT",
+        "Job",
+        "JobResult",
+        "JobTimeout",
+        "execute_job",
+        "result_from_json",
+        "result_to_json",
+        "timeouts_enforceable",
+    ),
+    "cache": ("LruResultCache", "ResultCache", "open_cache"),
+    "scheduler": ("BatchStats", "WorkerPool", "default_workers", "run_jobs"),
+    "report": (
+        "DEDUP_COUNTERS",
+        "REPORT_SCHEMA_VERSION",
+        "build_report",
+        "describe_dedup",
+        "outcome_set_digest",
+        "write_report",
+    ),
+    "fuzz": (
+        "CONTAINMENT_PAIRS",
+        "EQUALITY_PAIRS",
+        "FUZZ_MODELS",
+        "FuzzResult",
+        "build_fuzz_jobs",
+        "differential_mismatches",
+        "run_fuzz",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

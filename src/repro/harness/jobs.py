@@ -26,8 +26,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
-from ..axiomatic.model import AxiomaticConfig, enumerate_axiomatic_outcomes
-from ..flat.explorer import FlatConfig, explore_flat
 from ..lang.ast import statement_registers
 from ..lang.kinds import Arch
 from ..lang.program import Loc, Program, TId
@@ -44,7 +42,12 @@ _JOB_SECONDS = metrics.histogram(
     "job_execute_seconds", "Wall time per executed job.", labels=("model",)
 )
 
-if TYPE_CHECKING:  # litmus imports harness (runner); keep ours lazy.
+if TYPE_CHECKING:
+    # litmus imports harness (runner); keep ours lazy.  The axiomatic and
+    # Flat models load only in the branches that run them, so a promising
+    # job never compiles them.
+    from ..axiomatic.model import AxiomaticConfig
+    from ..flat.explorer import FlatConfig
     from ..litmus.test import LitmusTest, Verdict
 
 #: Bumped whenever the result format or the model semantics change in a way
@@ -215,10 +218,14 @@ class Job:
         )
 
     def effective_axiomatic_config(self) -> AxiomaticConfig:
+        from ..axiomatic.model import AxiomaticConfig
+
         base = self.axiomatic_config or AxiomaticConfig()
         return dataclasses.replace(base, arch=self.arch)
 
     def effective_flat_config(self) -> FlatConfig:
+        from ..flat.explorer import FlatConfig
+
         base = self.flat_config or FlatConfig()
         return dataclasses.replace(base, arch=self.arch)
 
@@ -422,10 +429,14 @@ def _execute_job_inner(
                 runner = explore_naive if job.model == "promising-naive" else explore
                 result = runner(job.test.program, cfg)
             elif job.model == "axiomatic":
+                from ..axiomatic.model import enumerate_axiomatic_outcomes
+
                 result = enumerate_axiomatic_outcomes(
                     job.test.program, job.effective_axiomatic_config()
                 )
             else:
+                from ..flat.explorer import explore_flat
+
                 result = explore_flat(job.test.program, job.effective_flat_config())
     except JobTimeout as exc:
         return JobResult(

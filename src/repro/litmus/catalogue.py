@@ -15,6 +15,7 @@ through the assembly front ends in :mod:`repro.isa` (see
 
 from __future__ import annotations
 
+import functools
 
 from ..lang import (
     DMB_LD,
@@ -812,9 +813,16 @@ def tests_by_name() -> dict[str, LitmusTest]:
     return {test.name: test for test in all_tests()}
 
 
+@functools.cache
+def _index() -> dict[str, LitmusTest]:
+    # Built once per process: the service looks a test up on every
+    # request, and a test (a frozen dataclass) is safe to share.
+    return tests_by_name()
+
+
 def get_test(name: str) -> LitmusTest:
     """Look up a catalogue test by name."""
-    tests = tests_by_name()
+    tests = _index()
     if name not in tests:
         raise KeyError(f"unknown litmus test {name!r}; known: {sorted(tests)}")
     return tests[name]

@@ -23,9 +23,9 @@ from __future__ import annotations
 import contextvars
 import json
 import logging
+import os
 import sys
 import time
-import uuid
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
@@ -42,7 +42,7 @@ _RECORD_ATTRS = frozenset(
 
 def new_request_id() -> str:
     """A short unique correlation id (12 hex chars — log-friendly)."""
-    return uuid.uuid4().hex[:12]
+    return os.urandom(6).hex()
 
 
 def current_context() -> dict:

@@ -33,6 +33,7 @@ import contextlib
 import json
 import logging
 import math
+import signal
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -157,6 +158,16 @@ class ServiceServer:
         self._server = await asyncio.start_server(self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         return self.host, self.port
+
+    def request_shutdown(self) -> None:
+        """Stop admitting new cold work and let :meth:`wait_shutdown` return.
+
+        ``POST /v1/shutdown`` and SIGTERM both land here; ``run_server``'s
+        :meth:`stop` then drains what was accepted and tears everything
+        down.
+        """
+        self.service.begin_drain()
+        self._shutdown.set()
 
     async def wait_shutdown(self) -> None:
         await self._shutdown.wait()
@@ -456,10 +467,7 @@ class ServiceServer:
         if base == "/shutdown":
             if method != "POST":
                 return 405, {"ok": False, "error": "use POST /shutdown"}
-            # Stop admitting new cold work immediately; run_server's stop()
-            # drains what was accepted before tearing the listener down.
-            self.service.begin_drain()
-            self._shutdown.set()
+            self.request_shutdown()
             return 200, {"ok": True, "stopping": True}
         return 404, {"ok": False, "error": f"no such endpoint {path!r}"}
 
@@ -472,7 +480,7 @@ def run_server(
     on_ready=None,
     queue_backend=None,
 ) -> None:
-    """Blocking entry point: serve until ``POST /shutdown`` or Ctrl-C.
+    """Blocking entry point: serve until ``POST /shutdown``, SIGTERM or Ctrl-C.
 
     ``on_ready(host, port)`` (optional) fires once the socket is bound —
     with ``port=0`` that is the only way to learn the chosen port.
@@ -488,6 +496,14 @@ def run_server(
         # so the pool and the default queue's directory never leak.
         try:
             bound_host, bound_port = await server.start()
+            # SIGTERM (kill, docker stop, systemd) drains like POST
+            # /v1/shutdown.  Registered once the pool has forked, so its
+            # workers keep the default action.  Only the main thread of a
+            # POSIX process can take signals.
+            with contextlib.suppress(NotImplementedError, RuntimeError):
+                asyncio.get_running_loop().add_signal_handler(
+                    signal.SIGTERM, server.request_shutdown
+                )
             print(
                 f"promising-arm service listening on http://{bound_host}:{bound_port} "
                 f"({server.service.healthz()['pool']} pool, "

@@ -30,17 +30,20 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
-import tempfile
-from pathlib import Path
+from typing import TYPE_CHECKING
 
-from ..harness import MODELS, build_fuzz_jobs, differential_mismatches, execute_job, run_fuzz
+from ..explore.config import STRATEGIES
 from ..lang.kinds import ARCH_ALIASES, Arch, parse_arch
 from ..obs import LOG_FORMATS, configure_logging
-from ..litmus import all_tests, attach_expected, generate_cycle_battery, get_test
-from ..litmus.cycles import FAMILIES_BY_NAME
-from ..litmus.format import LitmusFormatError, parse_litmus
-from ..promising import ExploreConfig, InteractiveSession
+
+# Each command imports what it runs, so a one-shot ``run`` or
+# ``catalogue`` never compiles the other models, the battery runner or
+# the service.
+if TYPE_CHECKING:
+    from ..flat.explorer import FlatConfig
+    from ..promising.exhaustive import ExploreConfig
 
 
 def _arch(name: str) -> Arch:
@@ -98,6 +101,10 @@ class _UsageError(Exception):
 
 def _load_test(args: argparse.Namespace):
     if args.file:
+        from pathlib import Path
+
+        from ..litmus.format import LitmusFormatError, parse_litmus
+
         try:
             text = Path(args.file).read_text()
         except OSError as exc:
@@ -109,6 +116,8 @@ def _load_test(args: argparse.Namespace):
         except LitmusFormatError as exc:
             raise _UsageError(f"{args.file}: {exc}") from None
         return parsed.test, parsed.arch
+    from ..litmus.catalogue import get_test
+
     try:
         return get_test(args.test), args.arch
     except KeyError:
@@ -129,11 +138,13 @@ def _search_kwargs(args: argparse.Namespace) -> dict:
 
 
 def _explore_config(args: argparse.Namespace) -> ExploreConfig:
+    from ..promising.exhaustive import ExploreConfig
+
     return ExploreConfig(**_search_kwargs(args))
 
 
-def _flat_config(args: argparse.Namespace) -> "FlatConfig":
-    from ..flat import FlatConfig
+def _flat_config(args: argparse.Namespace) -> FlatConfig:
+    from ..flat.explorer import FlatConfig
 
     return FlatConfig(**_search_kwargs(args))
 
@@ -162,7 +173,7 @@ def _distrib_config(args: argparse.Namespace):
     if args.external_workers and not args.backend_url:
         raise _UsageError("--external-workers needs a --backend-url the fleet can reach")
     from ..distrib import DistribConfig
-    from ..harness import default_workers
+    from ..harness.scheduler import default_workers
 
     if args.external_workers:
         fleet = 0
@@ -176,16 +187,15 @@ def _distrib_config(args: argparse.Namespace):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from ..axiomatic import AxiomaticConfig
+    from ..harness.jobs import Job, execute_job
 
     test, arch = _load_test(args)
-    jobs = build_fuzz_jobs(
-        [test],
-        ("promising", "axiomatic") if args.axiomatic else ("promising",),
-        (arch,),
-        explore_config=_explore_config(args),
-        axiomatic_config=AxiomaticConfig(loop_bound=args.loop_bound),
-    )
+    jobs = [Job(test=test, model="promising", arch=arch, explore_config=_explore_config(args))]
+    if args.axiomatic:
+        from ..axiomatic.model import AxiomaticConfig
+
+        axiomatic_config = AxiomaticConfig(loop_bound=args.loop_bound)
+        jobs.append(Job(test=test, model="axiomatic", arch=arch, axiomatic_config=axiomatic_config))
     results = [execute_job(job, capture_errors=False) for job in jobs]
     result = results[0]
     print(f"test      : {test.name}")
@@ -214,6 +224,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     print("final states:")
     print("  " + result.outcomes.describe(test.program.loc_names).replace("\n", "\n  "))
     if args.axiomatic:
+        from ..harness.fuzz import differential_mismatches
+
         ax = results[1]
         counterexamples, _explained = differential_mismatches(jobs, results)
         differ = any(ce["models"] == ["promising", "axiomatic"] for ce in counterexamples)
@@ -231,6 +243,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_interactive(args: argparse.Namespace) -> int:
+    from ..promising.interactive import InteractiveSession
+
     test, arch = _load_test(args)
     session = InteractiveSession(test.program, arch, loop_bound=args.loop_bound)
     print(f"interactive exploration of {test.name} ({arch}); commands: <n>, undo, reset, quit")
@@ -256,6 +270,8 @@ def cmd_interactive(args: argparse.Namespace) -> int:
 
 
 def cmd_catalogue(args: argparse.Namespace) -> int:
+    from ..litmus.catalogue import all_tests
+
     for test in all_tests():
         expected = test.expected_verdict(args.arch)
         print(f"{test.name:24s} {expected.value if expected else '-':10s} {test.description}")
@@ -264,6 +280,8 @@ def cmd_catalogue(args: argparse.Namespace) -> int:
 
 def _parse_models(text: str) -> tuple[str, ...] | None:
     """The ``--models`` list, or ``None`` after saying why it is unusable."""
+    from ..harness.jobs import MODELS
+
     models = tuple(m.strip() for m in text.split(",") if m.strip())
     unknown = [m for m in models if m not in MODELS]
     if unknown:
@@ -279,7 +297,8 @@ def _run_battery(
     args: argparse.Namespace, tests, models, archs, *, name: str, cache, distrib
 ) -> int:
     """Run and judge one battery, print its summary, return the exit code."""
-    from ..axiomatic import AxiomaticConfig
+    from ..axiomatic.model import AxiomaticConfig
+    from ..harness.fuzz import run_fuzz
 
     result = run_fuzz(
         tests,
@@ -302,6 +321,9 @@ def _run_battery(
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from ..litmus.catalogue import all_tests
+    from ..litmus.synth import generate_cycle_battery
+
     models = _parse_models(args.models)
     if models is None:
         return 2
@@ -324,6 +346,12 @@ _ARCH_NAMES = tuple(ARCH_ALIASES)
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    import tempfile
+
+    from ..axiomatic.model import AxiomaticConfig
+    from ..litmus.cycles import FAMILIES_BY_NAME
+    from ..litmus.synth import attach_expected, generate_cycle_battery
+
     models = _parse_models(args.models)
     if models is None:
         return 2
@@ -350,8 +378,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                 f"choose from {', '.join(FAMILIES_BY_NAME)}"
             )
             return 2
-    from ..axiomatic import AxiomaticConfig
-
     tests = generate_cycle_battery(
         families=families, max_tests=args.max_tests, max_per_family=args.max_per_family
     )
@@ -462,8 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="promising-arm",
         description="Promising-ARM/RISC-V exhaustive and interactive exploration tool",
     )
-    from ..explore import STRATEGIES
-
     parser.add_argument("--arch", type=_arch, default="arm", help="arm (default) or riscv")
     parser.add_argument("--loop-bound", type=_positive_int, default=2,
                         help="loop unrolling bound (at least 1)")
@@ -585,9 +609,23 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     configure_logging(args.log_format, args.log_level)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, so a reader that has gone away is noticed below
+        # rather than at interpreter exit.
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except BrokenPipeError:
+        # The reader of stdout has gone (``promising-arm catalogue | head
+        # -n 1``).  Point stdout at /dev/null so the exit-time flush does
+        # not fail again, and exit 1 without a traceback (the "Note on
+        # SIGPIPE" in the ``signal`` docs).  SIGPIPE keeps Python's
+        # SIG_IGN: its default action would kill ``serve`` whenever a
+        # client hangs up.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

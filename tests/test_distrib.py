@@ -13,6 +13,7 @@ import json
 import multiprocessing
 import os
 import queue as queue_module
+import signal
 import subprocess
 import sys
 import threading
@@ -716,6 +717,35 @@ class TestTeardown:
         jobs = arm_jobs([get_test("MP")])
         with pytest.raises(ValueError, match="backend_url"):
             run_distributed(jobs, config=DistribConfig(workers=0))
+        assert multiprocessing.active_children() == []
+
+    def test_sigint_right_after_a_fork_reaps_that_worker(self, tmp_path, monkeypatch):
+        # The Ctrl-C lands after a worker's fork and before the fleet
+        # records it, deterministically: the wrapped start() returns only
+        # once the signal is pending.
+        from repro.harness.scheduler import _pool_context
+
+        process_class = _pool_context().Process
+        real_start = process_class.start
+        forked: list[int] = []
+
+        def start_then_interrupt(process):
+            real_start(process)
+            forked.append(process.pid)
+            os.kill(os.getpid(), signal.SIGINT)
+
+        monkeypatch.setattr(process_class, "start", start_then_interrupt)
+        jobs = arm_jobs([get_test("MP")])
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_distributed(
+                    jobs, config=DistribConfig(backend_url=str(tmp_path / "q.db"), workers=2)
+                )
+        finally:
+            orphans = [pid for pid in forked if _pid_alive(pid)]
+            for pid in orphans:
+                os.kill(pid, signal.SIGKILL)
+        assert forked and orphans == []
         assert multiprocessing.active_children() == []
 
     def test_sigint_coordinator_leaves_no_orphans(self, tmp_path):

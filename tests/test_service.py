@@ -9,8 +9,14 @@ client — the same path the CI smoke job drives.
 """
 
 import asyncio
+import contextlib
+import os
 import queue
+import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -638,12 +644,13 @@ class TestGracefulDrain:
 
 class TestFailurePaths:
     def test_exploration_error_is_an_error_row_and_counted(self, monkeypatch):
-        import repro.harness.jobs as jobs_module
+        import repro.flat.explorer as flat_explorer
 
         def exploding(program, config):
             raise RuntimeError("synthetic exploration failure")
 
-        monkeypatch.setattr(jobs_module, "explore_flat", exploding)
+        # execute_job imports explore_flat from its module when a Flat job runs.
+        monkeypatch.setattr(flat_explorer, "explore_flat", exploding)
 
         async def scenario():
             service = make_service()
@@ -740,6 +747,81 @@ class TestQueueMount:
             assert not directory.exists()
 
         run_async(scenario())
+
+
+def _child_pids(pid: int) -> list[int]:
+    """The pids whose parent is ``pid``, read from ``/proc``."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        with contextlib.suppress(OSError):
+            # The fields after the parenthesised command: state, ppid, ...
+            if int(stat.read_text().rsplit(")", 1)[1].split()[1]) == pid:
+                children.append(int(stat.parent.name))
+    return children
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+class TestServeProcess:
+    def test_sigterm_drains_and_stops_like_shutdown(self, tmp_path):
+        # kill, docker stop and systemd send SIGTERM: serve must exit 0
+        # through its shutdown path, reaping its pool workers and removing
+        # its private queue directory.
+        env = dict(os.environ, TMPDIR=str(tmp_path))
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.tools", "serve", "--port", "0", "--workers", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        children: list[int] = []
+        try:
+            line = proc.stdout.readline()
+            port = int(line.split("http://", 1)[1].split()[0].rsplit(":", 1)[1])
+            with ServiceClient("127.0.0.1", port, timeout=60.0) as client:
+                client.wait_until_ready(30)
+                assert client.explore(test="MP", models=["promising"])["ok"]
+            children = _child_pids(proc.pid)
+            assert len(children) == 2, children
+            assert list(tmp_path.glob("promising-queue-*"))
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0, proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+            orphans = [pid for pid in children if _pid_alive(pid)]
+            for pid in orphans:
+                os.kill(pid, signal.SIGKILL)
+        assert orphans == []
+        assert list(tmp_path.glob("promising-queue-*")) == []
+
+
+class TestCatalogueLookup:
+    # The service looks a test up on every request naming one.
+    def test_get_test_answers_one_shared_test(self):
+        assert get_test("MP") is get_test("MP")
+
+    def test_emptying_the_all_tests_list_changes_no_lookup(self):
+        from repro.litmus import all_tests
+
+        mp = get_test("MP")
+        tests = all_tests()
+        count = len(tests)
+        tests.clear()
+        assert get_test("MP") is mp
+        assert len(all_tests()) == count
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,10 @@
 """Tests for judging bare programs across models and for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.harness import Job, differential_mismatches, run_jobs
@@ -121,3 +126,27 @@ class TestCli:
             # One usage-error line naming the file, no traceback.
             assert err.startswith("promising-arm: error: ") and err.count("\n") == 1
             assert str(path) in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_reader_that_has_gone_is_exit_1_without_a_traceback(unbuffered):
+    # `promising-arm catalogue | head -n 1`, made deterministic: the read
+    # end of the stdout pipe is closed before the listing is written.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.tools", "catalogue"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
