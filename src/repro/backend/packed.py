@@ -8,14 +8,20 @@ across interleavings is re-certified (or at best re-hashed) each time.
 The explorers therefore run on this backend, which removes all of that:
 
 * the program is compiled once per job (:mod:`repro.isa.compile`),
-  giving every reachable statement a dense id and precomputing its head
-  decomposition, register dependencies and static successor ids; step
-  candidates are enumerated off those tables
-  (:meth:`CompiledProgram.candidate_steps`) with no per-visit ``Seq``
-  walking or statement hashing;
-* thread configurations ``(statement, thread state)`` and memories are
-  interned to dense integer ids (:class:`~repro.promising.intern.IdInterner`),
-  with the first-seen objects kept as the canonical decoded forms;
+  giving every reachable statement a dense id, its static successor ids
+  and a *step kernel*: the statement's sequential step relation as a
+  function from a thread-state key (:meth:`TState.key()
+  <repro.promising.state.TState.key>`) and the memory's messages to
+  successor keys, with no per-visit ``Seq`` walking, statement hashing,
+  state copying or key sorting;
+* thread configurations ``(stmt id, thread-state key)`` and memories are
+  interned to dense integer ids (:class:`~repro.promising.intern.IdInterner`);
+  a configuration is its own decoded form, and a
+  :class:`~repro.promising.state.TState` is rebuilt from the key
+  (:meth:`TState.from_key <repro.promising.state.TState.from_key>`) only
+  where reference code needs one: :meth:`~PackedPromisingBackend.encode`,
+  :meth:`~PackedPromisingBackend.decode` and
+  :meth:`~PackedPromisingBackend.outcome`;
 * every thread configuration is stored relative to the thread's
   *footprint memory* (:meth:`PackedPromisingBackend._encode_memory`):
   the messages at the locations it can access, renumbered 1..k in
@@ -32,11 +38,12 @@ The explorers therefore run on this backend, which removes all of that:
   same build answers the §7 completion sets: the register files the
   thread finishes with over non-write edges — no decode → certify →
   re-encode round trip on memo misses, and no second search;
-* dynamic behaviour still comes from the *reference* step rule bodies
-  (:mod:`repro.promising.steps`) — run once per distinct ``(thread,
-  thread-config, footprint memory)`` triple on the footprint memory,
-  encoded as ``(new config, written message or None)`` pairs, and
-  replayed from integer memo tables on every later visit;
+* dynamic behaviour comes from the step kernels, which the conformance
+  suite holds to the reference rule bodies (:mod:`repro.promising.steps`)
+  node by node — run once per distinct ``(thread, thread-config,
+  footprint memory)`` triple on the footprint memory, encoded as ``(new
+  config, written message or None)`` pairs, and replayed from integer
+  memo tables on every later visit;
 * one memo, keyed on ``(tid, cfg, fmem)``, holds the certification
   answers, completion sets included.
 
@@ -53,7 +60,7 @@ import time
 from itertools import product
 from typing import Optional
 
-from ..isa.compile import CompiledProgram, compile_program
+from ..isa.compile import CompiledProgram, compile_program, promise_key
 from ..lang.program import Program
 from ..lang.transform import accessed_locations
 from ..obs import metrics
@@ -62,8 +69,7 @@ from ..outcomes import Outcome
 from ..promising.certification import CertificationResult, certify_compiled
 from ..promising.intern import IdInterner
 from ..promising.machine import MachineState, Thread
-from ..promising.state import ExclBank, Forward, Memory
-from ..promising.steps import promise_step
+from ..promising.state import Memory, Msg, TState
 
 #: Wall time per explorer phase (the registry returns the one counter for
 #: the name, so every explorer reports into the same series).
@@ -77,26 +83,27 @@ EXPLORE_PHASE_SECONDS = metrics.counter(
 Packed = tuple
 
 
-def _relabel(ts, times):
-    """``ts`` with every timestamp ``t`` replaced by ``times[t]``.
+def _relabel(key: tuple, times) -> tuple:
+    """Thread-state ``key`` with every timestamp ``t`` replaced by ``times[t]``.
 
     Covers ``prom``, register views, ``coh``, the six views and the
-    ``fwdb``/``xclb`` times and views; register values carry none.
+    ``fwdb``/``xclb`` times and views; register values carry none.  No
+    name changes, so the sorted tuples stay sorted.
     """
-    new = ts.copy()
-    new.prom = frozenset(times[t] for t in ts.prom)
-    new.regs = {r: (v, times[n]) for r, (v, n) in ts.regs.items()}
-    new.coh = {loc: times[n] for loc, n in ts.coh.items()}
-    new.vrOld = times[ts.vrOld]
-    new.vwOld = times[ts.vwOld]
-    new.vrNew = times[ts.vrNew]
-    new.vwNew = times[ts.vwNew]
-    new.vCAP = times[ts.vCAP]
-    new.vRel = times[ts.vRel]
-    new.fwdb = {loc: Forward(times[f.time], times[f.view], f.xcl) for loc, f in ts.fwdb.items()}
-    if ts.xclb is not None:
-        new.xclb = ExclBank(times[ts.xclb.time], times[ts.xclb.view])
-    return new
+    prom, regs, coh, vrOld, vwOld, vrNew, vwNew, vCAP, vRel, fwdb, xclb = key
+    return (
+        frozenset(times[t] for t in prom),
+        tuple((r, (v, times[n])) for r, (v, n) in regs),
+        tuple((loc, times[n]) for loc, n in coh),
+        times[vrOld],
+        times[vwOld],
+        times[vrNew],
+        times[vwNew],
+        times[vCAP],
+        times[vRel],
+        tuple((loc, (times[t], times[n], xcl)) for loc, (t, n, xcl) in fwdb),
+        None if xclb is None else (times[xclb[0]], times[xclb[1]]),
+    )
 
 
 class PackedPromisingBackend:
@@ -107,15 +114,13 @@ class PackedPromisingBackend:
         self.config = config
         self.arch = config.arch
         self.stats = stats
-        self.compiled: CompiledProgram = compile_program(program)
-        #: (stmt id, tstate key) -> dense id; objects are the
-        #: canonical decoded ``(stmt, tstate)`` pairs, the thread state
-        #: relabelled onto its footprint memory.
+        self.compiled: CompiledProgram = compile_program(program, config.arch)
+        #: ``(stmt id, thread-state key)`` -> dense id; the objects are
+        #: those pairs, the key relabelled onto the footprint memory.
         self._tcfgs = IdInterner()
         #: Per-tcfg data, parallel to ``self._tcfgs.objects``.
         self._tcfg_final: list[bool] = []
         self._tcfg_prom: list[bool] = []
-        self._tcfg_sid: list[int] = []
         #: messages tuple -> dense id; objects are the Memory instances.
         self._mems = IdInterner()
         #: ``(mem, loc, val, tid)`` -> appended memory id: promise and
@@ -158,17 +163,14 @@ class PackedPromisingBackend:
         self.phases = PhaseAccumulator()
 
     # -- encoding ----------------------------------------------------------
-    def _encode_cfg(self, sid: int, ts) -> int:
-        key = (sid, ts.cache_key())
+    def _encode_cfg(self, sid: int, key: tuple) -> int:
+        cfg = (sid, key)
         table = self._tcfgs
         before = len(table)
-        nid = table.intern(key, (self.compiled.stmts[sid].stmt, ts))
+        nid = table.intern(cfg, cfg)
         if len(table) != before:
-            self._tcfg_final.append(
-                self.compiled.stmts[sid].terminated and not ts.prom
-            )
-            self._tcfg_prom.append(bool(ts.prom))
-            self._tcfg_sid.append(sid)
+            self._tcfg_final.append(self.compiled.stmts[sid].terminated and not key[0])
+            self._tcfg_prom.append(bool(key[0]))
         return nid
 
     def _kept_times(self, memory, tid: int) -> list[int]:
@@ -197,8 +199,9 @@ class PackedPromisingBackend:
            take timestamps the thread read or wrote, or maxima of those.
            ``prom``, ``fwdb`` and ``xclb`` hold the thread's own messages
            or the ones it read.
-        2. The rules read memory only at footprint locations:
-           ``read_steps`` (``writes_to``, ``no_write_to_in``),
+        2. The rules, and the step kernels held to them, read memory
+           only at footprint locations: ``read_steps`` (``writes_to``,
+           ``no_write_to_in``),
            ``fulfil_steps``, ``_atomic`` and ``write_steps``.  They
            compare timestamps only with each other and with ``|M|``, and
            so does the promise harvest (``pre_view <= max_ts``).
@@ -287,20 +290,21 @@ class PackedPromisingBackend:
         for tid, thread in enumerate(state.threads):
             rank = {t: r for r, t in enumerate(self._kept_times(memory, tid))}
             try:
-                ts = _relabel(thread.tstate, rank)
+                key = _relabel(thread.tstate.cache_key(), rank)
             except KeyError as exc:
                 raise ValueError(
                     f"thread {tid} holds timestamp {exc.args[0]} outside its footprint"
                 ) from None
-            cfgs.append(self._encode_cfg(self.compiled.stmt_id(thread.stmt), ts))
+            cfgs.append(self._encode_cfg(self.compiled.stmt_id(thread.stmt), key))
         return tuple(cfgs) + (self._encode_memory(memory),)
 
     def decode(self, packed: Packed) -> MachineState:
         memory = self._mems.objects[packed[-1]]
+        stmts = self.compiled.stmts
         objs = self._tcfgs.objects
         threads = tuple(
-            Thread(stmt, _relabel(ts, self._kept_times(memory, tid)))
-            for tid, (stmt, ts) in enumerate(objs[i] for i in packed[:-1])
+            Thread(stmts[sid].stmt, TState.from_key(_relabel(key, self._kept_times(memory, tid))))
+            for tid, (sid, key) in enumerate(objs[i] for i in packed[:-1])
         )
         return MachineState(threads, memory, self.arch)
 
@@ -322,12 +326,11 @@ class PackedPromisingBackend:
             self._cert_hits += 1
         else:
             self._cert_misses += 1
+            sid, ts_key = self._tcfgs.objects[cfg]
             result = certify_compiled(
                 self.compiled,
-                self._tcfg_sid[cfg],
-                self._tcfgs.objects[cfg][1],
-                self._fmems.objects[fmem],
-                self.arch,
+                sid,
+                ts_key,
                 tid,
                 self.config.cert_fuel,
                 self._fmems,
@@ -357,15 +360,10 @@ class PackedPromisingBackend:
             pairs = self._promise_steps.get(memo_key)
             if pairs is None:
                 self._step_misses += 1
-                sid = self._tcfg_sid[packed[tid]]
-                stmt, ts = self._tcfgs.objects[packed[tid]]
-                memory = self._fmems.objects[fmems[tid]]
-                # promise_step normalises the (already normalised)
-                # statement, so the successor keeps this thread's sid.
-                pairs = tuple(
-                    (self._encode_cfg(sid, promise_step(stmt, ts, memory, msg).tstate), msg)
-                    for msg in cert.promises
-                )
+                pairs = ()
+                if cert.promises:
+                    promised = self._promised_cfg(packed[tid], fmems[tid])
+                    pairs = tuple((promised, msg) for msg in cert.promises)
                 self._promise_steps[memo_key] = pairs
             else:
                 self._step_hits += 1
@@ -438,27 +436,34 @@ class PackedPromisingBackend:
         self.phases.add("enumerate", time.perf_counter() - phase_start - certify_s)
         return out
 
+    def _promised_cfg(self, cfg: int, fmem: int) -> int:
+        """The config ``cfg`` becomes by promising on footprint memory ``fmem``.
+
+        Every promise the thread makes there gets the timestamp
+        ``|fmem|+1``, so all of them lead to the same config; the
+        statement stays where it is.
+        """
+        sid, key = self._tcfgs.objects[cfg]
+        return self._encode_cfg(sid, promise_key(key, self._fmems.objects[fmem].messages))
+
     def _machine_steps(self, tid: int, cfg: int, fmem: int) -> tuple[tuple, float]:
         """Certified steps of one thread config, in machine-step order.
 
-        Runs on the thread's footprint memory; each step is a ``(new
-        cfg, written message or None)`` pair.  Also returns the seconds
-        spent in :meth:`_certify`.
+        Runs the statement's step kernel on the thread's footprint
+        memory; each step is a ``(new cfg, written message or None)``
+        pair.  Also returns the seconds spent in :meth:`_certify`.
         """
         clock = time.perf_counter
-        sid = self._tcfg_sid[cfg]
-        stmt, ts = self._tcfgs.objects[cfg]
-        memory = self._fmems.objects[fmem]
+        sid, key = self._tcfgs.objects[cfg]
+        messages = self._fmems.objects[fmem].messages
         pairs = []
         certify_s = 0.0
-        for succ_sid, step in self.compiled.candidate_steps(
-            sid, ts, memory, self.arch, tid
-        ):
-            step_cfg = self._encode_cfg(succ_sid, step.tstate)
-            if step.memory is memory:
+        for succ_sid, succ_key, write in self.compiled.stmts[sid].step(key, messages, tid):
+            step_cfg = self._encode_cfg(succ_sid, succ_key)
+            if write is None:
                 msg, step_fmem = None, fmem
             else:
-                msg = step.memory.messages[-1]
+                msg = Msg(write[0], write[1], tid)
                 step_fmem = self._fmem_append_id(fmem, msg)
             start = clock()
             certified = self._certify(tid, step_cfg, step_fmem).certified
@@ -468,9 +473,10 @@ class PackedPromisingBackend:
         start = clock()
         cert = self._certify(tid, cfg, fmem)
         certify_s += clock() - start
-        for msg in sorted(cert.promises, key=lambda m: (m.loc, m.val)):
-            step = promise_step(stmt, ts, memory, msg)
-            pairs.append((self._encode_cfg(sid, step.tstate), msg))
+        if cert.promises:
+            promised = self._promised_cfg(cfg, fmem)
+            for msg in sorted(cert.promises, key=lambda m: (m.loc, m.val)):
+                pairs.append((promised, msg))
         return tuple(pairs), certify_s
 
     def is_final(self, packed: Packed) -> bool:
@@ -485,7 +491,7 @@ class PackedPromisingBackend:
         # Register values carry no timestamps: no relabelling needed.
         objs = self._tcfgs.objects
         return Outcome.make(
-            [objs[i][1].register_values() for i in packed[:-1]],
+            [{reg: value for reg, (value, _view) in objs[i][1][1]} for i in packed[:-1]],
             self._mems.objects[packed[-1]].final_values(),
         )
 

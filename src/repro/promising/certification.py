@@ -24,12 +24,7 @@ from ..lang.ast import Stmt
 from ..lang.kinds import Arch
 from ..lang.program import TId
 from .state import Memory, Msg, TState
-from .steps import (
-    ThreadStep,
-    is_terminated,
-    non_promise_steps,
-    sequential_steps,
-)
+from .steps import is_terminated, non_promise_steps, sequential_steps
 
 #: Default bound on the number of sequential states a single certification
 #: run may visit.  Certification explores one thread in isolation, so this
@@ -74,8 +69,14 @@ def _state_key(stmt: Stmt, ts: TState, memory: Memory) -> tuple:
     return (stmt, ts.cache_key(), memory.cache_key())
 
 
-def _register_file(ts: TState) -> tuple:
-    return tuple(sorted(ts.register_values().items()))
+def _register_file(key: tuple) -> tuple:
+    """Sorted ``(reg, value)`` pairs of a thread-state key (views dropped)."""
+    return tuple((reg, value) for reg, (value, _view) in key[1])
+
+
+#: What an edge remembers of a normal write: ``(loc, value, pre_view,
+#: coh_before)``, or ``None`` on every other edge.
+Write = Optional[tuple]
 
 
 class _SequentialGraphBase:
@@ -86,8 +87,7 @@ class _SequentialGraphBase:
     harvested afterwards, and completions walked over the non-write
     ones.  Node identities are hash-consed to dense integer ids and the
     reachability passes run on ints only; what differs between the
-    subclasses is the node *key* (and therefore what gets hashed per
-    discovered edge).
+    subclasses is the node *key* and who computes the steps.
     """
 
     def __init__(self, arch: Arch, tid: TId, fuel: int) -> None:
@@ -96,7 +96,7 @@ class _SequentialGraphBase:
         self.fuel = fuel
         self._ids: dict[tuple, int] = {}
         #: Edge lists indexed by node id (parallel list, not a dict).
-        self.edges: list[Optional[list[tuple[int, Optional[ThreadStep]]]]] = []
+        self.edges: list[Optional[list[tuple[int, Write]]]] = []
         self.fulfilled: set[int] = set()
         #: Terminated *and* promise-free nodes -> their register files.
         self.finished: dict[int, tuple] = {}
@@ -136,12 +136,10 @@ class _SequentialGraphBase:
 
 
 class _SequentialGraph(_SequentialGraphBase):
-    """The reference build: nodes keyed by deep configuration tuples.
+    """The reference build: the rules of ``steps.py`` on deep configuration keys.
 
-    The full configuration key — ``(statement, thread-state snapshot,
-    memory)`` — is a deep tuple whose hash walks every register, view,
-    and message; interning pays that hash once per discovered edge, which
-    is where most of the certification profile used to go.
+    Nodes are keyed ``(statement, thread-state snapshot, memory)`` and
+    expanded by :func:`~repro.promising.steps.sequential_steps`.
     """
 
     def _intern(self, stmt: Stmt, ts: TState, memory: Memory) -> tuple[int, bool]:
@@ -165,16 +163,19 @@ class _SequentialGraph(_SequentialGraphBase):
             if not ts.prom:
                 self.fulfilled.add(nid)
                 if is_terminated(stmt):
-                    self.finished[nid] = _register_file(ts)
+                    self.finished[nid] = _register_file(ts.cache_key())
             if len(self._ids) >= self.fuel:
                 # Truncated: leave this node unexpanded.
                 self.edges[nid] = []
                 self.complete = False
                 continue
-            successors: list[tuple[int, Optional[ThreadStep]]] = []
+            successors: list[tuple[int, Write]] = []
             for step in sequential_steps(stmt, ts, memory, self.arch, self.tid):
                 succ, fresh = self._intern(step.stmt, step.tstate, step.memory)
-                successors.append((succ, step if step.kind == "write" else None))
+                write = None
+                if step.kind == "write":
+                    write = (step.loc, step.value, step.pre_view, step.coh_before)
+                successors.append((succ, write))
                 if fresh:
                     stack.append((succ, step.stmt, step.tstate, step.memory))
             self.edges[nid] = successors
@@ -182,22 +183,26 @@ class _SequentialGraph(_SequentialGraphBase):
 
 
 class CompiledSequentialGraph(_SequentialGraphBase):
-    """The packed build: nodes keyed ``(stmt id, thread-state key, mem id)``.
+    """The packed build: step kernels on ``(stmt id, thread-state key, mem id)`` nodes.
 
-    Statements are dense compiled ids (no AST hashing), memories intern
-    to dense ids through a caller-supplied
-    :class:`~repro.promising.intern.IdInterner` (shared across the
-    certification calls of one run, so a memory's messages are hashed
-    once ever), and step enumeration goes through the compiled
-    per-statement tables.  The rule bodies, enumeration order, node
-    equivalence classes, discovery order and fuel cut-off are identical
-    to :class:`_SequentialGraph` by construction, so both builds produce
-    the same :class:`CertificationResult` — the conformance suite holds
-    them to that.
+    A node is a compiled statement id, a :meth:`TState.key()
+    <repro.promising.state.TState.key>` tuple and a dense memory id, and
+    it is expanded by the statement's step kernel
+    (:mod:`repro.isa.compile`), which maps a key straight to its
+    successor keys: no thread state is copied, keyed or re-sorted, and no
+    step record is built.  Memories intern to dense ids through a
+    caller-supplied :class:`~repro.promising.intern.IdInterner`, shared
+    across the certification calls of one run, so a memory's messages
+    are hashed once ever.  The kernels enumerate the rules of
+    ``steps.py`` in their order, so node equivalence classes, discovery
+    order and fuel cut-off are those of :class:`_SequentialGraph`, and
+    both builds produce the same :class:`CertificationResult`; the
+    conformance suite holds them to that, and each kernel to the rules
+    node by node.
     """
 
-    def __init__(self, compiled, arch: Arch, tid: TId, fuel: int, mem_ids, appends: dict) -> None:
-        super().__init__(arch, tid, fuel)
+    def __init__(self, compiled, tid: TId, fuel: int, mem_ids, appends: dict) -> None:
+        super().__init__(compiled.arch, tid, fuel)
         self.compiled = compiled
         self.mem_ids = mem_ids
         #: ``(mem id, loc, value, tid)`` -> appended memory id.  Sequential
@@ -209,54 +214,54 @@ class CompiledSequentialGraph(_SequentialGraphBase):
         #: and the written message, never from a by-value memory hash.
         self.appends = appends
 
-    def _intern(self, sid: int, ts: TState, mem_id: int) -> tuple[int, bool]:
-        key = (sid, ts.cache_key(), mem_id)
-        nid = self._ids.get(key)
-        if nid is not None:
-            return nid, False
-        nid = len(self._ids)
-        self._ids[key] = nid
-        self.edges.append(None)
-        return nid, True
+    def _append(self, mem_id: int, loc, value) -> int:
+        """Id of memory ``mem_id`` extended with ``<loc := value>`` by this thread."""
+        akey = (mem_id, loc, value, self.tid)
+        succ_mem = self.appends.get(akey)
+        if succ_mem is None:
+            memory, _t = self.mem_ids.objects[mem_id].append(Msg(loc, value, self.tid))
+            succ_mem = self.appends[akey] = self.mem_ids.intern(memory.cache_key(), memory)
+        return succ_mem
 
-    def build(self, sid: int, ts: TState, memory: Memory, mem_id: int) -> int:
-        """Build from ``(sid, ts)`` under ``memory``, already interned as ``mem_id``."""
-        compiled = self.compiled
-        records = compiled.stmts
-        appends = self.appends
-        root, _ = self._intern(sid, ts, mem_id)
-        stack = [(root, sid, ts, memory, mem_id)]
+    def build(self, sid: int, key: tuple, mem_id: int) -> int:
+        """Build from statement ``sid`` in state ``key`` on memory ``mem_id``."""
+        records = self.compiled.stmts
+        memories = self.mem_ids.objects
+        ids = self._ids
+        edges = self.edges
+        tid = self.tid
+        root = len(ids)
+        ids[(sid, key, mem_id)] = root
+        edges.append(None)
+        stack = [(root, sid, key, memories[mem_id].messages, mem_id)]
         while stack:
-            nid, sid, ts, memory, mem_id = stack.pop()
-            if self.edges[nid] is not None:
+            nid, sid, key, messages, mem_id = stack.pop()
+            if edges[nid] is not None:
                 continue
-            if not ts.prom:
+            record = records[sid]
+            if not key[0]:
                 self.fulfilled.add(nid)
-                if records[sid].terminated:
-                    self.finished[nid] = _register_file(ts)
-            if len(self._ids) >= self.fuel:
-                self.edges[nid] = []
+                if record.terminated:
+                    self.finished[nid] = _register_file(key)
+            if len(ids) >= self.fuel:
+                edges[nid] = []
                 self.complete = False
                 continue
-            successors: list[tuple[int, Optional[ThreadStep]]] = []
-            for succ_sid, step in compiled.candidate_steps(
-                sid, ts, memory, self.arch, self.tid
-            ):
-                if step.kind == "write":
-                    akey = (mem_id, step.loc, step.value, self.tid)
-                    succ_mem = appends.get(akey)
-                    if succ_mem is None:
-                        succ_mem = self.mem_ids.intern(step.memory.cache_key(), step.memory)
-                        appends[akey] = succ_mem
+            successors: list[tuple[int, Write]] = []
+            for succ_sid, succ_key, write in record.step(key, messages, tid):
+                if write is None:
+                    succ_mem, succ_messages = mem_id, messages
                 else:
-                    # Every non-write rule in ``steps.py`` returns
-                    # ``memory`` itself.
-                    succ_mem = mem_id
-                succ, fresh = self._intern(succ_sid, step.tstate, succ_mem)
-                successors.append((succ, step if step.kind == "write" else None))
-                if fresh:
-                    stack.append((succ, succ_sid, step.tstate, step.memory, succ_mem))
-            self.edges[nid] = successors
+                    succ_mem = self._append(mem_id, write[0], write[1])
+                    succ_messages = memories[succ_mem].messages
+                node = (succ_sid, succ_key, succ_mem)
+                succ = ids.get(node)
+                if succ is None:
+                    succ = ids[node] = len(edges)
+                    edges.append(None)
+                    stack.append((succ, succ_sid, succ_key, succ_messages, succ_mem))
+                successors.append((succ, write))
+            edges[nid] = successors
         return root
 
 
@@ -335,31 +340,29 @@ def find_and_certify(
     promises nothing and finishes with its own register file.
     """
     if not ts.prom and is_terminated(stmt):
-        return _finished(ts)
+        return _finished(ts.cache_key())
     graph = _SequentialGraph(arch, tid, fuel)
     root = graph.build(stmt, ts, memory)
-    return _answer(graph, root, memory, tid)
+    return _answer(graph, root, memory.last_timestamp, tid)
 
 
-def _finished(ts: TState) -> CertificationResult:
+def _finished(key: tuple) -> CertificationResult:
     """The answer for a terminated, promise-free thread (no graph built)."""
     return CertificationResult(
         certified=True,
         promises=frozenset(),
         complete=True,
         visited=1,
-        completions=frozenset({_register_file(ts)}),
+        completions=frozenset({_register_file(key)}),
     )
 
 
-def _answer(
-    graph: _SequentialGraphBase, root: int, memory: Memory, tid: TId
-) -> CertificationResult:
+def _answer(graph: _SequentialGraphBase, root: int, max_ts: int, tid: TId) -> CertificationResult:
     """Steps 2-4 of :func:`find_and_certify` on a built graph."""
     good = graph.can_reach_fulfilled()
     return CertificationResult(
         certified=root in good,
-        promises=_harvest_promises(graph, good, memory.last_timestamp, tid),
+        promises=_harvest_promises(graph, good, max_ts, tid),
         complete=graph.complete,
         visited=graph.n_nodes,
         completions=graph.completions(root),
@@ -374,45 +377,36 @@ def _harvest_promises(
     for src, succs in enumerate(graph.edges):
         if src not in good:
             continue
-        for dst, step in succs or ():
-            if step is None or dst not in good:
+        for dst, write in succs or ():
+            if write is None or dst not in good:
                 continue
-            if step.pre_view is None or step.coh_before is None:
-                continue
-            if step.pre_view <= max_ts and step.coh_before <= max_ts:
-                promises.add(Msg(step.loc, step.value, tid))
+            loc, value, pre_view, coh_before = write
+            if pre_view <= max_ts and coh_before <= max_ts:
+                promises.add(Msg(loc, value, tid))
     return frozenset(promises)
 
 
 def certify_compiled(
-    compiled,
-    sid: int,
-    ts: TState,
-    memory: Memory,
-    arch: Arch,
-    tid: TId,
-    fuel: int,
-    mem_ids,
-    mem_id: int,
-    appends: dict,
+    compiled, sid: int, key: tuple, tid: TId, fuel: int, mem_ids, mem_id: int, appends: dict
 ) -> CertificationResult:
-    """:func:`find_and_certify` over the compiled statement tables.
+    """:func:`find_and_certify` over the compiled step kernels.
 
     ``compiled`` is a :class:`~repro.isa.compile.CompiledProgram`,
-    ``sid`` the dense id of the thread's statement, and ``mem_ids`` an
-    :class:`~repro.promising.intern.IdInterner` for memories (shared
-    per exploration run by the packed backend).  ``mem_id`` is the
-    already-interned id of ``memory``, and ``appends`` the shared append
-    memo (see :class:`CompiledSequentialGraph`); both let the build run
-    without hashing a single messages tuple.  Answers every question from one
-    :class:`CompiledSequentialGraph` build, with the same results as the
-    reference entry — only the node keys and step dispatch differ.
+    ``sid`` the dense id of the thread's statement and ``key`` its
+    thread-state key.  ``mem_ids`` is an
+    :class:`~repro.promising.intern.IdInterner` for memories (shared per
+    exploration run by the packed backend), ``mem_id`` the memory's id
+    in it, and ``appends`` the shared append memo (see
+    :class:`CompiledSequentialGraph`); together they let the build run
+    without hashing a single messages tuple.  Answers every question
+    from one :class:`CompiledSequentialGraph` build, with the same
+    results as the reference entry.
     """
-    if not ts.prom and compiled.stmts[sid].terminated:
-        return _finished(ts)
-    graph = CompiledSequentialGraph(compiled, arch, tid, fuel, mem_ids, appends)
-    root = graph.build(sid, ts, memory, mem_id)
-    return _answer(graph, root, memory, tid)
+    if not key[0] and compiled.stmts[sid].terminated:
+        return _finished(key)
+    graph = CompiledSequentialGraph(compiled, tid, fuel, mem_ids, appends)
+    root = graph.build(sid, key, mem_id)
+    return _answer(graph, root, len(mem_ids.objects[mem_id]), tid)
 
 
 def can_complete_without_promising(

@@ -27,8 +27,7 @@ class IdInterner:
     canonical decoded objects.
 
     ``objects[id]`` holds the object supplied at first intern — the
-    canonical decoded form the backend hands back to the reference step
-    functions.
+    canonical decoded form the backend reads back by id.
     """
 
     __slots__ = ("_ids", "objects", "hits")

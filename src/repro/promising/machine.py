@@ -147,8 +147,8 @@ def thread_candidate_steps(
 
     Thread-local steps plus normal writes, in the order the machine-step
     rule enumerates them; each still needs the certification filter.
-    The compiled candidate tables (:mod:`repro.isa.compile`) enumerate
-    in the same order.
+    The step kernels of :mod:`repro.isa.compile` enumerate in the same
+    order.
     """
     return thread_local_steps(
         thread.stmt, thread.tstate, memory, arch, tid

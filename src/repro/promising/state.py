@@ -260,7 +260,9 @@ class TState:
         The thread state's one identity: every visited set, memo and
         intern table keys on it (through :meth:`cache_key`).  ``regs``
         holds only the registers the thread wrote, so a never-written
-        register stays apart from one holding ``(0, 0)``.
+        register stays apart from one holding ``(0, 0)``.  The step
+        kernels of :mod:`repro.isa.compile` compute successor keys in
+        this form directly; :meth:`from_key` inverts it.
         """
         return (
             self.prom,
@@ -275,6 +277,34 @@ class TState:
             tuple(sorted(self.fwdb.items())),
             self.xclb,
         )
+
+    @classmethod
+    def from_key(cls, key: tuple) -> "TState":
+        """The thread state whose :meth:`key` is ``key`` (its inverse).
+
+        The packed backend keeps thread states as keys and builds a
+        ``TState`` only where reference code needs one.
+        """
+        new = cls.__new__(cls)
+        (
+            new.prom,
+            regs,
+            coh,
+            new.vrOld,
+            new.vwOld,
+            new.vrNew,
+            new.vwNew,
+            new.vCAP,
+            new.vRel,
+            fwdb,
+            xclb,
+        ) = key
+        new.regs = dict(regs)
+        new.coh = dict(coh)
+        new.fwdb = {loc: Forward(*entry) for loc, entry in fwdb}
+        new.xclb = None if xclb is None else ExclBank(*xclb)
+        new._ckey = None
+        return new
 
     def cache_key(self) -> tuple:
         """The :meth:`key` snapshot, computed once and cached.

@@ -167,9 +167,8 @@ def read_steps(
     """All instances of the (read) rule for a load at the head.
 
     ``cont`` is the (already normalised) continuation after the head —
-    precomputed once by the caller (:func:`thread_local_steps`, or the
-    compiled per-statement tables of :mod:`repro.isa.compile`) instead of
-    re-derived per enumerated step.
+    precomputed once by the caller (:func:`thread_local_steps`) instead
+    of re-derived per enumerated step.
     """
     loc, v_addr = ts.eval(stmt.addr)
     rk = stmt.kind
@@ -336,8 +335,7 @@ def branch_step(
     """The (branch) rule: resolve the condition, merge its view into vCAP.
 
     ``then_cont`` / ``else_cont`` are the two branch-rule continuations,
-    precomputed by :func:`branch_continuations` (or read from the
-    compiled successor table).
+    precomputed by :func:`branch_continuations`.
     """
     value, view = ts.eval(stmt.cond)
     new = ts.copy()
@@ -458,7 +456,7 @@ def write_steps(
     """The normal-write steps of a store head with continuation ``cont``.
 
     Body of :func:`normal_write_steps` once the head decomposition is
-    known; called directly by the compiled candidate tables.
+    known.
     """
     steps: list[ThreadStep] = []
     loc, _v_addr = ts.eval(head.addr)
@@ -523,7 +521,7 @@ __all__ = [
     "normal_write_steps",
     "sequential_steps",
     "non_promise_steps",
-    # Continuation-parameterised rule bodies (compiled candidate tables).
+    # Continuation-parameterised rule bodies.
     "read_steps",
     "fulfil_steps",
     "exclusive_fail_step",

@@ -21,6 +21,10 @@ architectures:
   in state keys and order, and id for id once encoded, and the naive
   explorer visits exactly the states and transitions of a search over
   ``machine_transitions``;
+* every step kernel (:mod:`repro.isa.compile`) equals
+  :func:`~repro.promising.steps.sequential_steps` on every node of every
+  certification graph both explorers build, and the promise kernel
+  equals :func:`~repro.promising.steps.promise_step`;
 * Flat successors equal :func:`repro.flat.explorer.successors` in state
   keys, order and restart count;
 
@@ -44,8 +48,20 @@ from repro.flat import (
     thread_transitions,
 )
 from repro.flat import successors as flat_successors
-from repro.lang import LocationEnv, R, Skip, dependency_idiom, if_, load, make_program, seq, store
-from repro.lang.kinds import VSUCC, Arch
+from repro.isa.compile import compile_program, promise_key
+from repro.lang import (
+    LocationEnv,
+    R,
+    Skip,
+    assign,
+    dependency_idiom,
+    if_,
+    load,
+    make_program,
+    seq,
+    store,
+)
+from repro.lang.kinds import VSUCC, Arch, WriteKind
 from repro.lang.transform import accessed_locations
 from repro.litmus import generate_cycle_battery, get_test
 from repro.outcomes import Outcome, OutcomeSet
@@ -57,10 +73,12 @@ from repro.promising import (
     is_terminated,
     non_promise_steps,
     promise_step,
+    sequential_steps,
 )
+from repro.promising.certification import CompiledSequentialGraph
 from repro.promising.exhaustive import ExplorationStats
 from repro.promising.machine import MachineState, Thread, machine_transitions
-from repro.promising.state import Forward, Memory, Msg, initial_tstate
+from repro.promising.state import Forward, Memory, Msg, TState, initial_tstate
 
 ARCHS = [Arch.ARM, Arch.RISCV]
 ARCH_IDS = [a.value for a in ARCHS]
@@ -411,6 +429,114 @@ def test_sample_strategy_walks_identical_traces():
 
 
 # ---------------------------------------------------------------------------
+# Step-kernel laws
+# ---------------------------------------------------------------------------
+
+# Catalogue shapes with exclusives, release/acquire (strong and weak
+# acquires) and forwarding, on top of the promise-first slice (which has
+# LSE-atomicity already).
+KERNEL_CATALOGUE = ["LSE-fwd-acq", "SB+rel+acq", "SB+rel+wacq", "MP+dmb+addr+coh"]
+
+
+def _assign_and_lone_exclusive():
+    """Register assignments, a store exclusive no load exclusive pairs (it
+    can only fail), and a weak release."""
+    env = LocationEnv()
+    x, y = env["x"], env["y"]
+    threads = [
+        seq(
+            load("r0", x),
+            assign("r1", R("r0") + 1),
+            store(y, R("r1"), exclusive=True, succ_reg="rs"),
+            store(x, 2, kind=WriteKind.WREL),
+        ),
+        seq(store(x, 1), load("r2", y)),
+    ]
+    return make_program(threads, env=env, name="assign+lone-xcl")
+
+
+KERNEL_PROGRAMS = {
+    "assign+lone-xcl": _assign_and_lone_exclusive(),
+    **{name: get_test(name).program for name in [*PROMISING_SLICE, *KERNEL_CATALOGUE]},
+    **{name: test.program for name, test in CYCLES.items()},
+    **{test.name: test.program for test in GENERATED},
+}
+
+
+def _reference_triples(compiled, sid, key, memory, tid):
+    """:func:`sequential_steps` in kernel form: ``(succ stmt id, succ key, write)``."""
+    triples = []
+    ts = TState.from_key(key)
+    for step in sequential_steps(compiled.stmts[sid].stmt, ts, memory, compiled.arch, tid):
+        write = None
+        if step.kind == "write":
+            write = (step.loc, step.value, step.pre_view, step.coh_before)
+        triples.append((compiled.stmt_id(step.stmt), step.tstate.key(), write))
+    return triples
+
+
+def _certification_nodes(program, arch, monkeypatch):
+    """Every node of every certification graph promise-first and naive build.
+
+    Yields ``(graph, stmt id, thread-state key, memory)`` once per distinct
+    node of each exploration run.
+    """
+    graphs = []
+    build = CompiledSequentialGraph.build
+
+    def recording_build(graph, *args):
+        graphs.append(graph)
+        return build(graph, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CompiledSequentialGraph, "build", recording_build)
+        for run in (explore, explore_naive):
+            run(program, ExploreConfig(arch=arch))
+    seen = set()
+    for graph in graphs:
+        memories = graph.mem_ids.objects
+        for sid, key, mem_id in graph._ids:
+            node = (id(graph.mem_ids), graph.tid, sid, key, mem_id)
+            if node not in seen:
+                seen.add(node)
+                yield graph, sid, key, memories[mem_id]
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
+@pytest.mark.parametrize("name", KERNEL_PROGRAMS)
+def test_step_kernel_laws(name, arch, monkeypatch):
+    writes = 0
+    for graph, sid, key, memory in _certification_nodes(KERNEL_PROGRAMS[name], arch, monkeypatch):
+        compiled, tid = graph.compiled, graph.tid
+        stmt = compiled.stmts[sid].stmt
+        context = f"{name} thread {tid} at {stmt!r} in {key}"
+        assert TState.from_key(key).key() == key, context
+        triples = compiled.stmts[sid].step(key, memory.messages, tid)
+        assert triples == _reference_triples(compiled, sid, key, memory, tid), context
+        # A promise leaves the statement and gains timestamp |M|+1,
+        # whatever the message.
+        step = promise_step(stmt, TState.from_key(key), memory, Msg(0, 1, tid))
+        assert compiled.stmt_id(step.stmt) == sid, context
+        assert step.tstate.key() == promise_key(key, memory.messages), context
+        writes += any(write is not None for _sid, _key, write in triples)
+    assert writes, f"{name}: no node takes a normal write"
+
+
+def test_read_of_the_initial_write_sets_coherence():
+    # The key tells ``coh = {x: 0}`` from ``coh = {}``: a read of the
+    # initial write records the location even though its view stays 0.
+    env = LocationEnv()
+    x = env["x"]
+    program = make_program([load("r0", x)], env=env, name="read-initial")
+    compiled = compile_program(program, Arch.ARM)
+    sid = compiled.stmt_id(program.threads[0])
+    key = initial_tstate().key()
+    ((succ_sid, succ_key, write),) = compiled.stmts[sid].step(key, (), 0)
+    assert key[2] == () and succ_key[2] == ((x, 0),)
+    assert [(succ_sid, succ_key, write)] == _reference_triples(compiled, sid, key, Memory(), 0)
+
+
+# ---------------------------------------------------------------------------
 # Encode/decode laws
 # ---------------------------------------------------------------------------
 
@@ -427,7 +553,7 @@ def _assert_on_footprint_memory(backend, packed):
     """
     fmems = backend._mem_fmems[packed[-1]]
     for tid, cfg in enumerate(packed[:-1]):
-        ts = backend._tcfgs.objects[cfg][1]
+        ts = TState.from_key(backend._tcfgs.objects[cfg][1])
         messages = backend._fmems.objects[fmems[tid]].messages
         own = {t: msg.loc for t, msg in enumerate(messages, 1) if msg.tid == tid}
         assert ts.prom <= own.keys(), f"thread {tid}: promises off its footprint memory"

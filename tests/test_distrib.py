@@ -86,6 +86,7 @@ def ledger(request, tmp_path):
         backend.close()
         ServiceClient(host, port).shutdown()
         thread.join(timeout=30)
+        assert not thread.is_alive(), "server thread ignored shutdown"
         return
     yield backend, clock
     backend.close()
@@ -503,6 +504,8 @@ class TestCrashReclamation:
         finally:
             if proc.poll() is None:
                 proc.kill()
+                proc.wait()
+            proc.stdout.close()
         assert run.results[0].ok
         assert run.info["lease_reclaims"] == 1
         view = backend.collect([job.fingerprint()])[job.fingerprint()]
@@ -583,6 +586,7 @@ class TestDistributedParity:
         finally:
             ServiceClient(host, port).shutdown()
             thread.join(timeout=30)
+        assert not thread.is_alive(), "server thread ignored shutdown"
         assert run.info["workers_spawned"] == 2
         assert run.info["jobs_computed"] == len(jobs)
         report_a = build_report(pooled, differential_mismatches(jobs, pooled)[0])

@@ -381,6 +381,7 @@ def live_service(tmp_path_factory):
     yield client
     client.shutdown()
     thread.join(timeout=30)
+    assert not thread.is_alive(), "server thread ignored shutdown"
 
 
 class TestServiceObservability:
@@ -437,14 +438,16 @@ class TestServiceObservability:
         results: list = []
 
         def fire():
-            client = ServiceClient(live_service.host, live_service.port, timeout=60.0)
-            results.append(client.explore(**payload))
+            with ServiceClient(live_service.host, live_service.port, timeout=60.0) as client:
+                results.append(client.explore(**payload))
 
         threads = [threading.Thread(target=fire) for _ in range(4)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads), "a request hung"
+        assert len(results) == 4, f"{4 - len(results)} request(s) got no reply"
         served = [r["results"][0]["served_from"] for r in results]
         assert all(s in ("computed", "coalesced", "lru", "disk") for s in served)
         text = live_service.metrics_text()

@@ -842,6 +842,7 @@ def live_service():
     yield client
     client.shutdown()
     thread.join(timeout=30)
+    assert not thread.is_alive(), "server thread ignored shutdown"
 
 
 class TestHttpRoundTrip:
@@ -1058,6 +1059,7 @@ def quota_service():
     yield host, port
     ServiceClient(host, port).shutdown()
     thread.join(timeout=30)
+    assert not thread.is_alive(), "server thread ignored shutdown"
 
 
 class TestQuotaOverHttp:
