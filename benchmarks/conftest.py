@@ -29,3 +29,27 @@ def print_table(title: str, header: list[str], rows: list[list[object]]) -> None
 @pytest.fixture
 def table_printer():
     return print_table
+
+
+def truncation_budget(result) -> str:
+    """The budget a truncated job hit, named: deadline, cert fuel or states."""
+    stats = result.stats
+    if stats.get("deadline_hit"):
+        return "deadline (deadline_seconds)"
+    if stats.get("cert_fuel_hits"):
+        return (
+            f"cert fuel (cert_fuel): {stats['cert_fuel_hits']} certification(s) ran out, "
+            f"the largest graph had {stats['max_cert_nodes']} nodes"
+        )
+    return "states (max_states)"
+
+
+@pytest.fixture
+def assert_complete():
+    """Fail a job that errored or was truncated, naming the budget it hit."""
+
+    def check(result, label: str) -> None:
+        assert result.ok, f"{label}: {result.status} {result.error}"
+        assert not result.truncated, f"{label}: truncated by its {truncation_budget(result)} budget"
+
+    return check

@@ -24,14 +24,18 @@ The explorers therefore run on this backend, which removes all of that:
   :meth:`~PackedPromisingBackend.outcome`;
 * every thread configuration is stored relative to the thread's
   *footprint memory* (:meth:`PackedPromisingBackend._encode_memory`):
-  the messages at the locations it can access, renumbered 1..k in
+  the messages it can observe — its own, and the others' at the static
+  addresses of its loads and store exclusives — renumbered 1..k in
   timestamp order.  Each memory id carries the footprint-memory id of
   every thread, so the thread-local work below keys on the plain
   ``(tid, cfg, fmem)`` ids and is shared by every memory that differs
-  only in messages the thread cannot see, or in where its own sit;
+  only in messages the thread cannot observe, or in where its own sit;
 * a machine state is the flat tuple ``(tcfg_0, …, tcfg_{T-1}, mem)`` of
-  those ids — it is its own visited-set key, and every visited/memo
-  table keys on small immutable int tuples;
+  those ids, and every visited/memo table keys on small immutable int
+  tuples.  A ``dfs`` run keys its visited set on the state's
+  *projection* (:meth:`PackedPromisingBackend._projection`): the config
+  ids, each thread's footprint-memory id and the final values, which
+  forgets the order of messages no thread observes;
 * certification builds its sequential graphs directly on interned
   ``(stmt id, thread-state key, fmem id)`` nodes
   (:func:`~repro.promising.certification.certify_compiled`), and the
@@ -62,7 +66,7 @@ from typing import Optional
 
 from ..isa.compile import CompiledProgram, compile_program, promise_key
 from ..lang.program import Program
-from ..lang.transform import accessed_locations
+from ..lang.transform import observed_locations
 from ..obs import metrics
 from ..obs.tracing import PhaseAccumulator
 from ..outcomes import Outcome
@@ -127,10 +131,12 @@ class PackedPromisingBackend:
         #: normal-write steps extend memory deterministically, so the
         #: resulting id never needs a messages-tuple hash twice.
         self._appends: dict[tuple, int] = {}
-        #: Per thread, the locations it can access (``None`` when some
-        #: address depends on registers).
-        self._footprints = [
-            locs if static else None for locs, static in map(accessed_locations, program.threads)
+        #: Per thread, the locations at which it keeps other threads'
+        #: messages: the static addresses of its loads and store
+        #: exclusives (``None`` when one of them depends on registers: the
+        #: thread keeps every message).
+        self._observed = [
+            locs if static else None for locs, static in map(observed_locations, program.threads)
         ]
         #: Footprint memories, interned like ``_mems`` and shared with
         #: certification, which interns the memories its sequential writes
@@ -139,21 +145,25 @@ class PackedPromisingBackend:
         #: uses.
         self._fmems = IdInterner()
         self._fmem_appends: dict[tuple, int] = {}
-        #: Per memory, each thread's footprint-memory id; parallel to
-        #: ``self._mems.objects``.
+        #: Per memory, each thread's footprint-memory id and then the id
+        #: of the memory's final values; parallel to ``self._mems.objects``.
         self._mem_fmems: list[tuple] = []
+        #: Final values (sorted ``(loc, value)`` items) -> dense id, and
+        #: back: distinct memories with equal final values share the id.
+        self._final_vals: dict[tuple, int] = {}
+        self._final_items: list[tuple] = []
         #: Certification memo keyed ``(tid, cfg, fmem)``.
         self._certs: dict[tuple, CertificationResult] = {}
         self._cert_hits = 0
         self._cert_misses = 0
+        #: Certification builds cut short by ``cert_fuel``, and the most
+        #: nodes one build visited.
+        self._fuel_hits = 0
+        self._max_nodes = 0
         #: Step memos keyed ``(tid, cfg, fmem)``: ``(new cfg, written
         #: message or None)`` pairs in successor order.
         self._steps: dict[tuple, tuple] = {}
         self._promise_steps: dict[tuple, tuple] = {}
-        #: mem id -> (final-values id, sorted final-values items); distinct
-        #: memories with equal final values share the final-values id.
-        self._final_mems: dict[int, tuple] = {}
-        self._final_vals: dict[tuple, int] = {}
         #: (register files..., final-values id) combinations already
         #: turned into an Outcome: only fresh combinations materialise an
         #: object.
@@ -161,6 +171,9 @@ class PackedPromisingBackend:
         self._step_hits = 0
         self._step_misses = 0
         self.phases = PhaseAccumulator()
+        #: The visited-set key: the projection under ``dfs``; ``sample``
+        #: walks never prune, so there a state is its own key.
+        self.visited_key = self._projection if config.strategy == "dfs" else None
 
     # -- encoding ----------------------------------------------------------
     def _encode_cfg(self, sid: int, key: tuple) -> int:
@@ -173,39 +186,59 @@ class PackedPromisingBackend:
             self._tcfg_prom.append(bool(key[0]))
         return nid
 
+    def _keeps(self, tid: int, loc, writer: int) -> bool:
+        """Whether thread ``tid``'s footprint memory keeps ``writer``'s messages at ``loc``."""
+        observed = self._observed[tid]
+        return writer == tid or observed is None or loc in observed
+
     def _kept_times(self, memory, tid: int) -> list[int]:
         """0, then the timestamps of the messages in ``tid``'s footprint memory."""
-        footprint = self._footprints[tid]
-        return [0] + [
-            t
-            for t, msg in enumerate(memory.messages, 1)
-            if footprint is None or msg.loc in footprint
-        ]
+        keeps = self._keeps
+        return [0] + [t for t, msg in enumerate(memory.messages, 1) if keeps(tid, msg.loc, msg.tid)]
+
+    def _final_id(self, values: dict) -> int:
+        """Dense id of the final values ``values`` (a ``loc -> value`` dict)."""
+        items = tuple(sorted(values.items()))
+        fid = self._final_vals.get(items)
+        if fid is None:
+            fid = self._final_vals[items] = len(self._final_items)
+            self._final_items.append(items)
+        return fid
 
     def _encode_memory(self, memory) -> int:
         """Memory id of ``memory``, recording each thread's footprint memory.
 
-        A thread's footprint memory keeps the messages at the locations
-        it can access (all of them when some address depends on
-        registers), renumbered 1..k in timestamp order; its thread
-        configuration is stored relabelled onto it, timestamp ``t_r``
-        becoming ``r`` and 0 staying 0.  Certification (§4.3, §B,
-        Theorem 6.4), the §7 completion phase and the thread's machine
-        steps are thread-local, and the thread's steps on its footprint
-        memory are its steps on the full memory, relabelled:
+        A thread's footprint memory keeps the messages it can observe: its
+        own, at any location, and the other threads' at the static
+        addresses of its loads and store exclusives (every message when
+        one of those addresses depends on registers).  They are
+        renumbered 1..k in timestamp order, and the thread configuration
+        is stored relabelled onto them, timestamp ``t_r`` becoming ``r``
+        and 0 staying 0.  Certification (§4.3, §B, Theorem 6.4), the §7
+        completion phase and the thread's machine steps are thread-local,
+        and the thread's steps on its footprint memory are its steps on
+        the full memory, relabelled:
 
-        1. In a reachable thread state, every timestamp is 0 or the
-           timestamp of a message at the thread's footprint.  Views only
-           take timestamps the thread read or wrote, or maxima of those.
-           ``prom``, ``fwdb`` and ``xclb`` hold the thread's own messages
-           or the ones it read.
-        2. The rules, and the step kernels held to them, read memory
-           only at footprint locations: ``read_steps`` (``writes_to``,
-           ``no_write_to_in``),
-           ``fulfil_steps``, ``_atomic`` and ``write_steps``.  They
-           compare timestamps only with each other and with ``|M|``, and
-           so does the promise harvest (``pre_view <= max_ts``).
-        3. Renumbering the footprint messages 1..k preserves every such
+        1. In a reachable thread state, every timestamp is 0, the
+           timestamp of one of the thread's own messages or of one it
+           read, or a maximum of those.  Views only take timestamps the
+           thread read or wrote; ``prom``, ``fwdb`` and ``xclb`` hold its
+           own messages or the ones it read.  A thread reads only at the
+           addresses of its loads, so each of these messages is kept.
+        2. The rules, and the step kernels held to them, read other
+           threads' messages only at observed addresses: ``read_steps``
+           (``writes_to``, ``no_write_to_in``) at the load's address, and
+           ``_atomic`` at the store exclusive's own address, where it
+           scans ``(tr, tw)`` for foreign writes.  When the load exclusive
+           read timestamp 0, that scan covers every write before ``tw``
+           whatever the load's address, so a store exclusive's address
+           counts as observed even if no load reads it.  Otherwise the
+           rules touch the thread's own messages (``fulfil_steps`` looks
+           up its promises, ``write_steps`` appends one) and the message
+           the load exclusive read.  They compare timestamps only with
+           each other and with ``|M|``, and so does the promise harvest
+           (``pre_view <= max_ts``).
+        3. Renumbering the kept messages 1..k preserves every such
            comparison and the order in which ``writes_to`` lists
            candidates.  A fresh write at ``|M|+1`` becomes ``k+1``.  So
            the thread's steps on its footprint memory are its steps on
@@ -216,31 +249,36 @@ class PackedPromisingBackend:
            timestamps.
         4. Appending a message renumbers nothing already in memory.  So
            another thread's relabelled state stays valid when one thread
-           writes.  Only that other thread's footprint memory grows, and
-           only when the message is at its footprint (:meth:`_append_id`).
+           writes.  A new message enters thread *j*'s footprint memory
+           iff *j* keeps it: it is *j*'s own, or at an address *j*
+           observes (:meth:`_append_id`).  The final values evolve from
+           the final values and the message alone: the message's
+           location takes its value.
         5. For a fixed memory the relabelling is a bijection.  So packed
-           states correspond one to one to reference states: the visited
-           set, state counts and successor order are the same, and seeded
-           ``sample`` walks retrace the same traces.
+           states correspond one to one to reference states, successors
+           come in the reference order, and seeded ``sample`` walks
+           retrace the same traces.
         6. The certification key ``(tid, cfg, fmem)`` is the thread, its
            statement, its relabelled state and its kept messages: two
            configurations with equal keys get equal answers, field by
            field.
 
-        Initial values, arch and ``cert_fuel`` are constant within a run
-        (the memos are per run), so the keys leave them out.  A row is
-        added only when the memory is new: :meth:`encode` may already
-        have interned the same messages.
+        :meth:`_projection` builds the ``dfs`` visited-set key on items
+        2, 4 and 6.  Initial values, arch and ``cert_fuel`` are constant
+        within a run (the memos are per run), so the keys leave them out.
+        A row is added only when the memory is new: :meth:`encode` may
+        already have interned the same messages.
         """
         table = self._mems
         before = len(table)
         mem = table.intern(memory.cache_key(), memory)
         if len(table) != before:
             row = []
-            for tid in range(len(self._footprints)):
+            for tid in range(len(self._observed)):
                 times = self._kept_times(memory, tid)
                 kept = Memory(memory.initial, [memory.msg(t) for t in times[1:]])
                 row.append(self._fmems.intern(kept.cache_key(), kept))
+            row.append(self._final_id(memory.final_values()))
             self._mem_fmems.append(tuple(row))
         return mem
 
@@ -257,10 +295,10 @@ class PackedPromisingBackend:
     def _append_id(self, mem: int, msg) -> int:
         """Memory id of ``mems[mem]`` extended with ``msg``.
 
-        A memory built here for the first time derives its footprint
-        memories from ``mem``'s: a thread whose footprint holds
-        ``msg.loc`` (or that has no static footprint) gets ``fmem + msg``,
-        every other thread keeps its id.
+        A memory built here for the first time derives its row from
+        ``mem``'s: a thread that keeps ``msg`` (its own, or at an address
+        it observes) gets ``fmem + msg``, every other thread keeps its
+        id, and ``msg.loc`` takes ``msg.val`` in the final values.
         """
         key = (mem, msg.loc, msg.val, msg.tid)
         nid = self._appends.get(key)
@@ -270,14 +308,43 @@ class PackedPromisingBackend:
             memory, _t = table.objects[mem].append(msg)
             nid = table.intern(memory.cache_key(), memory)
             if len(table) != before:
-                row = []
-                for fmem, footprint in zip(self._mem_fmems[mem], self._footprints):
-                    if footprint is None or msg.loc in footprint:
-                        fmem = self._fmem_append_id(fmem, msg)
-                    row.append(fmem)
+                old = self._mem_fmems[mem]
+                row = [
+                    self._fmem_append_id(fmem, msg) if self._keeps(tid, msg.loc, msg.tid) else fmem
+                    for tid, fmem in enumerate(old[:-1])
+                ]
+                values = dict(self._final_items[old[-1]])
+                values[msg.loc] = msg.val
+                row.append(self._final_id(values))
                 self._mem_fmems.append(tuple(row))
             self._appends[key] = nid
         return nid
+
+    def _projection(self, packed: Packed) -> tuple:
+        """The ``dfs`` visited-set key of ``packed``: what its future depends on.
+
+        The thread-config ids, each thread's footprint-memory id and the
+        memory's final-values id; the full memory id is left out.  Two
+        states with equal projections are bisimilar, by items 2, 4 and 6
+        of :meth:`_encode_memory`:
+
+        * every thread-local answer (certification, completions, the step
+          and promise memos) keys on ``(tid, cfg, fmem)``, so both states
+          get the same ones;
+        * so each successor appends the same message, or none, to both
+          memories.  Whether a thread keeps the message depends on the
+          message alone, and so do the new final values: the successor
+          projections are equal, and in the same order;
+        * ``is_final`` and the naive outcome read the config ids and the
+          final values, and promise-first outcomes cross completion sets
+          with the final values.
+
+        So a search visiting one state per projection finds every
+        outcome.  It merges memories that differ only in the order of
+        messages no thread observes, such as two threads' writes to
+        locations nobody loads (3.2W).
+        """
+        return packed[:-1] + self._mem_fmems[packed[-1]]
 
     def encode(self, state: MachineState) -> Packed:
         """Packed form of a reference state.
@@ -338,6 +405,10 @@ class PackedPromisingBackend:
                 appends=self._fmem_appends,
             )
             self._certs[key] = result
+            if not result.complete:
+                self._fuel_hits += 1
+            if result.visited > self._max_nodes:
+                self._max_nodes = result.visited
         if not result.complete:
             self.stats.truncated = True
         return result
@@ -346,7 +417,7 @@ class PackedPromisingBackend:
         """Certify every thread; returns (per-thread results, can-finish)."""
         phase_start = time.perf_counter()
         fmems = self._mem_fmems[packed[-1]]
-        per_thread = [self._certify(tid, packed[tid], fmems[tid]) for tid in range(len(fmems))]
+        per_thread = [self._certify(tid, packed[tid], fmems[tid]) for tid in range(len(packed) - 1)]
         self.phases.add("certify", time.perf_counter() - phase_start)
         return per_thread, [cert.can_complete for cert in per_thread]
 
@@ -389,16 +460,8 @@ class PackedPromisingBackend:
         hundreds of thousands of object constructions and a few.
         """
         phase_start = time.perf_counter()
-        mem = packed[-1]
-        entry = self._final_mems.get(mem)
-        if entry is None:
-            items = tuple(
-                sorted(self._mems.objects[mem].final_values().items())
-            )
-            fm_id = self._final_vals.setdefault(items, len(self._final_vals))
-            entry = (fm_id, items)
-            self._final_mems[mem] = entry
-        fm_id, items = entry
+        fm_id = self._mem_fmems[packed[-1]][-1]
+        items = self._final_items[fm_id]
         seen = self._outcome_seen
         for combo in product(*(cert.completions for cert in per_thread)):
             key = combo + (fm_id,)
@@ -416,7 +479,7 @@ class PackedPromisingBackend:
         fmems = self._mem_fmems[mem]
         out: list[Packed] = []
         steps = self._steps
-        for tid in range(len(fmems)):
+        for tid in range(len(packed) - 1):
             memo_key = (tid, packed[tid], fmems[tid])
             pairs = steps.get(memo_key)
             if pairs is None:
@@ -492,7 +555,7 @@ class PackedPromisingBackend:
         objs = self._tcfgs.objects
         return Outcome.make(
             [{reg: value for reg, (value, _view) in objs[i][1][1]} for i in packed[:-1]],
-            self._mems.objects[packed[-1]].final_values(),
+            dict(self._final_items[self._mem_fmems[packed[-1]][-1]]),
         )
 
     # -- accounting ----------------------------------------------------------
@@ -503,6 +566,8 @@ class PackedPromisingBackend:
         stats.intern_hits = sum(table.hits for table in tables)
         stats.cert_calls += self._cert_hits + self._cert_misses
         stats.cert_memo_hits += self._cert_hits
+        stats.cert_fuel_hits += self._fuel_hits
+        stats.max_cert_nodes = max(stats.max_cert_nodes, self._max_nodes)
         stats.step_memo_hits += self._step_hits
         stats.step_memo_misses += self._step_misses
         self.phases.flush(EXPLORE_PHASE_SECONDS, model=model)

@@ -154,9 +154,13 @@ class SearchKernel:
         fire it early or late), and ``samples``, ``sample_depth`` and
         ``seed`` shape the random walks.
     key_fn:
-        Visited-set identity of a state.  ``None`` (every explorer)
-        makes a state its own key; tests pass a function to compare
-        against reference states or to turn pruning off.
+        Visited-set identity of a state; ``None`` makes a state its own
+        key.  The promising explorers pass their backend's
+        ``visited_key``: under ``dfs`` the state's projection onto what
+        its future depends on
+        (:meth:`~repro.backend.packed.PackedPromisingBackend._projection`).
+        Tests pass a function to compare against reference states.  A
+        ``sample`` run uses the key only to count distinct states.
     """
 
     def __init__(

@@ -15,7 +15,6 @@ exactly as §A.3 defines them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -297,14 +296,6 @@ def statement_size(stmt: Stmt) -> int:
     return sum(1 for _ in iter_statements(stmt))
 
 
-_FRESH_COUNTER = itertools.count()
-
-
-def fresh_register(prefix: str = "tmp") -> Reg:
-    """Return a register name unlikely to clash with user registers."""
-    return f"_{prefix}{next(_FRESH_COUNTER)}"
-
-
 __all__ = [
     "Stmt",
     "Skip",
@@ -336,5 +327,4 @@ __all__ = [
     "count_memory_accesses",
     "has_loops",
     "statement_size",
-    "fresh_register",
 ]

@@ -14,7 +14,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .ast import (
     Assign,
@@ -103,12 +103,15 @@ def _static_address(expr: Expr) -> Optional[Loc]:
     return eval_expr(expr, {})
 
 
-def accessed_locations(stmt: Stmt) -> tuple[frozenset[Loc], bool]:
+def accessed_locations(
+    stmt: Stmt, counts: Callable[[Stmt], bool] = lambda access: True
+) -> tuple[frozenset[Loc], bool]:
     """Statically known locations accessed by ``stmt``.
 
     Returns ``(locations, all_static)``; ``all_static`` is False when some
     access address depends on registers, in which case the analysis cannot
-    conclude anything about that access's footprint.
+    conclude anything about that access's footprint.  ``counts`` picks
+    the ``Load``/``Store`` nodes that count as accesses (default: all).
     """
     locs: set[Loc] = set()
     all_static = True
@@ -123,7 +126,7 @@ def accessed_locations(stmt: Stmt) -> tuple[frozenset[Loc], bool]:
             visit(node.orelse)
         elif isinstance(node, While):
             visit(node.body)
-        elif isinstance(node, (Load, Store)):
+        elif isinstance(node, (Load, Store)) and counts(node):
             addr = _static_address(node.addr)
             if addr is None:
                 all_static = False
@@ -132,6 +135,16 @@ def accessed_locations(stmt: Stmt) -> tuple[frozenset[Loc], bool]:
 
     visit(stmt)
     return frozenset(locs), all_static
+
+
+def observed_locations(stmt: Stmt) -> tuple[frozenset[Loc], bool]:
+    """:func:`accessed_locations` of the loads and store exclusives only.
+
+    These are the accesses whose rules look at other threads' messages:
+    a load reads them, and a store exclusive's atomicity check scans
+    them at its own address.
+    """
+    return accessed_locations(stmt, lambda access: isinstance(access, Load) or access.exclusive)
 
 
 def private_locations(program: Program) -> frozenset[Loc]:
@@ -222,6 +235,7 @@ __all__ = [
     "unroll_program",
     "rename_registers_stmt",
     "accessed_locations",
+    "observed_locations",
     "private_locations",
     "localise_private_locations",
 ]

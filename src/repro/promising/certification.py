@@ -107,16 +107,31 @@ class _SequentialGraphBase:
         return len(self._ids)
 
     def can_reach_fulfilled(self) -> set[int]:
-        """Ids of nodes from which a promise-free state is reachable."""
-        predecessors: list[list[int]] = [[] for _ in range(len(self._ids))]
+        """Ids of nodes from which a promise-free state is reachable.
+
+        A backward search from the promise-free nodes.  Sequential graphs
+        are nearly trees (a node is a thread state *and* a memory), so each
+        node's first predecessor goes in one flat int list and only a node
+        with more gets a list of the rest: no list per node, and nothing
+        new for the garbage collector to trace.
+        """
+        first = [-1] * len(self.edges)
+        more: dict[int, list[int]] = {}
         for src, succs in enumerate(self.edges):
             for dst, _step in succs or ():
-                predecessors[dst].append(src)
+                if first[dst] < 0:
+                    first[dst] = src
+                else:
+                    more.setdefault(dst, []).append(src)
         good = set(self.fulfilled)
         worklist = list(good)
         while worklist:
             node = worklist.pop()
-            for pred in predecessors[node]:
+            pred = first[node]
+            if pred >= 0 and pred not in good:
+                good.add(pred)
+                worklist.append(pred)
+            for pred in more.get(node, ()):
                 if pred not in good:
                     good.add(pred)
                     worklist.append(pred)

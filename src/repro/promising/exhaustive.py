@@ -91,6 +91,10 @@ class ExplorationStats(SearchStats):
     #: Certification invocations and how many were answered by the memo.
     cert_calls: int = 0
     cert_memo_hits: int = 0
+    #: Certification builds cut short by ``cert_fuel`` (each one marks the
+    #: run truncated), and the most nodes one build visited.
+    cert_fuel_hits: int = 0
+    max_cert_nodes: int = 0
     #: Hash-consing statistics of the run's intern pool.
     interned_keys: int = 0
     intern_hits: int = 0
@@ -179,7 +183,7 @@ def explore(program: Program, config: Optional[ExploreConfig] = None) -> Explora
 
         return backend.promise_successors(packed, per_thread)
 
-    kernel = SearchKernel(expand, config)
+    kernel = SearchKernel(expand, config, key_fn=backend.visited_key)
     kernel.run([backend.initial()])
     stats.promise_states += kernel.stats.states
     stats.promise_transitions += kernel.stats.transitions
@@ -224,7 +228,7 @@ def explore_naive(program: Program, config: Optional[ExploreConfig] = None) -> E
             stats.deadlocked_states += 1
         return successors
 
-    kernel = SearchKernel(expand, config)
+    kernel = SearchKernel(expand, config, key_fn=backend.visited_key)
     kernel.run([backend.initial()])
     stats.promise_states += kernel.stats.states
     stats.promise_transitions += kernel.stats.transitions

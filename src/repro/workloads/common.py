@@ -17,7 +17,6 @@ module provides the pieces they share:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,11 +43,15 @@ from ..outcomes import Outcome, OutcomeSet
 #: stop early; conditions quantify only over threads that completed.
 DONE_REG = "rdone"
 
-_UNIQUE = itertools.count()
 
+def _status_register(old_reg: str) -> str:
+    """The store-exclusive status register of the LL/SC loop loading ``old_reg``.
 
-def _fresh(prefix: str) -> str:
-    return f"{prefix}{next(_UNIQUE)}"
+    Named after the call site's own register, so a workload built twice
+    is the same program (and has the same job fingerprint), and equal
+    threads stay equal.
+    """
+    return f"_sc_{old_reg}"
 
 
 def done_marker() -> Stmt:
@@ -79,7 +82,7 @@ def ll_sc_cas(
     ``old_reg`` holds the last observed value.  ``retries`` bounds the
     number of LL/SC attempts, as the executable tool bounds loops.
     """
-    status = _fresh("_sc")
+    status = _status_register(old_reg)
     rk = ReadKind.ACQ if acquire else ReadKind.PLN
     wk = WriteKind.REL if release else WriteKind.PLN
     attempt = seq(
@@ -115,7 +118,7 @@ def fetch_add(
     within the retry bound.
     """
     ok_reg = f"{old_reg}_ok"
-    status = _fresh("_sc")
+    status = _status_register(old_reg)
     rk = ReadKind.ACQ if acquire else ReadKind.PLN
     wk = WriteKind.REL if release else WriteKind.PLN
     attempt = seq(

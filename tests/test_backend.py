@@ -53,6 +53,7 @@ from repro.lang import (
     LocationEnv,
     R,
     Skip,
+    Store,
     assign,
     dependency_idiom,
     if_,
@@ -62,7 +63,7 @@ from repro.lang import (
     store,
 )
 from repro.lang.kinds import VSUCC, Arch, WriteKind
-from repro.lang.transform import accessed_locations
+from repro.lang.transform import accessed_locations, observed_locations
 from repro.litmus import generate_cycle_battery, get_test
 from repro.outcomes import Outcome, OutcomeSet
 from repro.promising import (
@@ -158,10 +159,22 @@ def _reference_cross(state, arch) -> set:
 
 
 def _partial_footprint(program) -> bool:
-    """Does some thread have a static footprint short of every location?"""
-    footprints = [accessed_locations(stmt) for stmt in program.threads]
-    every = frozenset().union(*(locs for locs, _static in footprints))
-    return any(static and locs != every for locs, static in footprints)
+    """Can some thread's footprint memory miss another thread's message?
+
+    It keeps its own messages and the others' at the static addresses of
+    its loads and store exclusives (``observed_locations``).
+    """
+    observed = [observed_locations(stmt) for stmt in program.threads]
+    written = [
+        accessed_locations(stmt, lambda access: isinstance(access, Store))[0]
+        for stmt in program.threads
+    ]
+    return any(
+        static and not written[writer] <= locs
+        for tid, (locs, static) in enumerate(observed)
+        for writer in range(len(written))
+        if writer != tid
+    )
 
 
 def _assert_cert_equivalence(program, arch, limit):
@@ -268,6 +281,9 @@ def test_footprint_memory_laws():
     wrote_at = {t: _tstate(coh={x: t}, vwOld=t, fwdb={x: Forward(t, 0, False)}) for t in (1, 2)}
     assert key([x1], wrote_at[1]) == key([z1, x1], wrote_at[2])
     assert backend._fmems.objects[key([z1, x1])[1]].messages == (x1,)
+    # So do other threads' messages at a location T0 writes but never
+    # loads: only its own messages there are observable.
+    assert key([x1]) == key([x1, Msg(x, 2, 1)]) == key([Msg(x, 2, 1), x1])
     # What the rules can observe keeps pairs apart.
     assert key([y1]) != key([y2])
     assert key([x1, y1]) != key([y1, x1])
@@ -403,6 +419,117 @@ def test_naive_state_counts_equal_reference_search(name):
     stats = kernel.run([MachineState.initial(program, config.arch)])
     assert packed.stats.promise_states == stats.states
     assert packed.stats.promise_transitions == stats.transitions
+
+
+# ---------------------------------------------------------------------------
+# Projection laws (the ``dfs`` visited-set key)
+# ---------------------------------------------------------------------------
+
+PROJECTION_PROGRAMS = {
+    **{name: test.program for name, test in CYCLES.items()},
+    **{name: get_test(name).program for name in PROMISING_SLICE},
+    **{test.name: test.program for test in GENERATED},
+}
+
+
+def _projection_signature(backend, packed):
+    """Everything a search reads off ``packed``, with successors as projections."""
+    project = backend._projection
+    per_thread, _can_finish = backend.certify_all(packed)
+    final = backend.is_final(packed)
+    return (
+        [project(succ) for succ in backend.successors(packed)],
+        [project(succ) for succ in backend.promise_successors(packed, per_thread)],
+        [(c.certified, c.promises, c.can_complete, c.completions) for c in per_thread],
+        final,
+        backend.outcome(packed) if final else None,
+    )
+
+
+def _assert_projection_is_a_bisimulation(program, arch, limit=4000):
+    """Group the states of an unpruned search by projection: members agree.
+
+    Returns how many of the (at most ``limit``) visited states share
+    their projection with an earlier one.
+    """
+    backend = _promising(program, arch)
+    root = backend.initial()
+    seen = {root}
+    frontier = [root]
+    groups = {}
+    visited = 0
+    while frontier and visited < limit:
+        packed = frontier.pop()
+        visited += 1
+        signature = _projection_signature(backend, packed)
+        first = groups.setdefault(backend._projection(packed), signature)
+        assert signature == first, f"{program.name}: a projection class disagrees"
+        for succ in backend.successors(packed):
+            if succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
+    return visited - len(groups)
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
+@pytest.mark.parametrize("name", PROJECTION_PROGRAMS)
+def test_projection_classes_agree_on_everything_a_search_reads(name, arch):
+    merged = _assert_projection_is_a_bisimulation(PROJECTION_PROGRAMS[name], arch)
+    if name == "3.2W+po+po+po":
+        assert merged > 0, "nothing merged where nobody loads"
+
+
+def test_projection_keys_dfs_runs_only():
+    program = CYCLES["3.2W+po+po+po"].program
+    assert _promising(program).visited_key is not None
+    # Sampled walks never prune, so they never take the key.
+    sampled = ExploreConfig(strategy="sample")
+    assert PackedPromisingBackend(program, sampled, ExplorationStats()).visited_key is None
+
+
+def _exclusive_pair_against_a_plain_store():
+    """T0 pairs a load exclusive of ``y`` with a store exclusive to ``x``; T1 writes ``x``.
+
+    No thread loads ``x``, yet T0's store exclusive must see T1's write:
+    after a load exclusive of timestamp 0, atomicity forbids any foreign
+    write to ``x`` before the store exclusive's own.
+    """
+    env = LocationEnv()
+    x, y = env["x"], env["y"]
+    threads = [
+        seq(load("r0", y, exclusive=True), store(x, 1, exclusive=True, succ_reg="r1")),
+        store(x, 2),
+    ]
+    return make_program(threads, env=env, name="xcl-pair+store"), x
+
+
+def _reference_outcomes(program, config):
+    """Outcomes of an unpruned search over ``machine_transitions``."""
+    outcomes = set()
+
+    def expand(state):
+        if state.is_final:
+            outcomes.add(state.outcome())
+            return []
+        return [t.state for t in machine_transitions(state, config.cert_fuel)]
+
+    SearchKernel(expand, config, key_fn=MachineState.cache_key).run(
+        [MachineState.initial(program, config.arch)]
+    )
+    return outcomes
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
+def test_store_exclusive_address_is_observed(arch):
+    program, x = _exclusive_pair_against_a_plain_store()
+    config = ExploreConfig(arch=arch, localise=False)
+    reference = _reference_outcomes(program, config)
+    assert set(explore(program, config).outcomes) == reference
+    assert set(explore_naive(program, config).outcomes) == reference
+    # The non-atomic success: T1's write lands between the load
+    # exclusive's initial read and T0's store exclusive.
+    assert not any(o.reg(0, "r1") == VSUCC and o.mem(x) == 1 for o in reference)
+    assert any(o.reg(0, "r1") == VSUCC for o in reference)
 
 
 def test_sample_strategy_walks_identical_traces():

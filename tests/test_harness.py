@@ -442,6 +442,12 @@ class TestReport:
             assert result.warning and "truncated" in result.warning
             assert result.matches_expectation is None
             assert "[TRUNCATED]" in result.describe()
+            # The fuel counters tell the two budgets apart.
+            if config.cert_fuel == 1:
+                assert result.stats["cert_fuel_hits"] > 0, name
+                assert result.stats["max_cert_nodes"] >= 1, name
+            else:
+                assert result.stats["cert_fuel_hits"] == 0, name
             report = build_report([result], [])
             assert report["truncated_jobs"] == 1
             entry = report["jobs"][0]

@@ -669,6 +669,8 @@ class TestFailurePaths:
         run_async(scenario())
 
     def test_pool_timeout_is_a_timeout_row_and_counted(self):
+        # The deadline must fire before the job ends: on a warm worker
+        # 2+2W under promising-naive takes about 2 ms, so give it 0.1 ms.
         async def scenario():
             service = make_service(workers=2)
             await service.start()
@@ -677,7 +679,7 @@ class TestFailurePaths:
                     {
                         "test": "2+2W",
                         "models": ["promising-naive"],
-                        "options": {"timeout": 0.001},
+                        "options": {"timeout": 0.0001},
                     }
                 )
                 assert status == 200 and not response["ok"]

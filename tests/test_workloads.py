@@ -6,6 +6,7 @@ stays fast; the larger sweeps live in the benchmark harness.
 
 import pytest
 
+from repro.harness import Job
 from repro.lang import count_memory_accesses
 from repro.lang.kinds import Arch
 from repro.promising import ExploreConfig, explore
@@ -59,6 +60,27 @@ class TestBuilders:
     def test_sla_records_assembly_lines(self):
         workload = spinlock_asm(2, 1)
         assert getattr(workload, "assembly_lines") > 10
+
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            lambda: spinlock_cxx(2, 1),
+            lambda: ticket_lock(2, 1),
+            lambda: treiber_stack(("p", "o")),
+            lambda: ms_queue(("e", "d")),
+            lambda: chase_lev("p", (1,)),
+        ],
+        ids=["SLC", "TL", "STC", "QU", "DQ"],
+    )
+    def test_second_build_has_the_same_fingerprint(self, builder):
+        # The LL/SC status registers are named per call site, so building
+        # a workload again yields the same program and the same cache key.
+        first, second = builder(), builder()
+        assert second.program == first.program
+        jobs = [
+            Job.for_program(w.program, "promising", Arch.ARM, name=w.name) for w in (first, second)
+        ]
+        assert jobs[0].fingerprint() == jobs[1].fingerprint()
 
 
 class TestLocks:
