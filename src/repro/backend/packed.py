@@ -14,28 +14,25 @@ The explorers therefore run on this backend, which removes all of that:
   <repro.promising.state.TState.key>`) and the memory's messages to
   successor keys, with no per-visit ``Seq`` walking, statement hashing,
   state copying or key sorting;
-* thread configurations ``(stmt id, thread-state key)`` and memories are
-  interned to dense integer ids (:class:`~repro.promising.intern.IdInterner`);
-  a configuration is its own decoded form, and a
-  :class:`~repro.promising.state.TState` is rebuilt from the key
-  (:meth:`TState.from_key <repro.promising.state.TState.from_key>`) only
-  where reference code needs one: :meth:`~PackedPromisingBackend.encode`,
-  :meth:`~PackedPromisingBackend.decode` and
-  :meth:`~PackedPromisingBackend.outcome`;
+* thread configurations ``(stmt id, thread-state key)`` are interned to
+  dense integer ids (:class:`~repro.promising.intern.IdInterner`); a
+  configuration is its own decoded form, and the backend never rebuilds
+  a :class:`~repro.promising.state.TState` from it;
 * every thread configuration is stored relative to the thread's
   *footprint memory* (:meth:`PackedPromisingBackend._encode_memory`):
   the messages it can observe — its own, and the others' at the static
   addresses of its loads and store exclusives — renumbered 1..k in
-  timestamp order.  Each memory id carries the footprint-memory id of
-  every thread, so the thread-local work below keys on the plain
-  ``(tid, cfg, fmem)`` ids and is shared by every memory that differs
-  only in messages the thread cannot observe, or in where its own sit;
-* a machine state is the flat tuple ``(tcfg_0, …, tcfg_{T-1}, mem)`` of
-  those ids, and every visited/memo table keys on small immutable int
-  tuples.  A ``dfs`` run keys its visited set on the state's
-  *projection* (:meth:`PackedPromisingBackend._projection`): the config
-  ids, each thread's footprint-memory id and the final values, which
-  forgets the order of messages no thread observes;
+  timestamp order.  A memory is interned as its *row*: every thread's
+  footprint-memory id, then the id of its final values.  So the
+  thread-local work below keys on the plain ``(tid, cfg, fmem)`` ids and
+  is shared by every memory that differs only in messages the thread
+  cannot observe, or in where its own sit;
+* a machine state is the flat tuple ``(tcfg_0, …, tcfg_{T-1}, row)`` of
+  those ids, its own visited-set key, and every visited/memo table keys
+  on small immutable int tuples.  The tuple forgets the order of
+  messages no thread observes, and states it merges are bisimilar
+  (:meth:`PackedPromisingBackend._encode_memory`), so a search visits
+  one state per class;
 * certification builds its sequential graphs directly on interned
   ``(stmt id, thread-state key, fmem id)`` nodes
   (:func:`~repro.promising.certification.certify_compiled`), and the
@@ -72,8 +69,8 @@ from ..obs.tracing import PhaseAccumulator
 from ..outcomes import Outcome
 from ..promising.certification import CertificationResult, certify_compiled
 from ..promising.intern import IdInterner
-from ..promising.machine import MachineState, Thread
-from ..promising.state import Memory, Msg, TState
+from ..promising.machine import MachineState
+from ..promising.state import Memory, Msg
 
 #: Wall time per explorer phase (the registry returns the one counter for
 #: the name, so every explorer reports into the same series).
@@ -83,7 +80,7 @@ EXPLORE_PHASE_SECONDS = metrics.counter(
     labels=("model", "phase"),
 )
 
-#: Packed machine state: thread-config ids then the memory id.
+#: Packed machine state: thread-config ids then the memory row's id.
 Packed = tuple
 
 
@@ -125,11 +122,13 @@ class PackedPromisingBackend:
         #: Per-tcfg data, parallel to ``self._tcfgs.objects``.
         self._tcfg_final: list[bool] = []
         self._tcfg_prom: list[bool] = []
-        #: messages tuple -> dense id; objects are the Memory instances.
-        self._mems = IdInterner()
-        #: ``(mem, loc, val, tid)`` -> appended memory id: promise and
-        #: normal-write steps extend memory deterministically, so the
-        #: resulting id never needs a messages-tuple hash twice.
+        #: Memory rows -> dense id; the objects are the rows.  A row is
+        #: each thread's footprint-memory id and then the id of the
+        #: memory's final values, and its id ends a packed state.
+        self._rows = IdInterner()
+        #: ``(row id, loc, val, tid)`` -> the row id after appending that
+        #: message: promise and normal-write steps extend memory
+        #: deterministically, so each successor row is derived once.
         self._appends: dict[tuple, int] = {}
         #: Per thread, the locations at which it keeps other threads'
         #: messages: the static addresses of its loads and store
@@ -138,16 +137,14 @@ class PackedPromisingBackend:
         self._observed = [
             locs if static else None for locs, static in map(observed_locations, program.threads)
         ]
-        #: Footprint memories, interned like ``_mems`` and shared with
-        #: certification, which interns the memories its sequential writes
-        #: create; ``_fmem_appends`` is their append memo, in the format
+        #: Footprint memories (messages tuple -> dense id; the objects are
+        #: the Memory instances), shared with certification, which interns
+        #: the memories its sequential writes create; ``_fmem_appends`` is
+        #: their append memo, in the format
         #: :class:`~repro.promising.certification.CompiledSequentialGraph`
         #: uses.
         self._fmems = IdInterner()
         self._fmem_appends: dict[tuple, int] = {}
-        #: Per memory, each thread's footprint-memory id and then the id
-        #: of the memory's final values; parallel to ``self._mems.objects``.
-        self._mem_fmems: list[tuple] = []
         #: Final values (sorted ``(loc, value)`` items) -> dense id, and
         #: back: distinct memories with equal final values share the id.
         self._final_vals: dict[tuple, int] = {}
@@ -171,9 +168,6 @@ class PackedPromisingBackend:
         self._step_hits = 0
         self._step_misses = 0
         self.phases = PhaseAccumulator()
-        #: The visited-set key: the projection under ``dfs``; ``sample``
-        #: walks never prune, so there a state is its own key.
-        self.visited_key = self._projection if config.strategy == "dfs" else None
 
     # -- encoding ----------------------------------------------------------
     def _encode_cfg(self, sid: int, key: tuple) -> int:
@@ -206,7 +200,7 @@ class PackedPromisingBackend:
         return fid
 
     def _encode_memory(self, memory) -> int:
-        """Memory id of ``memory``, recording each thread's footprint memory.
+        """Memory id of ``memory``: the id of its row.
 
         A thread's footprint memory keeps the messages it can observe: its
         own, at any location, and the other threads' at the static
@@ -254,33 +248,46 @@ class PackedPromisingBackend:
            observes (:meth:`_append_id`).  The final values evolve from
            the final values and the message alone: the message's
            location takes its value.
-        5. For a fixed memory the relabelling is a bijection.  So packed
-           states correspond one to one to reference states, successors
-           come in the reference order, and seeded ``sample`` walks
-           retrace the same traces.
+        5. For a fixed memory the relabelling is a bijection: a packed
+           state forgets nothing but what the footprint memories and the
+           final values leave out.  Successors come in the reference
+           order (item 3), so seeded ``sample`` walks retrace the same
+           traces.
         6. The certification key ``(tid, cfg, fmem)`` is the thread, its
            statement, its relabelled state and its kept messages: two
            configurations with equal keys get equal answers, field by
            field.
 
-        :meth:`_projection` builds the ``dfs`` visited-set key on items
-        2, 4 and 6.  Initial values, arch and ``cert_fuel`` are constant
-        within a run (the memos are per run), so the keys leave them out.
-        A row is added only when the memory is new: :meth:`encode` may
-        already have interned the same messages.
+        The memory id is the row's: every thread's footprint-memory id and
+        the final-values id.  Two reference states that encode equally are
+        bisimilar, by items 2, 4 and 6:
+
+        * every thread-local answer (certification, completions, the step
+          and promise memos) keys on ``(tid, cfg, fmem)``, so both states
+          get the same ones;
+        * so each successor appends the same message, or none, to both
+          memories.  Whether a thread keeps the message depends on the
+          message alone, and so do the new final values: the successors
+          encode equally, and in the same order;
+        * ``is_final`` and the naive outcome read the config ids and the
+          final values, and promise-first outcomes cross completion sets
+          with the final values.
+
+        So a search visiting one packed state per class finds every
+        outcome.  It merges memories that differ only in the order of
+        messages no thread observes, such as two threads' writes to
+        locations nobody loads (3.2W).  Initial values, arch and
+        ``cert_fuel`` are constant within a run (the memos are per run),
+        so the keys leave them out.
         """
-        table = self._mems
-        before = len(table)
-        mem = table.intern(memory.cache_key(), memory)
-        if len(table) != before:
-            row = []
-            for tid in range(len(self._observed)):
-                times = self._kept_times(memory, tid)
-                kept = Memory(memory.initial, [memory.msg(t) for t in times[1:]])
-                row.append(self._fmems.intern(kept.cache_key(), kept))
-            row.append(self._final_id(memory.final_values()))
-            self._mem_fmems.append(tuple(row))
-        return mem
+        row = []
+        for tid in range(len(self._observed)):
+            times = self._kept_times(memory, tid)
+            kept = Memory(memory.initial, [memory.msg(t) for t in times[1:]])
+            row.append(self._fmems.intern(kept.cache_key(), kept))
+        row.append(self._final_id(memory.final_values()))
+        row = tuple(row)
+        return self._rows.intern(row, row)
 
     def _fmem_append_id(self, fmem: int, msg) -> int:
         """Footprint-memory id of ``fmems[fmem]`` extended with ``msg``."""
@@ -293,58 +300,27 @@ class PackedPromisingBackend:
         return nid
 
     def _append_id(self, mem: int, msg) -> int:
-        """Memory id of ``mems[mem]`` extended with ``msg``.
+        """Memory id of the memory ``mem`` names, extended with ``msg``.
 
-        A memory built here for the first time derives its row from
-        ``mem``'s: a thread that keeps ``msg`` (its own, or at an address
-        it observes) gets ``fmem + msg``, every other thread keeps its
-        id, and ``msg.loc`` takes ``msg.val`` in the final values.
+        The new row is derived from ``mem``'s: a thread that keeps ``msg``
+        (its own, or at an address it observes) gets ``fmem + msg``, every
+        other thread keeps its id, and ``msg.loc`` takes ``msg.val`` in the
+        final values.
         """
         key = (mem, msg.loc, msg.val, msg.tid)
         nid = self._appends.get(key)
         if nid is None:
-            table = self._mems
-            before = len(table)
-            memory, _t = table.objects[mem].append(msg)
-            nid = table.intern(memory.cache_key(), memory)
-            if len(table) != before:
-                old = self._mem_fmems[mem]
-                row = [
-                    self._fmem_append_id(fmem, msg) if self._keeps(tid, msg.loc, msg.tid) else fmem
-                    for tid, fmem in enumerate(old[:-1])
-                ]
-                values = dict(self._final_items[old[-1]])
-                values[msg.loc] = msg.val
-                row.append(self._final_id(values))
-                self._mem_fmems.append(tuple(row))
-            self._appends[key] = nid
+            old = self._rows.objects[mem]
+            row = [
+                self._fmem_append_id(fmem, msg) if self._keeps(tid, msg.loc, msg.tid) else fmem
+                for tid, fmem in enumerate(old[:-1])
+            ]
+            values = dict(self._final_items[old[-1]])
+            values[msg.loc] = msg.val
+            row.append(self._final_id(values))
+            row = tuple(row)
+            nid = self._appends[key] = self._rows.intern(row, row)
         return nid
-
-    def _projection(self, packed: Packed) -> tuple:
-        """The ``dfs`` visited-set key of ``packed``: what its future depends on.
-
-        The thread-config ids, each thread's footprint-memory id and the
-        memory's final-values id; the full memory id is left out.  Two
-        states with equal projections are bisimilar, by items 2, 4 and 6
-        of :meth:`_encode_memory`:
-
-        * every thread-local answer (certification, completions, the step
-          and promise memos) keys on ``(tid, cfg, fmem)``, so both states
-          get the same ones;
-        * so each successor appends the same message, or none, to both
-          memories.  Whether a thread keeps the message depends on the
-          message alone, and so do the new final values: the successor
-          projections are equal, and in the same order;
-        * ``is_final`` and the naive outcome read the config ids and the
-          final values, and promise-first outcomes cross completion sets
-          with the final values.
-
-        So a search visiting one state per projection finds every
-        outcome.  It merges memories that differ only in the order of
-        messages no thread observes, such as two threads' writes to
-        locations nobody loads (3.2W).
-        """
-        return packed[:-1] + self._mem_fmems[packed[-1]]
 
     def encode(self, state: MachineState) -> Packed:
         """Packed form of a reference state.
@@ -364,16 +340,6 @@ class PackedPromisingBackend:
                 ) from None
             cfgs.append(self._encode_cfg(self.compiled.stmt_id(thread.stmt), key))
         return tuple(cfgs) + (self._encode_memory(memory),)
-
-    def decode(self, packed: Packed) -> MachineState:
-        memory = self._mems.objects[packed[-1]]
-        stmts = self.compiled.stmts
-        objs = self._tcfgs.objects
-        threads = tuple(
-            Thread(stmts[sid].stmt, TState.from_key(_relabel(key, self._kept_times(memory, tid))))
-            for tid, (sid, key) in enumerate(objs[i] for i in packed[:-1])
-        )
-        return MachineState(threads, memory, self.arch)
 
     def initial(self) -> Packed:
         return self.encode(MachineState.initial(self.program, self.arch))
@@ -416,7 +382,7 @@ class PackedPromisingBackend:
     def certify_all(self, packed: Packed):
         """Certify every thread; returns (per-thread results, can-finish)."""
         phase_start = time.perf_counter()
-        fmems = self._mem_fmems[packed[-1]]
+        fmems = self._rows.objects[packed[-1]]
         per_thread = [self._certify(tid, packed[tid], fmems[tid]) for tid in range(len(packed) - 1)]
         self.phases.add("certify", time.perf_counter() - phase_start)
         return per_thread, [cert.can_complete for cert in per_thread]
@@ -424,7 +390,7 @@ class PackedPromisingBackend:
     # -- promise-first exploration ------------------------------------------
     def promise_successors(self, packed: Packed, per_thread) -> list[Packed]:
         mem = packed[-1]
-        fmems = self._mem_fmems[mem]
+        fmems = self._rows.objects[mem]
         out: list[Packed] = []
         for tid, cert in enumerate(per_thread):
             memo_key = (tid, packed[tid], fmems[tid])
@@ -460,7 +426,7 @@ class PackedPromisingBackend:
         hundreds of thousands of object constructions and a few.
         """
         phase_start = time.perf_counter()
-        fm_id = self._mem_fmems[packed[-1]][-1]
+        fm_id = self._rows.objects[packed[-1]][-1]
         items = self._final_items[fm_id]
         seen = self._outcome_seen
         for combo in product(*(cert.completions for cert in per_thread)):
@@ -476,7 +442,7 @@ class PackedPromisingBackend:
         phase_start = time.perf_counter()
         certify_s = 0.0
         mem = packed[-1]
-        fmems = self._mem_fmems[mem]
+        fmems = self._rows.objects[mem]
         out: list[Packed] = []
         steps = self._steps
         for tid in range(len(packed) - 1):
@@ -555,13 +521,13 @@ class PackedPromisingBackend:
         objs = self._tcfgs.objects
         return Outcome.make(
             [{reg: value for reg, (value, _view) in objs[i][1][1]} for i in packed[:-1]],
-            dict(self._final_items[self._mem_fmems[packed[-1]][-1]]),
+            dict(self._final_items[self._rows.objects[packed[-1]][-1]]),
         )
 
     # -- accounting ----------------------------------------------------------
     def finalise(self, stats, model: str) -> None:
         """Fold the id-table, cert and memo counters into stats; flush phases."""
-        tables = (self._tcfgs, self._mems, self._fmems)
+        tables = (self._tcfgs, self._rows, self._fmems)
         stats.interned_keys = sum(map(len, tables))
         stats.intern_hits = sum(table.hits for table in tables)
         stats.cert_calls += self._cert_hits + self._cert_misses

@@ -155,12 +155,9 @@ class SearchKernel:
         ``seed`` shape the random walks.
     key_fn:
         Visited-set identity of a state; ``None`` makes a state its own
-        key.  The promising explorers pass their backend's
-        ``visited_key``: under ``dfs`` the state's projection onto what
-        its future depends on
-        (:meth:`~repro.backend.packed.PackedPromisingBackend._projection`).
-        Tests pass a function to compare against reference states.  A
-        ``sample`` run uses the key only to count distinct states.
+        key.  No explorer passes one: tests do, to search reference
+        states or to turn pruning off.  A ``sample`` run uses the key
+        only to count distinct states.
     """
 
     def __init__(

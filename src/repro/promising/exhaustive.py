@@ -183,7 +183,7 @@ def explore(program: Program, config: Optional[ExploreConfig] = None) -> Explora
 
         return backend.promise_successors(packed, per_thread)
 
-    kernel = SearchKernel(expand, config, key_fn=backend.visited_key)
+    kernel = SearchKernel(expand, config)
     kernel.run([backend.initial()])
     stats.promise_states += kernel.stats.states
     stats.promise_transitions += kernel.stats.transitions
@@ -228,7 +228,7 @@ def explore_naive(program: Program, config: Optional[ExploreConfig] = None) -> E
             stats.deadlocked_states += 1
         return successors
 
-    kernel = SearchKernel(expand, config, key_fn=backend.visited_key)
+    kernel = SearchKernel(expand, config)
     kernel.run([backend.initial()])
     stats.promise_states += kernel.stats.states
     stats.promise_transitions += kernel.stats.transitions

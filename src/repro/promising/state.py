@@ -282,8 +282,8 @@ class TState:
     def from_key(cls, key: tuple) -> "TState":
         """The thread state whose :meth:`key` is ``key`` (its inverse).
 
-        The packed backend keeps thread states as keys and builds a
-        ``TState`` only where reference code needs one.
+        The packed backend keeps thread states as keys and never builds
+        a ``TState``; the law tests build one to run the reference rules.
         """
         new = cls.__new__(cls)
         (

@@ -29,7 +29,7 @@ from repro.lang.kinds import Arch
 from repro.litmus import generate_cycle_battery, get_family, get_test, synthesize
 from repro.promising import ExploreConfig
 from repro.tools.cli import main
-from repro.workloads import spinlock_rust
+from repro.workloads import spinlock_cxx, spinlock_rust
 
 
 def battery(n=8):
@@ -155,9 +155,11 @@ class TestScheduler:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_timeout_does_not_poison_the_batch(self, workers):
         # The first and last jobs finish in a few milliseconds; the middle
-        # one needs hundreds and must surface as a timeout result.
+        # one (Table 3's SLC-2) takes about 30 s in process, 600 times its
+        # deadline, and must surface as a timeout result.  The alarm stops
+        # it at the deadline, so the test stays fast.
         quick = get_test("MP")
-        slow = Job.for_program(spinlock_rust(2, 1).program, "promising", name="slow")
+        slow = Job.for_program(spinlock_cxx(2, 2).program, "promising", name="slow")
         jobs = [Job(test=quick, model="promising"), slow, Job(test=quick, model="axiomatic")]
         results = run_jobs(jobs, workers=workers, timeout=0.05)
         statuses = [r.status for r in results]

@@ -46,6 +46,20 @@ MP_SOURCE = (
     "exists (1:X0=1 /\\ 1:X2=0)\n"
 )
 
+# The 3.2W shape: three threads, two stores each, no loads.  Every
+# assignment is a machine step, so naive exploration visits about 69,000
+# states.
+W3_SOURCE = (
+    "AArch64 3.2W-service\n"
+    "{ 0:X1=x; 0:X3=y; 1:X1=y; 1:X3=z; 2:X1=z; 2:X3=x; }\n"
+    " P0          | P1          | P2          ;\n"
+    " MOV W0,#2   | MOV W0,#2   | MOV W0,#2   ;\n"
+    " STR W0,[X1] | STR W0,[X1] | STR W0,[X1] ;\n"
+    " MOV W2,#1   | MOV W2,#1   | MOV W2,#1   ;\n"
+    " STR W2,[X3] | STR W2,[X3] | STR W2,[X3] ;\n"
+    "exists (x=2 /\\ y=2 /\\ z=2)\n"
+)
+
 
 def make_service(**overrides) -> ExplorationService:
     defaults = dict(workers=1)
@@ -669,15 +683,16 @@ class TestFailurePaths:
         run_async(scenario())
 
     def test_pool_timeout_is_a_timeout_row_and_counted(self):
-        # The deadline must fire before the job ends: on a warm worker
-        # 2+2W under promising-naive takes about 2 ms, so give it 0.1 ms.
+        # The deadline must fire before the job ends: W3_SOURCE under
+        # promising-naive takes about 700 ms in process, 7,000 times the
+        # 0.1 ms deadline.  The alarm stops it there, so the test stays fast.
         async def scenario():
             service = make_service(workers=2)
             await service.start()
             try:
                 status, response = await service.handle_explore(
                     {
-                        "test": "2+2W",
+                        "source": W3_SOURCE,
                         "models": ["promising-naive"],
                         "options": {"timeout": 0.0001},
                     }

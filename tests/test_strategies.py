@@ -200,7 +200,13 @@ class TestSampleSoundness:
 #: config field), recorded before the strategy classes were folded into
 #: the kernel.  Holds the kernel's own order of ``rng`` calls (and its
 #: walk accounting) fixed, which comparing two runs of the same build
-#: cannot do.
+#: cannot do.  ``unique_sample_states`` counts distinct packed states,
+#: and a packed state names a memory by its footprint memories and final
+#: values: on 2+2W, where nobody loads, states whose memories differ only
+#: in the order of writes that leave the same final values count once.
+#: So its two promising rows read fewer distinct states, and a lower
+#: coverage estimate, than when a state named its full memory; the walks
+#: themselves are unchanged.
 SEEDED_WALKS = {
     "MP/promising/arm": ("2a68ac11e4e0be3b", 16, 32, 0, 5, 0.104167, 48, 48),
     "MP/promising-naive/arm": ("2a68ac11e4e0be3b", 16, 84, 0, 34, 0.34, 100, 246),
@@ -211,8 +217,8 @@ SEEDED_WALKS = {
     "MP+dmb+addr/promising/arm": ("01231587ee0286aa", 16, 32, 0, 3, 0.0625, 48, 32),
     "MP+dmb+addr/promising-naive/arm": ("01231587ee0286aa", 16, 103, 0, 33, 0.277311, 119, 256),
     "MP+dmb+addr/flat/arm": ("01231587ee0286aa", 16, 160, 0, 53, 0.301136, 176, 354),
-    "2+2W/promising/arm": ("9dc88857a34913b0", 16, 64, 0, 41, 0.5125, 80, 160),
-    "2+2W/promising-naive/arm": ("9dc88857a34913b0", 16, 101, 0, 72, 0.615385, 117, 348),
+    "2+2W/promising/arm": ("9dc88857a34913b0", 16, 64, 0, 33, 0.4125, 80, 160),
+    "2+2W/promising-naive/arm": ("9dc88857a34913b0", 16, 101, 0, 63, 0.538462, 117, 348),
     "2+2W/flat/arm": ("9dc88857a34913b0", 16, 128, 0, 47, 0.326389, 144, 295),
     "MP/promising/riscv": ("2a68ac11e4e0be3b", 16, 32, 0, 5, 0.104167, 48, 48),
     "MP/promising-naive/riscv": ("2a68ac11e4e0be3b", 16, 84, 0, 34, 0.34, 100, 246),
