@@ -6,9 +6,8 @@ What it does, end to end:
 1. Starts three ``promising-arm work`` subprocesses against a SQLite
    queue in a temporary directory, sharing one result-cache directory —
    exactly the deployment shape from the README fleet quickstart.
-2. Runs the bounded differential fuzz battery through the coordinator in
-   ``--external-workers`` mode (the coordinator spawns nothing; the
-   fleet drains the queue).
+2. Runs the bounded differential fuzz battery through the coordinator,
+   which starts no worker of its own: the fleet drains the queue.
 3. Mid-run, SIGSTOPs one worker, confirms it is holding a lease, then
    SIGKILLs it — a real crash with a job in flight.  The coordinator
    must reclaim the expired lease and another worker must finish the
@@ -153,12 +152,7 @@ def http_fleet_leg(tests, pooled_report: dict, tmp: Path) -> list[str]:
             models=("promising", "axiomatic"),
             report_path=tmp / "fuzz-http.json",
             name="http-smoke",
-            distrib=DistribConfig(
-                backend_url=url,
-                workers=0,  # external fleet only
-                lease_seconds=LEASE_SECONDS,
-                stall_timeout=120.0,
-            ),
+            distrib=DistribConfig(backend_url=url, stall_timeout=120.0),
         )
     finally:
         for worker in workers:
@@ -210,12 +204,7 @@ def main() -> int:
                 models=("promising", "axiomatic"),
                 report_path=Path(tmp) / "fuzz-distributed.json",
                 name="distrib-smoke",
-                distrib=DistribConfig(
-                    backend_url=str(queue),
-                    workers=0,  # external fleet only
-                    lease_seconds=LEASE_SECONDS,
-                    stall_timeout=120.0,
-                ),
+                distrib=DistribConfig(backend_url=str(queue), stall_timeout=120.0),
             )
         finally:
             for worker in workers:

@@ -14,8 +14,7 @@ so a worker's heartbeat thread gets its own handle transparently.
 
 :meth:`SqliteBackend.temporary` makes a private ledger in a fresh
 temporary directory, which :meth:`SqliteBackend.close` removes: the
-coordinator's ephemeral queue and the service's default ``/v1/queue``
-mount.
+service's default ``/v1/queue`` mount.
 """
 
 from __future__ import annotations

@@ -163,8 +163,7 @@ def run_worker(
     ``max_jobs`` bounds how many items are claimed (tests), and
     ``idle_exit_seconds`` retires a worker whose queue has stayed empty
     that long (fleets that should wind down).  With both unset the worker
-    serves until it is terminated — the standalone ``promising-arm work``
-    shape and the coordinator's spawned fleet.
+    serves until it is terminated — the ``promising-arm work`` shape.
     """
     backend = open_backend(backend)
     cache = open_cache(cache)

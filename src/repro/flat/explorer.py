@@ -136,6 +136,16 @@ def _earlier_blocks_load(thread: FlatThread, index: int, addr) -> bool:
     earlier access turns out to alias; this model blocks it instead, so
     a load waits for the address of every po-earlier pending access
     (coRR and coWR through an address dependency).
+
+    A load also waits while any po-earlier load to its address is
+    pending, even when a same-address store lies between the two and
+    would forward to it.  That wait is why Flat lacks one outcome of
+    MP+fwd that the axiomatic model allows, on both architectures:
+    r0=42, r1=51, r2=0.  r1 may not take 51 from the store until r0 has
+    read 42, and by then x=37 has propagated, so r2 (address-dependent
+    on r1) cannot read the initial x.
+    ``tests/test_backend.py::test_flat_mp_fwd_gap_is_in_the_thread_relation``
+    pins the gap.
     """
     strong_acquire = thread.window[index].stmt.kind.is_strong_acquire
     for j, earlier in enumerate(thread.window[:index]):

@@ -296,8 +296,9 @@ def run_fuzz(
     battery (optionally restricted to ``families`` and truncated to
     ``max_tests``).  All jobs — every architecture and model — go through
     the scheduler as one batch, so the worker pool stays saturated.  With
-    ``distrib`` set the batch runs on a distributed work backend instead;
-    outcome digests are bit-identical between the two paths.
+    ``distrib`` set the batch is enqueued instead on the ledger that an
+    external fleet serves (``distrib.backend_url``), and ``workers`` is
+    unused; outcome digests are bit-identical between the two paths.
     """
     from ..litmus.synth import generate_cycle_battery
 

@@ -28,7 +28,10 @@ from .jobs import JobResult, STATUS_OK, outcome_to_json
 #: v5: the ``dedup`` block loses its two per-thread completion counters
 #: (completion sets are read off the certification graphs).
 #: v6: the ``dedup`` block gains ``step_memo_hits``/``step_memo_misses``.
-REPORT_SCHEMA_VERSION = 6
+#: v7: ``extra.distrib`` loses its three local-fleet fields (the
+#: ephemeral-queue flag, the requested and the spawned worker counts):
+#: the coordinator starts no worker.
+REPORT_SCHEMA_VERSION = 7
 
 #: Explorer stats counters aggregated into the report's ``dedup`` block.
 DEDUP_COUNTERS = (

@@ -18,10 +18,11 @@ Sub-commands mirror how the paper's rmem-based tool is used:
   them), execute them, and write results into the shared cache.
 
 ``sweep`` and ``fuzz`` differ only in the battery they build: both run it
-through :func:`repro.harness.fuzz.run_fuzz` (worker pool or fleet,
-persistent result cache, JSON report) and judge it with one cross-model
-policy, :func:`repro.harness.fuzz.differential_mismatches`, reporting
-every disagreement as a counterexample with its reproducing test source.
+through :func:`repro.harness.fuzz.run_fuzz` (the local worker pool or,
+under ``--distributed``, an external fleet; persistent result cache,
+JSON report) and judge it with one cross-model policy,
+:func:`repro.harness.fuzz.differential_mismatches`, reporting every
+disagreement as a counterexample with its reproducing test source.
 ``run --axiomatic`` judges its one test with the same policy.
 """
 
@@ -153,16 +154,16 @@ def _distrib_config(args: argparse.Namespace):
     """``--distributed`` knobs → a :class:`DistribConfig` (or ``None``).
 
     Raises :class:`_UsageError` for a fleet flag without ``--distributed``
-    (the battery would silently run on the local pool) and for
-    ``--external-workers`` without ``--backend-url`` (no external worker
-    can reach a private temporary queue, so the run would wait forever).
+    (the battery would silently run on the local pool), for
+    ``--distributed`` without ``--backend-url`` (the fleet is external, so
+    the run needs a ledger that fleet serves) and for ``--workers`` with
+    ``--distributed`` (nothing local would use it).
     """
     if not args.distributed:
         given = [
             flag
             for flag, value in (
                 ("--backend-url", args.backend_url),
-                ("--external-workers", args.external_workers),
                 ("--stall-timeout", args.stall_timeout),
             )
             if value
@@ -170,20 +171,36 @@ def _distrib_config(args: argparse.Namespace):
         if given:
             raise _UsageError(f"{', '.join(given)} needs --distributed")
         return None
-    if args.external_workers and not args.backend_url:
-        raise _UsageError("--external-workers needs a --backend-url the fleet can reach")
+    if not args.backend_url:
+        raise _UsageError("--distributed needs --backend-url: the ledger an external fleet serves")
+    if args.workers is not None:
+        raise _UsageError("--workers does nothing under --distributed: the fleet is external")
     from ..distrib import DistribConfig
-    from ..harness.scheduler import default_workers
 
-    if args.external_workers:
-        fleet = 0
-    else:
-        fleet = args.workers if args.workers > 0 else default_workers()
-    return DistribConfig(
-        backend_url=args.backend_url or "",
-        workers=fleet,
-        stall_timeout=args.stall_timeout,
-    )
+    return DistribConfig(backend_url=args.backend_url, stall_timeout=args.stall_timeout)
+
+
+def _workers(args: argparse.Namespace) -> int:
+    """The local worker count of a battery (``--workers``, default 1)."""
+    return 1 if args.workers is None else args.workers
+
+
+def _ledger_errors() -> tuple[type[Exception], ...]:
+    """What a ledger that cannot be opened, reached or served raises.
+
+    An ``except`` clause evaluates this only once an exception is raised,
+    so a run that does not fail imports neither module.
+    """
+    import sqlite3
+
+    from ..service.client import ServiceClientError
+
+    return (sqlite3.Error, ServiceClientError, TimeoutError)
+
+
+def _ledger_failure(url: str, exc: Exception) -> int:
+    print(f"promising-arm: error: backend {url}: {exc}", file=sys.stderr)
+    return 1
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -300,20 +317,25 @@ def _run_battery(
     from ..axiomatic.model import AxiomaticConfig
     from ..harness.fuzz import run_fuzz
 
-    result = run_fuzz(
-        tests,
-        models,
-        archs,
-        workers=args.workers,
-        timeout=args.timeout,
-        cache=cache,
-        report_path=args.report,
-        name=name,
-        explore_config=_explore_config(args),
-        axiomatic_config=AxiomaticConfig(loop_bound=args.loop_bound),
-        flat_config=_flat_config(args),
-        distrib=distrib,
-    )
+    try:
+        result = run_fuzz(
+            tests,
+            models,
+            archs,
+            workers=_workers(args),
+            timeout=args.timeout,
+            cache=cache,
+            report_path=args.report,
+            name=name,
+            explore_config=_explore_config(args),
+            axiomatic_config=AxiomaticConfig(loop_bound=args.loop_bound),
+            flat_config=_flat_config(args),
+            distrib=distrib,
+        )
+    except _ledger_errors() as exc:
+        if distrib is None:
+            raise
+        return _ledger_failure(distrib.backend_url, exc)
     print(result.describe())
     if args.report:
         print(f"report written to {args.report}")
@@ -398,7 +420,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             tests = attach_expected(
                 tests,
                 archs,
-                workers=args.workers,
+                workers=_workers(args),
                 timeout=args.timeout,
                 cache=cache_dir,
                 axiomatic_config=AxiomaticConfig(loop_bound=args.loop_bound),
@@ -411,15 +433,18 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 def cmd_work(args: argparse.Namespace) -> int:
     from ..distrib import run_worker
 
-    stats = run_worker(
-        args.backend_url,
-        args.cache_dir,
-        worker_id=args.worker_id,
-        lease_seconds=args.lease_seconds,
-        poll_seconds=args.poll_seconds,
-        max_jobs=args.max_jobs,
-        idle_exit_seconds=args.idle_exit,
-    )
+    try:
+        stats = run_worker(
+            args.backend_url,
+            args.cache_dir,
+            worker_id=args.worker_id,
+            lease_seconds=args.lease_seconds,
+            poll_seconds=args.poll_seconds,
+            max_jobs=args.max_jobs,
+            idle_exit_seconds=args.idle_exit,
+        )
+    except _ledger_errors() as exc:
+        return _ledger_failure(args.backend_url, exc)
     print(
         f"worker {stats.worker_id}: {stats.claimed} claimed, "
         f"{stats.computed} computed, {stats.cache_hits} cache hits, "
@@ -449,22 +474,20 @@ def _add_battery_args(parser: argparse.ArgumentParser) -> None:
     """The flags ``sweep`` and ``fuzz`` share: models, execution, report."""
     parser.add_argument("--models", default="promising,axiomatic",
                         help="comma-separated: promising,axiomatic,flat,promising-naive")
-    parser.add_argument("--workers", type=_non_negative_int, default=1,
-                        help="worker processes (0 = one per CPU)")
+    parser.add_argument("--workers", type=_non_negative_int, default=None,
+                        help="local worker processes (default 1, 0 = one per CPU; "
+                             "not with --distributed)")
     parser.add_argument("--cache-dir", default=None, help="persistent result cache directory")
     parser.add_argument("--timeout", type=_positive_number, default=None,
                         help="per-job timeout in seconds")
     parser.add_argument("--report", default=None, help="write a JSON report to this path")
     parser.add_argument("--distributed", action="store_true",
-                        help="run the batch on a distributed work backend: --workers "
-                             "fleet processes are spawned locally unless "
-                             "--external-workers attaches to an existing fleet")
+                        help="enqueue the batch on --backend-url and collect what an "
+                             "external fleet (promising-arm work) computes")
     parser.add_argument("--backend-url", default=None,
-                        help="work backend shared with the fleet (sqlite:///path or "
-                             "http://host:port; default: ephemeral SQLite tmpdir)")
-    parser.add_argument("--external-workers", action="store_true",
-                        help="spawn no local workers; an external fleet "
-                             "(promising-arm work) serves the queue")
+                        help="with --distributed (required): the ledger the fleet serves, "
+                             "sqlite:///path (or a bare path) or http://host:port "
+                             "(a promising-arm serve queue)")
     parser.add_argument("--stall-timeout", type=_positive_number, default=None,
                         help="abort if no distributed item completes for this long")
 

@@ -835,6 +835,28 @@ def test_flat_reservation_clear_regression(representation):
     )
 
 
+@pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
+def test_flat_mp_fwd_gap_is_in_the_thread_relation(arch):
+    # Flat lacks one outcome of MP+fwd that the axiomatic model allows.
+    # The packed explorer finds exactly what an exhaustive search over
+    # the reference relation finds, so the gap is in the Flat thread
+    # relation: `_earlier_blocks_load` holds r1 behind the pending r0
+    # (same address) although the store between them could forward 51.
+    # By the time r0 has read 42, x=37 has propagated, and r2, which
+    # depends on r1 for its address, cannot read the initial x.
+    from repro.axiomatic.model import AxiomaticConfig, enumerate_axiomatic_outcomes
+
+    program = get_test("MP+fwd").program
+    config = FlatConfig(arch=arch)
+    flat = set(explore_flat(program, config).outcomes)
+    assert flat == _reference_flat_outcomes(program, config)
+    assert len(flat) == 6
+    axiomatic = set(enumerate_axiomatic_outcomes(program, AxiomaticConfig(arch=arch)).outcomes)
+    assert flat < axiomatic
+    (missing,) = axiomatic - flat
+    assert (missing.reg(1, "r0"), missing.reg(1, "r1"), missing.reg(1, "r2")) == (42, 51, 0)
+
+
 def test_conformance_slice_is_nontrivial():
     # Guard the slice itself: conformance over empty outcome sets would
     # be vacuous.

@@ -6,18 +6,19 @@ completion exactly-once even against zombie workers), concurrent claimants never
 double-serve an item, a crashed worker's lease is reclaimed and its job
 completes exactly once, and a distributed batch is bit-identical — per
 job, per report digest, and in folded metrics — to the single-pool run
-of the same corpus.
+of the same corpus.  The coordinator starts no worker, so every batch
+here is served by :func:`fleet`: :func:`run_worker` processes.
 """
 
 import json
 import multiprocessing
 import os
 import queue as queue_module
-import signal
 import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,47 @@ def ledger(request, tmp_path):
         return
     yield backend, clock
     backend.close()
+
+
+@contextmanager
+def fleet(backend_url, workers=2, cache=None):
+    """Start ``workers`` :func:`run_worker` processes on ``backend_url``.
+
+    Yields once every worker has registered on the ledger, and terminates
+    them on exit.  They must be processes: a worker in the test process
+    would count its job metrics twice, once as it runs and again when the
+    coordinator folds its delta.  They are spawned, not forked, because
+    some tests run a server thread in this process.
+    """
+    ids = [f"fleet-{index}" for index in range(workers)]
+    processes = []
+    try:
+        for worker_id in ids:
+            process = multiprocessing.get_context("spawn").Process(
+                target=run_worker,
+                args=(backend_url, cache),
+                kwargs={"worker_id": worker_id, "poll_seconds": 0.02},
+                daemon=True,
+            )
+            process.start()
+            processes.append(process)
+        ledger = open_backend(backend_url)
+        try:
+            deadline = time.monotonic() + 30
+            while not set(ids) <= {w.worker_id for w in ledger.workers()}:
+                assert time.monotonic() < deadline, "fleet workers never registered"
+                time.sleep(0.02)
+        finally:
+            ledger.close()
+        yield processes
+    finally:
+        for process in processes:
+            process.terminate()
+        for process in processes:
+            process.join(timeout=10)
+            if process.is_alive():
+                process.kill()
+                process.join(timeout=10)
 
 
 def arm_jobs(tests, models=("promising",)):
@@ -448,11 +490,10 @@ class TestCrashReclamation:
         zombie = pre.claim("crashed-worker", lease_seconds=0.3)
         assert zombie is not None
 
-        run = run_distributed(
-            jobs,
-            config=DistribConfig(backend_url=str(queue), workers=1, poll_seconds=0.02),
-            cache=tmp_path / "cache",
-        )
+        with fleet(str(queue), 1):
+            run = run_distributed(
+                jobs, config=DistribConfig(backend_url=str(queue)), cache=tmp_path / "cache"
+            )
         assert [r.status for r in run.results] == ["ok", "ok"]
         assert run.info["lease_reclaims"] == 1
         # Exactly once: the reclaimed item shows one real completion on
@@ -472,7 +513,8 @@ class TestCrashReclamation:
     def test_killed_worker_process_mid_job_is_recovered(self, tmp_path):
         # Real crash-kill: a separate worker process claims under a short
         # lease with heartbeats disabled, gets SIGKILLed mid-job, and the
-        # coordinator's fleet completes the item exactly once.
+        # coordinator reclaims the item for the fleet to complete exactly
+        # once.
         queue = tmp_path / "queue.db"
         job = Job(test=get_test("IRIW+addrs"), model="promising")
         backend = SqliteBackend(queue)
@@ -497,10 +539,8 @@ class TestCrashReclamation:
             assert proc.stdout.readline().strip() == "claimed"
             proc.kill()
             proc.wait()
-            run = run_distributed(
-                [job],
-                config=DistribConfig(backend_url=str(queue), workers=1, poll_seconds=0.02),
-            )
+            with fleet(str(queue), 1):
+                run = run_distributed([job], config=DistribConfig(backend_url=str(queue)))
         finally:
             if proc.poll() is None:
                 proc.kill()
@@ -522,9 +562,8 @@ class TestCrashReclamation:
         # reports it as an error result instead of hanging.
         backend = SqliteBackend(queue)
         backend.enqueue(jobs[0].fingerprint(), b"poison")
-        run = run_distributed(
-            jobs, config=DistribConfig(backend_url=str(queue), workers=1, poll_seconds=0.01)
-        )
+        with fleet(str(queue), 1):
+            run = run_distributed(jobs, config=DistribConfig(backend_url=str(queue)))
         assert run.results[0].status == STATUS_ERROR
         assert run.results[0].error
         assert run.info["jobs_failed"] == 1
@@ -542,11 +581,11 @@ class TestDistributedParity:
         tests = random.Random(8).sample(tests, min(6, len(tests)))
         jobs = arm_jobs(tests, ("promising", "axiomatic"))
         pooled = run_jobs(jobs, workers=2, cache=tmp_path / "pool-cache")
-        run = run_distributed(
-            jobs,
-            config=DistribConfig(backend_url=str(tmp_path / "q.db"), workers=3),
-            cache=tmp_path / "distrib-cache",
-        )
+        queue = str(tmp_path / "q.db")
+        with fleet(queue, 3, cache=tmp_path / "distrib-cache"):
+            run = run_distributed(
+                jobs, config=DistribConfig(backend_url=queue), cache=tmp_path / "distrib-cache"
+            )
         assert [r.status for r in run.results] == [r.status for r in pooled]
         assert [outcome_set_digest(r.outcomes) for r in run.results] == [
             outcome_set_digest(r.outcomes) for r in pooled
@@ -560,9 +599,9 @@ class TestDistributedParity:
         assert report_a["mismatches"] == report_b["mismatches"] == []
 
     def test_http_fleet_matches_pooled_with_no_shared_filesystem(self, tmp_path):
-        # The acceptance bar of the API v2 PR: forked workers that talk to
-        # the queue only over HTTP — no shared cache directory, no shared
-        # SQLite file — produce a report digest-identical to the pooled run.
+        # Worker processes that talk to the queue only over HTTP — no
+        # shared cache directory, no shared SQLite file — produce a report
+        # digest-identical to the pooled run.
         from repro.service import ServiceClient, ServiceConfig
         from repro.service.http import run_server
 
@@ -578,16 +617,15 @@ class TestDistributedParity:
         )
         thread.start()
         host, port = ready.get(timeout=30)
+        url = f"http://{host}:{port}"
         try:
-            run = run_distributed(
-                jobs,
-                config=DistribConfig(backend_url=f"http://{host}:{port}", workers=2),
-            )
+            with fleet(url, 2):
+                run = run_distributed(jobs, config=DistribConfig(backend_url=url))
         finally:
             ServiceClient(host, port).shutdown()
             thread.join(timeout=30)
         assert not thread.is_alive(), "server thread ignored shutdown"
-        assert run.info["workers_spawned"] == 2
+        assert len(run.info["workers"]) == 2
         assert run.info["jobs_computed"] == len(jobs)
         report_a = build_report(pooled, differential_mismatches(jobs, pooled)[0])
         report_b = build_report(run.results, differential_mismatches(jobs, run.results)[0])
@@ -615,11 +653,11 @@ class TestDistributedParity:
         serial_delta = executed_delta(before, registry.snapshot())
         assert serial_delta  # the corpus really ran
 
-        before = registry.snapshot()
-        run_distributed(
-            jobs, config=DistribConfig(backend_url=str(tmp_path / "q.db"), workers=2)
-        )
-        distrib_delta = executed_delta(before, registry.snapshot())
+        queue = str(tmp_path / "q.db")
+        with fleet(queue, 2):
+            before = registry.snapshot()
+            run_distributed(jobs, config=DistribConfig(backend_url=queue))
+            distrib_delta = executed_delta(before, registry.snapshot())
         assert distrib_delta == serial_delta
 
     def test_local_cache_hits_and_in_batch_duplicates_never_hit_the_queue(self, tmp_path):
@@ -628,12 +666,11 @@ class TestDistributedParity:
         run_jobs(jobs, cache=cache)  # warm every fingerprint
         duplicated = jobs + [jobs[0]]
         stats = BatchStats()
-        run = run_distributed(
-            duplicated,
-            config=DistribConfig(backend_url=str(tmp_path / "q.db"), workers=1),
-            cache=cache,
-            stats=stats,
-        )
+        queue = str(tmp_path / "q.db")
+        with fleet(queue, 1):
+            run = run_distributed(
+                duplicated, config=DistribConfig(backend_url=queue), cache=cache, stats=stats
+            )
         assert run.info["jobs_enqueued"] == 0
         assert run.info["local_cache_hits"] == 3
         assert all(r.cached for r in run.results)
@@ -642,12 +679,9 @@ class TestDistributedParity:
     def test_sweep_and_fuzz_route_through_distrib(self, tmp_path):
         tests = [get_test("MP"), get_test("SB")]
         models, archs = ("promising", "axiomatic"), (Arch.ARM,)
-        sweep = run_fuzz(
-            tests,
-            models,
-            archs,
-            distrib=DistribConfig(backend_url=str(tmp_path / "sweep.db"), workers=2),
-        )
+        queue = str(tmp_path / "sweep.db")
+        with fleet(queue, 2):
+            sweep = run_fuzz(tests, models, archs, distrib=DistribConfig(backend_url=queue))
         assert sweep.ok
         assert sweep.report["extra"]["distrib"]["jobs_computed"] == 4
         baseline = run_fuzz(tests, models, archs)
@@ -655,24 +689,27 @@ class TestDistributedParity:
             j["outcome_digest"] for j in baseline.report["jobs"]
         ]
 
-        fuzz = run_fuzz(
-            max_tests=2,
-            models=("promising", "axiomatic"),
-            distrib=DistribConfig(backend_url=str(tmp_path / "fuzz.db"), workers=2),
-        )
+        queue = str(tmp_path / "fuzz.db")
+        with fleet(queue, 2):
+            fuzz = run_fuzz(
+                max_tests=2,
+                models=("promising", "axiomatic"),
+                distrib=DistribConfig(backend_url=queue),
+            )
         assert fuzz.ok
         assert fuzz.report["extra"]["distrib"]["jobs_computed"] == fuzz.report["n_jobs"]
 
     def test_cli_distributed_sweep(self, tmp_path, capsys):
         report = tmp_path / "report.json"
-        argv = ["sweep", "--max-tests", "4", "--models", "promising"]
-        argv += ["--distributed", "--workers", "2"]
-        argv += ["--backend-url", str(tmp_path / "queue.db"), "--report", str(report)]
-        code = main(argv)
+        queue = str(tmp_path / "queue.db")
+        argv = ["sweep", "--max-tests", "4", "--models", "promising", "--distributed"]
+        argv += ["--backend-url", queue, "--report", str(report)]
+        with fleet(queue, 2):
+            code = main(argv)
         assert code == 0
         data = json.loads(report.read_text())
         assert data["ok"]
-        assert data["extra"]["distrib"]["workers_spawned"] == 2
+        assert len(data["extra"]["distrib"]["workers"]) == 2
 
     def test_cli_work_drains_a_queue(self, tmp_path, capsys):
         queue = tmp_path / "queue.db"
@@ -692,122 +729,68 @@ class TestDistributedParity:
 
 class TestTeardown:
     def test_no_orphaned_workers_after_a_clean_run(self, tmp_path):
+        # A distributed run starts no process: the fleet is external.
         jobs = arm_jobs([get_test("MP")])
-        run_distributed(
-            jobs, config=DistribConfig(backend_url=str(tmp_path / "q.db"), workers=2)
-        )
-        assert multiprocessing.active_children() == []
-
-    def test_fleet_death_is_detected_not_hung(self, tmp_path, monkeypatch):
-        # Spawned workers that exit with items outstanding must surface
-        # as an error, not a hang.  The forked children run the patched
-        # entry point, which returns at once.
-        from repro.distrib import coordinator
-
-        monkeypatch.setattr(coordinator, "_process_worker_main", lambda *args: None)
-        jobs = arm_jobs([get_test("MP")])
-        with pytest.raises(RuntimeError, match="outstanding"):
-            run_distributed(
-                jobs,
-                config=DistribConfig(
-                    backend_url=str(tmp_path / "q.db"), workers=1, poll_seconds=0.01
-                ),
-            )
+        queue = str(tmp_path / "q.db")
+        with fleet(queue, 1) as workers:
+            run = run_distributed(jobs, config=DistribConfig(backend_url=queue))
+            assert set(multiprocessing.active_children()) == set(workers)
+        assert run.info["jobs_computed"] == 1
         assert multiprocessing.active_children() == []
 
     def test_no_local_fleet_needs_a_reachable_backend(self):
-        # Nothing would be spawned, and no external worker can reach a
-        # private temporary queue: refuse instead of waiting forever.
+        # With no local fleet, a run with no ledger for an external fleet
+        # to serve would wait forever: an empty backend_url is refused.
         jobs = arm_jobs([get_test("MP")])
         with pytest.raises(ValueError, match="backend_url"):
-            run_distributed(jobs, config=DistribConfig(workers=0))
+            run_distributed(jobs, config=DistribConfig(backend_url=""))
         assert multiprocessing.active_children() == []
 
-    def test_sigint_right_after_a_fork_reaps_that_worker(self, tmp_path, monkeypatch):
-        # The Ctrl-C lands after a worker's fork and before the fleet
-        # records it, deterministically: the wrapped start() returns only
-        # once the signal is pending.
-        from repro.harness.scheduler import _pool_context
-
-        process_class = _pool_context().Process
-        real_start = process_class.start
-        forked: list[int] = []
-
-        def start_then_interrupt(process):
-            real_start(process)
-            forked.append(process.pid)
-            os.kill(os.getpid(), signal.SIGINT)
-
-        monkeypatch.setattr(process_class, "start", start_then_interrupt)
-        jobs = arm_jobs([get_test("MP")])
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                run_distributed(
-                    jobs, config=DistribConfig(backend_url=str(tmp_path / "q.db"), workers=2)
-                )
-        finally:
-            orphans = [pid for pid in forked if _pid_alive(pid)]
-            for pid in orphans:
-                os.kill(pid, signal.SIGKILL)
-        assert forked and orphans == []
-        assert multiprocessing.active_children() == []
-
-    def test_sigint_coordinator_leaves_no_orphans(self, tmp_path):
-        # Ctrl-C the coordinator process mid-batch: the finally-path fleet
-        # teardown (plus daemonic workers) must reap every child.
-        script = r"""
-import os, signal, sys, threading, multiprocessing, time
-from repro.harness import build_fuzz_jobs
-from repro.lang.kinds import Arch
-from repro.litmus import generate_cycle_battery
-from repro.distrib import DistribConfig, run_distributed
-
-jobs = build_fuzz_jobs(
-    generate_cycle_battery(max_per_family=4), ("promising", "axiomatic"), (Arch.ARM,)
-)
-
-def interrupt_once_fleet_is_up():
-    while not multiprocessing.active_children():
-        time.sleep(0.01)
-    pids = [p.pid for p in multiprocessing.active_children()]
-    print("FLEET " + " ".join(map(str, pids)), flush=True)
-    os.kill(os.getpid(), signal.SIGINT)
-
-threading.Thread(target=interrupt_once_fleet_is_up, daemon=True).start()
-try:
-    run_distributed(jobs, config=DistribConfig(backend_url=sys.argv[1], workers=2))
-    print("FINISHED", flush=True)
-except KeyboardInterrupt:
-    print("INTERRUPTED", flush=True)
-"""
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
-        out = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "q.db")],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env=env,
-        )
-        fleet_lines = [
-            line for line in out.stdout.splitlines() if line.startswith("FLEET ")
-        ]
-        assert fleet_lines, out.stdout + out.stderr
-        pids = [int(p) for p in fleet_lines[0].split()[1:]]
-        assert pids
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            live = [p for p in pids if _pid_alive(p)]
-            if not live:
-                break
-            time.sleep(0.05)
-        assert not [p for p in pids if _pid_alive(p)], "orphaned fleet workers"
+    def test_stall_timeout_leaves_unserved_items_pending(self, tmp_path):
+        # No worker serves this ledger: the stall guard ends the run, and
+        # both items stay pending for a later fleet to serve.
+        queue = tmp_path / "q.db"
+        jobs = arm_jobs([get_test("MP"), get_test("SB")])
+        config = DistribConfig(backend_url=str(queue), stall_timeout=0.2)
+        start = time.monotonic()
+        with pytest.raises(TimeoutError, match="with 2 item"):
+            run_distributed(jobs, config=config)
+        assert time.monotonic() - start < 10
+        backend = SqliteBackend(queue)
+        assert backend.counts()[STATUS_PENDING] == 2
+        backend.close()
+        with fleet(str(queue), 1):
+            run = run_distributed(jobs, config=config)
+        assert run.info["jobs_enqueued"] == 0
+        assert [r.status for r in run.results] == ["ok", "ok"]
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
+class TestCliLedgerFailures:
+    """A ledger that cannot be opened, reached or served ends ``sweep``,
+    ``fuzz`` or ``work`` with one error line and exit 1."""
+
+    @staticmethod
+    def error_line(argv, capsys) -> str:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if line.startswith("promising-arm: error:")]
+        return line
+
+    def test_unserved_ledger_stalls(self, tmp_path, capsys):
+        queue = str(tmp_path / "q.db")
+        argv = ["fuzz", "--max-tests", "1", "--models", "promising", "--distributed"]
+        argv += ["--backend-url", queue, "--stall-timeout", "0.5"]
+        line = self.error_line(argv, capsys)
+        assert queue in line and "no distributed progress" in line
+
+    @pytest.mark.parametrize("command", ["sweep", "work"])
+    @pytest.mark.parametrize("where", ["unreachable", "directory"])
+    def test_ledger_that_cannot_be_opened(self, command, where, tmp_path, capsys):
+        url = "http://127.0.0.1:9" if where == "unreachable" else str(tmp_path)
+        argv = ["work", "--backend-url", url]
+        if command == "sweep":
+            argv = ["sweep", "--max-tests", "1", "--models", "promising", "--distributed"]
+            argv += ["--backend-url", url]
+        assert url in self.error_line(argv, capsys)

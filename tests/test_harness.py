@@ -619,13 +619,14 @@ class TestFuzz:
             ["fuzz", "--timeout", "0"],
             ["sweep", "--timeout", "inf"],
             ["fuzz", "--stall-timeout", "nan"],
-            # Fleet flags without --distributed would be ignored, and an
-            # external fleet cannot reach a private temporary queue.
+            # Fleet flags without --distributed would be ignored.  The
+            # fleet is external: --distributed needs the ledger it serves,
+            # and no local worker would use --workers.
             ["sweep", "--backend-url", "q.db"],
-            ["fuzz", "--external-workers"],
             ["sweep", "--stall-timeout", "5"],
-            ["sweep", "--distributed", "--external-workers"],
-            ["fuzz", "--distributed", "--external-workers", "--stall-timeout", "5"],
+            ["sweep", "--distributed"],
+            ["fuzz", "--distributed", "--stall-timeout", "5"],
+            ["fuzz", "--distributed", "--workers", "2", "--backend-url", "q.db"],
             # A negative worker count would run the battery serially, and a
             # worker with no positive job budget exits having claimed nothing.
             ["sweep", "--workers", "-1"],
