@@ -33,11 +33,11 @@ The explorers therefore run on this backend, which removes all of that:
   messages no thread observes, and states it merges are bisimilar
   (:meth:`PackedPromisingBackend._encode_memory`), so a search visits
   one state per class;
-* certification builds its sequential graphs directly on interned
-  ``(stmt id, thread-state key, fmem id)`` nodes
-  (:func:`~repro.promising.certification.certify_compiled`), and the
-  same build answers the §7 completion sets: the register files the
-  thread finishes with over non-write edges — no decode → certify →
+* certification builds its sequential graph from a thread config and
+  its footprint memory's messages, numbering the memories its writes
+  create itself (:func:`~repro.promising.certification.certify_compiled`),
+  and the same build answers the §7 completion sets: the register files
+  the thread finishes with over non-write edges — no decode → certify →
   re-encode round trip on memo misses, and no second search;
 * dynamic behaviour comes from the step kernels, which the conformance
   suite holds to the reference rule bodies (:mod:`repro.promising.steps`)
@@ -70,7 +70,7 @@ from ..outcomes import Outcome
 from ..promising.certification import CertificationResult, certify_compiled
 from ..promising.intern import IdInterner
 from ..promising.machine import MachineState
-from ..promising.state import Memory, Msg
+from ..promising.state import Msg
 
 #: Wall time per explorer phase (the registry returns the one counter for
 #: the name, so every explorer reports into the same series).
@@ -137,12 +137,9 @@ class PackedPromisingBackend:
         self._observed = [
             locs if static else None for locs, static in map(observed_locations, program.threads)
         ]
-        #: Footprint memories (messages tuple -> dense id; the objects are
-        #: the Memory instances), shared with certification, which interns
-        #: the memories its sequential writes create; ``_fmem_appends`` is
-        #: their append memo, in the format
-        #: :class:`~repro.promising.certification.CompiledSequentialGraph`
-        #: uses.
+        #: Footprint memories of machine states (messages tuple -> dense
+        #: id; the objects are the tuples), and ``(fmem, loc, val, tid)``
+        #: -> the id after appending that message.
         self._fmems = IdInterner()
         self._fmem_appends: dict[tuple, int] = {}
         #: Final values (sorted ``(loc, value)`` items) -> dense id, and
@@ -282,9 +279,8 @@ class PackedPromisingBackend:
         """
         row = []
         for tid in range(len(self._observed)):
-            times = self._kept_times(memory, tid)
-            kept = Memory(memory.initial, [memory.msg(t) for t in times[1:]])
-            row.append(self._fmems.intern(kept.cache_key(), kept))
+            kept = tuple(memory.msg(t) for t in self._kept_times(memory, tid)[1:])
+            row.append(self._fmems.intern(kept, kept))
         row.append(self._final_id(memory.final_values()))
         row = tuple(row)
         return self._rows.intern(row, row)
@@ -294,9 +290,8 @@ class PackedPromisingBackend:
         key = (fmem, msg.loc, msg.val, msg.tid)
         nid = self._fmem_appends.get(key)
         if nid is None:
-            memory, _t = self._fmems.objects[fmem].append(msg)
-            nid = self._fmems.intern(memory.cache_key(), memory)
-            self._fmem_appends[key] = nid
+            messages = self._fmems.objects[fmem] + (msg,)
+            nid = self._fmem_appends[key] = self._fmems.intern(messages, messages)
         return nid
 
     def _append_id(self, mem: int, msg) -> int:
@@ -361,14 +356,7 @@ class PackedPromisingBackend:
             self._cert_misses += 1
             sid, ts_key = self._tcfgs.objects[cfg]
             result = certify_compiled(
-                self.compiled,
-                sid,
-                ts_key,
-                tid,
-                self.config.cert_fuel,
-                self._fmems,
-                mem_id=fmem,
-                appends=self._fmem_appends,
+                self.compiled, sid, ts_key, tid, self.config.cert_fuel, self._fmems.objects[fmem]
             )
             self._certs[key] = result
             if not result.complete:
@@ -473,7 +461,7 @@ class PackedPromisingBackend:
         statement stays where it is.
         """
         sid, key = self._tcfgs.objects[cfg]
-        return self._encode_cfg(sid, promise_key(key, self._fmems.objects[fmem].messages))
+        return self._encode_cfg(sid, promise_key(key, self._fmems.objects[fmem]))
 
     def _machine_steps(self, tid: int, cfg: int, fmem: int) -> tuple[tuple, float]:
         """Certified steps of one thread config, in machine-step order.
@@ -484,7 +472,7 @@ class PackedPromisingBackend:
         """
         clock = time.perf_counter
         sid, key = self._tcfgs.objects[cfg]
-        messages = self._fmems.objects[fmem].messages
+        messages = self._fmems.objects[fmem]
         pairs = []
         certify_s = 0.0
         for succ_sid, succ_key, write in self.compiled.stmts[sid].step(key, messages, tid):

@@ -152,24 +152,16 @@ class WorkBackend(Protocol):
     def close(self) -> None: ...
 
 
-def open_backend(url: Union[str, WorkBackend]) -> WorkBackend:
-    """Coerce a ``--backend-url`` argument into a live :class:`WorkBackend`.
+def parse_backend_url(url: str) -> tuple[str, str]:
+    """``("http", url)`` or ``("sqlite", path)``: a ledger URL checked, nothing opened.
 
-    * ``sqlite:///path/to/queue.db`` — SQLite ledger on a path;
-    * ``http://host:port`` — the queue a ``promising-arm serve`` instance
-      mounts at ``/v1/queue/*`` (fleets with no shared filesystem);
-    * any other string — treated as a filesystem path for SQLite;
-    * a backend object — returned as is (tests inject clock-controlled
-      ledgers this way).
+    ``http://host:port`` is the queue a ``promising-arm serve`` mounts at
+    ``/v1/queue/*`` (no shared filesystem needed); ``sqlite:///path`` (or
+    ``sqlite://rel/path``) and a bare path are SQLite ledgers.  Any other
+    scheme, or an empty ``sqlite://`` path, is a :class:`ValueError`.
     """
-    if not isinstance(url, str):
-        return url
     if url.startswith("http://"):
-        from .http_backend import HttpWorkBackend
-
-        return HttpWorkBackend(url)
-    from .sqlite import SqliteBackend
-
+        return "http", url
     if url.startswith("sqlite://"):
         path = url[len("sqlite://") :]
         # Accept both sqlite:///abs/path (canonical) and sqlite://rel/path.
@@ -177,13 +169,27 @@ def open_backend(url: Union[str, WorkBackend]) -> WorkBackend:
             path = path[1:]
         if not path:
             raise ValueError(f"backend url {url!r} has no database path")
-        return SqliteBackend(path)
+        return "sqlite", path
     if "://" in url:
         raise ValueError(
             f"unsupported backend url {url!r}; expected sqlite:///path, "
             "http://host:port, or a filesystem path"
         )
-    return SqliteBackend(url)
+    return "sqlite", url
+
+
+def open_backend(url: Union[str, WorkBackend]) -> WorkBackend:
+    """A live :class:`WorkBackend` for a ledger URL; a backend object passes through."""
+    if not isinstance(url, str):
+        return url
+    scheme, target = parse_backend_url(url)
+    if scheme == "http":
+        from .http_backend import HttpWorkBackend
+
+        return HttpWorkBackend(target)
+    from .sqlite import SqliteBackend
+
+    return SqliteBackend(target)
 
 
 __all__ = [
@@ -198,4 +204,5 @@ __all__ = [
     "WorkBackend",
     "WorkerInfo",
     "open_backend",
+    "parse_backend_url",
 ]

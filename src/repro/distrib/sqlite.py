@@ -104,7 +104,11 @@ class SqliteBackend:
         self._local = threading.local()
         #: A directory this ledger made for itself and removes on close().
         self._owned_dir: Optional[Path] = None
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a path under a file, say: the ledger cannot be opened
+            message = f"cannot make directory {self.path.parent}: {exc.strerror or exc}"
+            raise sqlite3.OperationalError(message) from exc
         self._conn()  # create the schema eagerly so misconfiguration fails here
 
     @classmethod

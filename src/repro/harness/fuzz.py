@@ -298,7 +298,7 @@ def run_fuzz(
     the scheduler as one batch, so the worker pool stays saturated.  With
     ``distrib`` set the batch is enqueued instead on the ledger that an
     external fleet serves (``distrib.backend_url``), and ``workers`` is
-    unused; outcome digests are bit-identical between the two paths.
+    unused (recorded as ``None``); digests are bit-identical either way.
     """
     from ..litmus.synth import generate_cycle_battery
 
@@ -324,11 +324,12 @@ def run_fuzz(
             if t.description.startswith("cycle ")
         }
     )
+    local_workers = None if distrib is not None else workers
     log_event(
         _log, "fuzz started",
         fuzz=name, corpus_size=len(tests), n_jobs=len(jobs),
         families=families_of_corpus, models=sorted(set(models)),
-        archs=[arch.value for arch in archs], workers=workers,
+        archs=[arch.value for arch in archs], workers=local_workers,
     )
     stats = BatchStats()
     distrib_info = None
@@ -356,7 +357,7 @@ def run_fuzz(
         wall_seconds=wall,
         cache=cache,
         extra={
-            "workers": workers,
+            "workers": local_workers,
             "timeout_seconds": timeout,
             **({"distrib": distrib_info} if distrib_info is not None else {}),
             "fuzz": {

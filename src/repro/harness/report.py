@@ -31,7 +31,9 @@ from .jobs import JobResult, STATUS_OK, outcome_to_json
 #: v7: ``extra.distrib`` loses its three local-fleet fields (the
 #: ephemeral-queue flag, the requested and the spawned worker counts):
 #: the coordinator starts no worker.
-REPORT_SCHEMA_VERSION = 7
+#: v8: ``extra.workers`` is ``null`` for a distributed run: no local
+#: worker runs, and the fleet's size is not known to the coordinator.
+REPORT_SCHEMA_VERSION = 8
 
 #: Explorer stats counters aggregated into the report's ``dedup`` block.
 DEDUP_COUNTERS = (

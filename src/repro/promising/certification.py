@@ -110,10 +110,12 @@ class _SequentialGraphBase:
         """Ids of nodes from which a promise-free state is reachable.
 
         A backward search from the promise-free nodes.  Sequential graphs
-        are nearly trees (a node is a thread state *and* a memory), so each
-        node's first predecessor goes in one flat int list and only a node
-        with more gets a list of the rest: no list per node, and nothing
-        new for the garbage collector to trace.
+        are nearly trees: a node is a thread state *and* a memory, and two
+        paths meet where a state forgets how it got there, as when a
+        register loaded twice (``r1 = ld x; r1 = ld x``) absorbs the first
+        read's view.  So each node's first predecessor goes in one flat
+        int list and only a node with more gets a list of the rest: no
+        list per node, and nothing new for the garbage collector to trace.
         """
         first = [-1] * len(self.edges)
         more: dict[int, list[int]] = {}
@@ -201,54 +203,38 @@ class CompiledSequentialGraph(_SequentialGraphBase):
     """The packed build: step kernels on ``(stmt id, thread-state key, mem id)`` nodes.
 
     A node is a compiled statement id, a :meth:`TState.key()
-    <repro.promising.state.TState.key>` tuple and a dense memory id, and
-    it is expanded by the statement's step kernel
-    (:mod:`repro.isa.compile`), which maps a key straight to its
-    successor keys: no thread state is copied, keyed or re-sorted, and no
-    step record is built.  Memories intern to dense ids through a
-    caller-supplied :class:`~repro.promising.intern.IdInterner`, shared
-    across the certification calls of one run, so a memory's messages
-    are hashed once ever.  The kernels enumerate the rules of
-    ``steps.py`` in their order, so node equivalence classes, discovery
-    order and fuel cut-off are those of :class:`_SequentialGraph`, and
-    both builds produce the same :class:`CertificationResult`; the
-    conformance suite holds them to that, and each kernel to the rules
-    node by node.
+    <repro.promising.state.TState.key>` tuple and a memory id, and it is
+    expanded by the statement's step kernel (:mod:`repro.isa.compile`),
+    which maps a key straight to its successor keys: no thread state is
+    copied, keyed or re-sorted, and no step record is built.  The build
+    names its own memories: ``memories[id]`` is a messages tuple (the
+    root's first), and an append memo keyed ``(mem id, loc, value)``
+    derives a successor's id from its predecessor's, never from a
+    by-value hash.  A tuple determines its parent, so equal tuples get
+    equal ids, and both tables go with the graph.  The kernels enumerate
+    the rules of ``steps.py`` in their order, so node equivalence
+    classes, discovery order and fuel cut-off are those of
+    :class:`_SequentialGraph`, and both builds produce the same
+    :class:`CertificationResult`; the conformance suite holds them to
+    that, and each kernel to the rules node by node.
     """
 
-    def __init__(self, compiled, tid: TId, fuel: int, mem_ids, appends: dict) -> None:
+    def __init__(self, compiled, tid: TId, fuel: int) -> None:
         super().__init__(compiled.arch, tid, fuel)
         self.compiled = compiled
-        self.mem_ids = mem_ids
-        #: ``(mem id, loc, value, tid)`` -> appended memory id.  Sequential
-        #: write steps extend memory deterministically, so once an append
-        #: has been interned its id can be replayed without hashing the
-        #: messages tuple again.  The packed backend shares its run-wide
-        #: append memo here, making the ids flow *through* the build:
-        #: every successor memory id is derived from its predecessor's id
-        #: and the written message, never from a by-value memory hash.
-        self.appends = appends
+        self.memories: list[tuple] = []
 
-    def _append(self, mem_id: int, loc, value) -> int:
-        """Id of memory ``mem_id`` extended with ``<loc := value>`` by this thread."""
-        akey = (mem_id, loc, value, self.tid)
-        succ_mem = self.appends.get(akey)
-        if succ_mem is None:
-            memory, _t = self.mem_ids.objects[mem_id].append(Msg(loc, value, self.tid))
-            succ_mem = self.appends[akey] = self.mem_ids.intern(memory.cache_key(), memory)
-        return succ_mem
-
-    def build(self, sid: int, key: tuple, mem_id: int) -> int:
-        """Build from statement ``sid`` in state ``key`` on memory ``mem_id``."""
+    def build(self, sid: int, key: tuple, messages: tuple) -> int:
+        """Build from statement ``sid`` in state ``key`` on ``messages``: node 0, memory 0."""
         records = self.compiled.stmts
-        memories = self.mem_ids.objects
+        memories = self.memories = [messages]
+        appends: dict[tuple, int] = {}
         ids = self._ids
         edges = self.edges
         tid = self.tid
-        root = len(ids)
-        ids[(sid, key, mem_id)] = root
+        ids[(sid, key, 0)] = 0
         edges.append(None)
-        stack = [(root, sid, key, memories[mem_id].messages, mem_id)]
+        stack = [(0, sid, key, messages, 0)]
         while stack:
             nid, sid, key, messages, mem_id = stack.pop()
             if edges[nid] is not None:
@@ -267,8 +253,12 @@ class CompiledSequentialGraph(_SequentialGraphBase):
                 if write is None:
                     succ_mem, succ_messages = mem_id, messages
                 else:
-                    succ_mem = self._append(mem_id, write[0], write[1])
-                    succ_messages = memories[succ_mem].messages
+                    akey = (mem_id, write[0], write[1])
+                    succ_mem = appends.get(akey)
+                    if succ_mem is None:
+                        succ_mem = appends[akey] = len(memories)
+                        memories.append(messages + (Msg(write[0], write[1], tid),))
+                    succ_messages = memories[succ_mem]
                 node = (succ_sid, succ_key, succ_mem)
                 succ = ids.get(node)
                 if succ is None:
@@ -277,7 +267,7 @@ class CompiledSequentialGraph(_SequentialGraphBase):
                     stack.append((succ, succ_sid, succ_key, succ_messages, succ_mem))
                 successors.append((succ, write))
             edges[nid] = successors
-        return root
+        return 0
 
 
 def certified(
@@ -402,26 +392,22 @@ def _harvest_promises(
 
 
 def certify_compiled(
-    compiled, sid: int, key: tuple, tid: TId, fuel: int, mem_ids, mem_id: int, appends: dict
+    compiled, sid: int, key: tuple, tid: TId, fuel: int, messages: tuple
 ) -> CertificationResult:
     """:func:`find_and_certify` over the compiled step kernels.
 
-    ``compiled`` is a :class:`~repro.isa.compile.CompiledProgram`,
-    ``sid`` the dense id of the thread's statement and ``key`` its
-    thread-state key.  ``mem_ids`` is an
-    :class:`~repro.promising.intern.IdInterner` for memories (shared per
-    exploration run by the packed backend), ``mem_id`` the memory's id
-    in it, and ``appends`` the shared append memo (see
-    :class:`CompiledSequentialGraph`); together they let the build run
-    without hashing a single messages tuple.  Answers every question
-    from one :class:`CompiledSequentialGraph` build, with the same
-    results as the reference entry.
+    ``compiled`` is a :class:`~repro.isa.compile.CompiledProgram`, ``sid``
+    the dense id of the thread's statement, ``key`` its thread-state key
+    and ``messages`` its memory's messages tuple (initial values are the
+    program's).  Answers every question from one
+    :class:`CompiledSequentialGraph` build, which keeps the memories its
+    writes create, with the same results as the reference entry.
     """
     if not key[0] and compiled.stmts[sid].terminated:
         return _finished(key)
-    graph = CompiledSequentialGraph(compiled, tid, fuel, mem_ids, appends)
-    root = graph.build(sid, key, mem_id)
-    return _answer(graph, root, len(mem_ids.objects[mem_id]), tid)
+    graph = CompiledSequentialGraph(compiled, tid, fuel)
+    root = graph.build(sid, key, messages)
+    return _answer(graph, root, len(messages), tid)
 
 
 def can_complete_without_promising(

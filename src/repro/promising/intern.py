@@ -1,9 +1,9 @@
 """Dense-id interning tables for explorer state keys.
 
-The execution backend (:mod:`repro.backend.packed`) replaces thread
-configurations, memories and register files by small integer ids:
-structurally equal keys (a statement id with :meth:`TState.cache_key`,
-:meth:`Memory.cache_key`, …) are produced over and over along different
+The backends in :mod:`repro.backend.packed` replace thread
+configurations, memories and Flat states by small integer ids:
+structurally equal keys (a statement id with a :meth:`TState.key` tuple,
+a messages tuple, …) are produced over and over along different
 interleavings, and interning collapses them to one id so
 
 * the visited/memo tables hold tuples of ints instead of deep tuples

@@ -96,6 +96,17 @@ def _port(text: str) -> int:
     return value
 
 
+def _ledger_url(text: str) -> str:
+    # Refuse at parse time (exit 2) what open_backend would, opening nothing.
+    from ..distrib.backend import parse_backend_url
+
+    try:
+        parse_backend_url(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 class _UsageError(Exception):
     """A bad argument only found once the command runs (``main``: exit 2)."""
 
@@ -484,7 +495,7 @@ def _add_battery_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--distributed", action="store_true",
                         help="enqueue the batch on --backend-url and collect what an "
                              "external fleet (promising-arm work) computes")
-    parser.add_argument("--backend-url", default=None,
+    parser.add_argument("--backend-url", type=_ledger_url, default=None,
                         help="with --distributed (required): the ledger the fleet serves, "
                              "sqlite:///path (or a bare path) or http://host:port "
                              "(a promising-arm serve queue)")
@@ -577,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
         "work",
         help="join a distributed fleet: claim and execute leased litmus jobs",
     )
-    work_parser.add_argument("--backend-url", required=True,
+    work_parser.add_argument("--backend-url", type=_ledger_url, required=True,
                              help="shared work backend: http://host:port (a promising-arm "
                                   "serve queue, no shared filesystem needed), "
                                   "sqlite:///path/to/queue.db "
@@ -619,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "on X-Client-Id (one token per job; default: quotas off)")
     serve_parser.add_argument("--quota-refill", type=_positive_number, default=1.0,
                               help="tokens refilled per second per client")
-    serve_parser.add_argument("--queue-url", default=None,
+    serve_parser.add_argument("--queue-url", type=_ledger_url, default=None,
                               help="ledger mounted at /v1/queue for HTTP fleets "
                                    "(sqlite:///path or a bare path; default: a private "
                                    "SQLite queue in a temporary directory)")

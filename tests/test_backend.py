@@ -15,6 +15,9 @@ architectures:
   the ``(cfg, fmem)`` pair separates what the rules can observe (values
   and order at the footprint, views) while a dynamic address keeps the
   whole memory;
+* certification keeps the memories its writes create: after a
+  promise-first run every footprint memory the backend holds is named
+  by a memory row;
 * promise-first successors and accumulated outcomes equal those built
   from the reference certification and ``promise_step``;
 * naive successors equal :func:`~repro.promising.machine.machine_transitions`
@@ -82,6 +85,7 @@ from repro.promising.certification import CompiledSequentialGraph
 from repro.promising.exhaustive import ExplorationStats
 from repro.promising.machine import MachineState, Thread, machine_transitions
 from repro.promising.state import Forward, Memory, Msg, TState, initial_tstate
+from repro.workloads import spinlock_asm
 
 ARCHS = [Arch.ARM, Arch.RISCV]
 ARCH_IDS = [a.value for a in ARCHS]
@@ -282,7 +286,7 @@ def test_footprint_memory_laws():
     assert key([x1], own_at[1]) == key([z1, x1], own_at[2]) == key([x1, z1], own_at[1])
     wrote_at = {t: _tstate(coh={x: t}, vwOld=t, fwdb={x: Forward(t, 0, False)}) for t in (1, 2)}
     assert key([x1], wrote_at[1]) == key([z1, x1], wrote_at[2])
-    assert backend._fmems.objects[key([z1, x1])[1]].messages == (x1,)
+    assert backend._fmems.objects[key([z1, x1])[1]] == (x1,)
     # So do other threads' messages at a location T0 writes but never
     # loads: only its own messages there are observable.
     assert key([x1]) == key([x1, Msg(x, 2, 1)]) == key([Msg(x, 2, 1), x1])
@@ -297,7 +301,7 @@ def test_footprint_memory_laws():
     # A register-dependent address gets the whole memory.
     program, _locs = _three_threads(address_dependency=True)
     backend = _promising(program)
-    assert backend._fmems.objects[key([z1])[1]].messages == (z1,)
+    assert backend._fmems.objects[key([z1])[1]] == (z1,)
     assert key([z1]) != key([])
 
 
@@ -330,6 +334,29 @@ def test_recalled_incomplete_certification_still_truncates():
     assert not backend._certify(*triple).complete
     assert (backend._cert_misses, backend._cert_hits) == (misses, hits + 1)
     assert backend.stats.truncated
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
+@pytest.mark.parametrize("name", ["SLA-1", "LB", "MP", "2+2W"])
+def test_certification_leaves_the_footprint_table_alone(name, arch, monkeypatch):
+    # Certification numbers the memories its own writes create, so after
+    # a promise-first run every footprint memory the backend keeps is one
+    # that some memory row names.  (The naive explorer also keeps the
+    # footprint memory of every write step it checks, certified or not.)
+    program = spinlock_asm(2, 1).program if name == "SLA-1" else get_test(name).program
+    backends = []
+    finalise = PackedPromisingBackend.finalise
+
+    def recording_finalise(backend, *args, **kwargs):
+        backends.append(backend)
+        return finalise(backend, *args, **kwargs)
+
+    monkeypatch.setattr(PackedPromisingBackend, "finalise", recording_finalise)
+    explore(program, ExploreConfig(arch=arch))
+    (backend,) = backends
+    named = {fmem for row in backend._rows.objects for fmem in row[:-1]}
+    kept = len(backend._fmems)
+    assert named == set(range(kept)), f"{name}: {kept} footprint memories, rows name {len(named)}"
 
 
 # ---------------------------------------------------------------------------
@@ -623,12 +650,13 @@ def _certification_nodes(program, arch, monkeypatch):
             run(program, ExploreConfig(arch=arch))
     seen = set()
     for graph in graphs:
-        memories = graph.mem_ids.objects
+        initial = graph.compiled.program.initial
         for sid, key, mem_id in graph._ids:
-            node = (id(graph.mem_ids), graph.tid, sid, key, mem_id)
+            messages = graph.memories[mem_id]
+            node = (id(graph.compiled), graph.tid, sid, key, messages)
             if node not in seen:
                 seen.add(node)
-                yield graph, sid, key, memories[mem_id]
+                yield graph, sid, key, Memory(initial, messages)
 
 
 @pytest.mark.parametrize("arch", ARCHS, ids=ARCH_IDS)
@@ -683,7 +711,7 @@ def _assert_on_footprint_memory(backend, packed):
     fmems = backend._rows.objects[packed[-1]]
     for tid, cfg in enumerate(packed[:-1]):
         ts = TState.from_key(backend._tcfgs.objects[cfg][1])
-        messages = backend._fmems.objects[fmems[tid]].messages
+        messages = backend._fmems.objects[fmems[tid]]
         own = {t: msg.loc for t, msg in enumerate(messages, 1) if msg.tid == tid}
         assert ts.prom <= own.keys(), f"thread {tid}: promises off its footprint memory"
         for loc, fwd in ts.fwdb.items():

@@ -710,6 +710,8 @@ class TestDistributedParity:
         data = json.loads(report.read_text())
         assert data["ok"]
         assert len(data["extra"]["distrib"]["workers"]) == 2
+        # No local worker ran: the report names no local worker count.
+        assert data["extra"]["workers"] is None
 
     def test_cli_work_drains_a_queue(self, tmp_path, capsys):
         queue = tmp_path / "queue.db"
@@ -767,7 +769,8 @@ class TestTeardown:
 
 class TestCliLedgerFailures:
     """A ledger that cannot be opened, reached or served ends ``sweep``,
-    ``fuzz`` or ``work`` with one error line and exit 1."""
+    ``fuzz`` or ``work`` with one error line and exit 1; a ledger URL that
+    no rule accepts is refused at parse time (exit 2)."""
 
     @staticmethod
     def error_line(argv, capsys) -> str:
@@ -794,3 +797,34 @@ class TestCliLedgerFailures:
             argv = ["sweep", "--max-tests", "1", "--models", "promising", "--distributed"]
             argv += ["--backend-url", url]
         assert url in self.error_line(argv, capsys)
+
+    @pytest.mark.parametrize("command", ["fuzz", "work"])
+    def test_ledger_directory_that_cannot_be_made(self, command, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        url = str(blocker / "q.db")
+        argv = ["work", "--backend-url", url]
+        if command == "fuzz":
+            argv = ["fuzz", "--max-tests", "1", "--models", "promising", "--distributed"]
+            argv += ["--backend-url", url]
+        line = self.error_line(argv, capsys)
+        assert url in line and "cannot make directory" in line
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--max-tests", "1", "--distributed", "--backend-url", "redis://x"],
+            ["serve", "--port", "0", "--queue-url", "redis://x"],
+            ["work", "--backend-url", "sqlite://"],
+        ],
+        ids=["sweep-scheme", "serve-scheme", "work-empty-path"],
+    )
+    def test_bad_ledger_url_is_a_usage_error(self, argv, capsys):
+        # Refused when the arguments are parsed, by open_backend's rules.
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert "backend url" in line
