@@ -12,7 +12,6 @@ _EXPORTS = {
         "StraightLine",
         "StructurisationError",
         "ThreadIr",
-        "straight_line_program",
         "structurise",
     ),
     "armv8": ("Armv8ParseError",),

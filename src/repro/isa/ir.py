@@ -18,7 +18,7 @@ later instructions are control-dependent on it (§3 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from ..lang.ast import If, Skip, Stmt, seq
 from ..lang.expr import Expr
@@ -107,11 +107,6 @@ def structurise(thread: ThreadIr, unroll_bound: int = 2) -> Stmt:
     return expand(0, {})
 
 
-def straight_line_program(statements: Sequence[Stmt]) -> ThreadIr:
-    """Wrap a list of statements as branch-free thread IR (for tests)."""
-    return ThreadIr(tuple(StraightLine(s) for s in statements), {})
-
-
 __all__ = [
     "StraightLine",
     "Branch",
@@ -119,5 +114,4 @@ __all__ = [
     "ThreadIr",
     "StructurisationError",
     "structurise",
-    "straight_line_program",
 ]

@@ -18,9 +18,10 @@ frameworks, no new dependencies — serving one versioned surface:
 
 Unversioned paths answer 404.
 
-Connections are **keep-alive** with pipelining: requests are parsed as
-they arrive, each runs concurrently (bounded per connection), and
-responses are written strictly in request order, as HTTP/1.1 requires.
+Connections are **keep-alive**, one request at a time per connection;
+pipelined requests are answered in order, as HTTP/1.1 requires, because
+the next request line is read only once the response before it is
+written.
 Only the *read* of a request runs under a deadline; exploration time is
 governed by per-job budgets, and an idle keep-alive connection is closed
 quietly after :data:`KEEPALIVE_IDLE_TIMEOUT`.
@@ -82,10 +83,6 @@ READ_TIMEOUT = 30.0
 #: after this long.
 KEEPALIVE_IDLE_TIMEOUT = 120.0
 
-#: Pipelined requests allowed in flight at once on one connection; the
-#: reader stops parsing further requests (TCP backpressure) beyond this.
-MAX_INFLIGHT_PER_CONNECTION = 32
-
 _HTTP_CONNECTIONS = metrics.counter(
     "service_http_connections_total", "TCP connections accepted by the service front-end."
 )
@@ -96,7 +93,7 @@ _HTTP_REQUESTS = metrics.counter(
 
 @dataclass
 class _Response:
-    """One response awaiting its turn on the connection's write queue."""
+    """One response, and whether the connection closes after it."""
 
     status: int
     payload: Union[dict, str]
@@ -105,13 +102,21 @@ class _Response:
     close: bool = False
 
 
+_NOT_RECEIVED = f"request not received within {READ_TIMEOUT}s"
+_TOO_LARGE = "request headers too large"
+
+
+def _parse_failure(status: int, error: str) -> _Response:
+    """The answer to a request that cannot be parsed: framing is lost, so it closes."""
+    return _Response(status, {"ok": False, "error": error}, new_request_id(), close=True)
+
+
 @dataclass(eq=False)
 class _Connection:
     """Per-connection bookkeeping (the server's drain logic polls busy)."""
 
     writer: asyncio.StreamWriter
-    busy: int = 0
-    broken: bool = False
+    busy: bool = False
 
 
 class ServiceServer:
@@ -209,11 +214,6 @@ class ServiceServer:
         self._connections.add(connection)
         self.service.stats.connections += 1
         _HTTP_CONNECTIONS.inc()
-        responses: asyncio.Queue = asyncio.Queue()
-        writer_task = asyncio.create_task(self._write_loop(connection, responses))
-        inflight = asyncio.Semaphore(MAX_INFLIGHT_PER_CONNECTION)
-        request_tasks: set[asyncio.Task] = set()
-        loop = asyncio.get_running_loop()
         try:
             first = True
             while True:
@@ -227,14 +227,12 @@ class ServiceServer:
                     )
                 except asyncio.TimeoutError:
                     if first:
-                        await self._finish(
-                            responses,
-                            connection,
-                            400,
-                            f"request not received within {READ_TIMEOUT}s",
-                        )
+                        await self._write(writer, _parse_failure(400, _NOT_RECEIVED))
                     break
-                except (ConnectionError, asyncio.IncompleteReadError):
+                except ValueError:
+                    # readline raises ValueError, not LimitOverrunError, for
+                    # a line beyond the stream's 64 KiB limit.
+                    await self._write(writer, _parse_failure(431, _TOO_LARGE))
                     break
                 if not request_line:
                     break  # EOF: the client hung up between requests.
@@ -243,44 +241,27 @@ class ServiceServer:
                         self._read_request(reader, request_line), READ_TIMEOUT
                     )
                 except asyncio.TimeoutError:
-                    await self._finish(
-                        responses,
-                        connection,
-                        400,
-                        f"request not received within {READ_TIMEOUT}s",
-                    )
-                    break
-                except (asyncio.IncompleteReadError, asyncio.LimitOverrunError, ConnectionError):
-                    await self._finish(
-                        responses, connection, 400, "truncated or oversized request"
-                    )
-                    break
+                    parsed = 400, _NOT_RECEIVED
+                except asyncio.IncompleteReadError:
+                    parsed = 400, "truncated request body"
                 if len(parsed) == 2:
                     # A parser error: framing is no longer trustworthy, so
                     # answer it and close.
-                    status, payload = parsed
-                    await self._finish(responses, connection, status, payload["error"])
+                    await self._write(writer, _parse_failure(*parsed))
                     break
                 first = False
                 method, path, headers, body = parsed
-                close_requested = self._wants_close(parsed)
-                await inflight.acquire()
-                future = loop.create_future()
-                connection.busy += 1
-                await responses.put(future)
-                request_task = asyncio.create_task(
-                    self._process(method, path, headers, body, future, close_requested, inflight)
+                connection.busy = True
+                response = await self._process(
+                    method, path, headers, body, self._wants_close(parsed)
                 )
-                request_tasks.add(request_task)
-                request_task.add_done_callback(request_tasks.discard)
-                if close_requested:
+                await self._write(writer, response)
+                connection.busy = False
+                if response.close:
                     break
+        except ConnectionError:
+            pass  # The client vanished; there is no one left to answer.
         finally:
-            await responses.put(None)
-            with contextlib.suppress(Exception):
-                await writer_task
-            for request_task in request_tasks:
-                request_task.cancel()
             self._connections.discard(connection)
             writer.close()
             with contextlib.suppress(Exception):
@@ -296,45 +277,9 @@ class ServiceServer:
         version = headers.get("_http_version", "HTTP/1.1")
         return version == "HTTP/1.0" and "keep-alive" not in tokens
 
-    async def _finish(
-        self, responses: asyncio.Queue, connection: _Connection, status: int, error: str
-    ) -> None:
-        """Queue a connection-closing error response (parser failures)."""
-        future = asyncio.get_running_loop().create_future()
-        connection.busy += 1
-        future.set_result(
-            _Response(status, {"ok": False, "error": error}, new_request_id(), close=True)
-        )
-        await responses.put(future)
-
-    async def _write_loop(self, connection: _Connection, responses: asyncio.Queue) -> None:
-        """Write responses strictly in request order (the pipelining law)."""
-        writer = connection.writer
-        while True:
-            future = await responses.get()
-            if future is None:
-                return
-            try:
-                response: _Response = await future
-            except asyncio.CancelledError:
-                connection.busy -= 1
-                raise
-            except Exception:
-                response = _Response(
-                    500, {"ok": False, "error": "internal server error"}, new_request_id()
-                )
-            try:
-                if not connection.broken:
-                    writer.write(self._encode(response))
-                    await writer.drain()
-            except (ConnectionError, BrokenPipeError):
-                # The client vanished: swallow the rest of the pipeline's
-                # writes but keep consuming futures so handlers finish.
-                connection.broken = True
-            finally:
-                connection.busy -= 1
-
-    def _encode(self, response: _Response) -> bytes:
+    @staticmethod
+    async def _write(writer: asyncio.StreamWriter, response: _Response) -> None:
+        """Encode ``response`` onto the connection and wait until it drains."""
         if isinstance(response.payload, str):
             body = response.payload.encode()
             content_type = PROMETHEUS_CONTENT_TYPE
@@ -350,7 +295,8 @@ class ServiceServer:
         for name, value in response.headers.items():
             lines.append(f"{name}: {value}")
         lines.append("Connection: close" if response.close else "Connection: keep-alive")
-        return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode() + body)
+        await writer.drain()
 
     async def _process(
         self,
@@ -358,11 +304,9 @@ class ServiceServer:
         path: str,
         headers: dict,
         body: bytes,
-        future: asyncio.Future,
         close_requested: bool,
-        inflight: asyncio.Semaphore,
-    ) -> None:
-        """Run one request to completion and resolve its ordered slot."""
+    ) -> _Response:
+        """Run one request to completion; a handler error answers 500."""
         # A client-supplied X-Request-Id (sanitized) wins, so one id can
         # correlate client logs, service logs, and the echoed header.
         request_id = sanitize_request_id(headers.get("x-request-id")) or new_request_id()
@@ -384,32 +328,36 @@ class ServiceServer:
                     seconds=round(time.perf_counter() - start, 6),
                 )
             # Inside the try: a bad value (say a NaN retry_after) must
-            # become a 500, never an exception that leaves the slot empty.
+            # become a 500, never an exception that drops the connection.
             if isinstance(payload, dict) and "retry_after" in payload:
                 extra["Retry-After"] = str(max(1, math.ceil(payload["retry_after"])))
         except Exception:
             _log.exception("request failed: %s %s", method, path)
             status, payload = 500, {"ok": False, "error": "internal server error"}
-        finally:
-            inflight.release()
-        if not future.done():
-            future.set_result(_Response(status, payload, request_id, extra, close_requested))
+        return _Response(status, payload, request_id, extra, close_requested)
 
     async def _read_request(self, reader: asyncio.StreamReader, request_line: bytes):
-        """Parse request line + headers + body, with hard size caps."""
+        """Parse request line + headers + body, with hard size caps.
+
+        Returns ``(method, path, headers, body)``, or ``(status, error)``
+        for a request that cannot be served.
+        """
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
-            return 400, {"ok": False, "error": "malformed request line"}
+            return 400, "malformed request line"
         method, path = parts[0].upper(), parts[1].split("?", 1)[0]
         headers = {}
         header_bytes = len(request_line)
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # a line beyond the stream's 64 KiB limit
+                return 431, _TOO_LARGE
             if line in (b"\r\n", b"\n", b""):
                 break
             header_bytes += len(line)
             if header_bytes > MAX_HEADER_BYTES or len(headers) >= MAX_HEADERS:
-                return 431, {"ok": False, "error": "request headers too large"}
+                return 431, _TOO_LARGE
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         if len(parts) >= 3:
@@ -417,11 +365,11 @@ class ServiceServer:
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:
-            return 400, {"ok": False, "error": "malformed Content-Length"}
+            return 400, "malformed Content-Length"
         if length < 0:
-            return 400, {"ok": False, "error": "malformed Content-Length"}
+            return 400, "malformed Content-Length"
         if length > MAX_BODY_BYTES:
-            return 413, {"ok": False, "error": f"body exceeds {MAX_BODY_BYTES} bytes"}
+            return 413, f"body exceeds {MAX_BODY_BYTES} bytes"
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
 
@@ -529,7 +477,6 @@ __all__ = [
     "MAX_BODY_BYTES",
     "MAX_HEADER_BYTES",
     "MAX_HEADERS",
-    "MAX_INFLIGHT_PER_CONNECTION",
     "PROMETHEUS_CONTENT_TYPE",
     "READ_TIMEOUT",
     "ServiceServer",

@@ -107,6 +107,19 @@ def _ledger_url(text: str) -> str:
     return text
 
 
+def _sqlite_ledger_url(text: str) -> str:
+    # serve mounts its ledger in process: an http:// one would turn every
+    # /v1/queue op into a blocking client call on the server's event loop.
+    from ..distrib.backend import parse_backend_url
+
+    if parse_backend_url(_ledger_url(text))[0] != "sqlite":
+        raise argparse.ArgumentTypeError(
+            f"backend url {text!r} is not a SQLite ledger; expected sqlite:///path "
+            "or a filesystem path"
+        )
+    return text
+
+
 class _UsageError(Exception):
     """A bad argument only found once the command runs (``main``: exit 2)."""
 
@@ -477,7 +490,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         quota_refill_per_second=args.quota_refill,
         queue_url=args.queue_url,
     )
-    run_server(config, args.host, args.port)
+    try:
+        run_server(config, args.host, args.port)
+    except _ledger_errors() as exc:
+        # A --queue-url ledger that cannot be opened fails before the
+        # server starts anything.
+        if args.queue_url is None:
+            raise
+        return _ledger_failure(args.queue_url, exc)
     return 0
 
 
@@ -630,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "on X-Client-Id (one token per job; default: quotas off)")
     serve_parser.add_argument("--quota-refill", type=_positive_number, default=1.0,
                               help="tokens refilled per second per client")
-    serve_parser.add_argument("--queue-url", type=_ledger_url, default=None,
+    serve_parser.add_argument("--queue-url", type=_sqlite_ledger_url, default=None,
                               help="ledger mounted at /v1/queue for HTTP fleets "
                                    "(sqlite:///path or a bare path; default: a private "
                                    "SQLite queue in a temporary directory)")

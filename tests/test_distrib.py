@@ -769,8 +769,9 @@ class TestTeardown:
 
 class TestCliLedgerFailures:
     """A ledger that cannot be opened, reached or served ends ``sweep``,
-    ``fuzz`` or ``work`` with one error line and exit 1; a ledger URL that
-    no rule accepts is refused at parse time (exit 2)."""
+    ``fuzz`` or ``work`` with one error line and exit 1, as a ``serve``
+    ledger that cannot be opened does; a ledger URL that no rule accepts
+    (for ``serve``, any but SQLite) is refused at parse time (exit 2)."""
 
     @staticmethod
     def error_line(argv, capsys) -> str:
@@ -798,7 +799,7 @@ class TestCliLedgerFailures:
             argv += ["--backend-url", url]
         assert url in self.error_line(argv, capsys)
 
-    @pytest.mark.parametrize("command", ["fuzz", "work"])
+    @pytest.mark.parametrize("command", ["fuzz", "work", "serve"])
     def test_ledger_directory_that_cannot_be_made(self, command, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -807,8 +808,15 @@ class TestCliLedgerFailures:
         if command == "fuzz":
             argv = ["fuzz", "--max-tests", "1", "--models", "promising", "--distributed"]
             argv += ["--backend-url", url]
+        if command == "serve":
+            argv = ["serve", "--port", "0", "--queue-url", url]
         line = self.error_line(argv, capsys)
         assert url in line and "cannot make directory" in line
+
+    def test_serve_ledger_that_is_a_directory(self, tmp_path, capsys):
+        # serve opens its ledger before it starts anything, so nothing leaks.
+        url = str(tmp_path)
+        assert url in self.error_line(["serve", "--port", "0", "--queue-url", url], capsys)
 
     @pytest.mark.parametrize(
         "argv",
@@ -816,11 +824,15 @@ class TestCliLedgerFailures:
             ["sweep", "--max-tests", "1", "--distributed", "--backend-url", "redis://x"],
             ["serve", "--port", "0", "--queue-url", "redis://x"],
             ["work", "--backend-url", "sqlite://"],
+            ["serve", "--port", "0", "--queue-url", "http://127.0.0.1:9"],
         ],
-        ids=["sweep-scheme", "serve-scheme", "work-empty-path"],
+        ids=["sweep-scheme", "serve-scheme", "work-empty-path", "serve-http"],
     )
-    def test_bad_ledger_url_is_a_usage_error(self, argv, capsys):
-        # Refused when the arguments are parsed, by open_backend's rules.
+    def test_bad_ledger_url_is_a_usage_error(self, argv, capsys, monkeypatch):
+        # Refused when the arguments are parsed, by open_backend's rules
+        # (serve also refuses an http:// ledger: it mounts SQLite only).  A
+        # serve that got past the parser returns at once instead of serving.
+        monkeypatch.setattr("repro.service.run_server", lambda *args, **kwargs: None)
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         err = capsys.readouterr().err

@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,12 @@ from repro.service import (
     TokenBuckets,
     percentile,
 )
-from repro.service.core import ADMISSION_RETRY_AFTER, DRAIN_RETRY_AFTER, OPTION_KEYS
+from repro.service.core import (
+    ADMISSION_RETRY_AFTER,
+    DRAIN_RETRY_AFTER,
+    DRAIN_TIMEOUT,
+    OPTION_KEYS,
+)
 from repro.service.http import ServiceServer, run_server
 
 MP_SOURCE = (
@@ -1045,6 +1051,83 @@ class TestKeepAliveProtocol:
                 await server.stop()
 
         run_async(scenario())
+
+    def test_pipeline_longer_than_any_inflight_cap(self, live_service):
+        # 40 requests on the wire at once (the old per-connection cap was
+        # 32): every one is answered, in order, and the socket stays open.
+        import socket
+
+        wire = b"".join(
+            b"GET /v1/healthz HTTP/1.1\r\nX-Request-Id: deep-%d\r\n\r\n" % index
+            for index in range(40)
+        )
+        with socket.create_connection((live_service.host, live_service.port), timeout=30) as sock:
+            http = _RawHttp(sock)
+            sock.sendall(wire)
+            for index in range(40):
+                status, headers, _body = http.read_response()
+                assert status == 200
+                assert headers["x-request-id"] == f"deep-{index}"
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\n\r\n")
+            status, headers, _body = http.read_response()
+            assert status == 200 and headers["connection"] == "keep-alive"
+
+    @pytest.mark.parametrize("where", ["request-line", "header-line"])
+    def test_oversized_line_is_a_431(self, live_service, where):
+        # Beyond the stream's 64 KiB line limit readline raises ValueError;
+        # it used to escape the handler and drop the connection unanswered.
+        import socket
+
+        big = b"a" * 70_000
+        if where == "request-line":
+            wire = b"GET /v1/" + big + b" HTTP/1.1\r\n\r\n"
+        else:
+            wire = b"GET /v1/healthz HTTP/1.1\r\nX-Padding: " + big + b"\r\n\r\n"
+        address = (live_service.host, live_service.port)
+        with socket.create_connection(address, timeout=30) as sock:
+            sock.sendall(wire)
+            status, headers, _body = _RawHttp(sock).read_response()
+            assert status == 431
+            assert headers["connection"] == "close"
+        with socket.create_connection(address, timeout=30) as sock:
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\n\r\n")
+            assert _RawHttp(sock).read_response()[0] == 200
+
+    def test_client_gone_before_its_answer(self):
+        # The client sends an explore and hangs up without reading; the job
+        # is held until then, so the answer goes to a closed socket.  The
+        # server keeps serving, and stops within its drain bound.
+        import socket
+
+        service = make_service()
+        release = hold_compute(service)
+        body = b'{"test": "SB"}'
+        explore = b"POST /v1/explore HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+
+        def hang_up_then_probe(host, port):
+            with socket.create_connection((host, port), timeout=30) as sock:
+                sock.sendall(explore)
+            with socket.create_connection((host, port), timeout=30) as sock:
+                sock.sendall(b"GET /v1/healthz HTTP/1.1\r\n\r\n")
+                return _RawHttp(sock).read_response()[0]
+
+        async def scenario():
+            server = ServiceServer(service, "127.0.0.1", 0)
+            host, port = await server.start()
+            try:
+                status = await asyncio.get_running_loop().run_in_executor(
+                    None, hang_up_then_probe, host, port
+                )
+            finally:
+                release.set()
+                started = time.monotonic()
+                await server.stop()
+                stopped_in = time.monotonic() - started
+            return status, stopped_in
+
+        status, stopped_in = run_async(scenario())
+        assert status == 200
+        assert stopped_in < DRAIN_TIMEOUT
 
     def test_client_pool_reuses_connections(self, live_service):
         before = live_service.stats()["http"]
