@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from ..harness.cache import ResultCache, open_cache
-from ..harness.jobs import Job, JobResult, STATUS_ERROR
+from ..harness.jobs import Job, JobResult, STATUS_ERROR, rebind
 from ..harness.scheduler import BatchStats, plan_batch, rebind_duplicates
 from ..obs import metrics
 from ..obs.logging import get_logger, log_event
@@ -149,7 +149,9 @@ def run_distributed(
     for index in pending:
         view = collected[item_of[index]]
         if view.status == STATUS_DONE:
-            result = decode_result(view.result)
+            # The ledger holds a fingerprint's first result: another name,
+            # or the other architecture, may have enqueued it.
+            result = rebind(decode_result(view.result), jobs[index])
             if view.served_from == MODE_COMPUTED:
                 computed += 1
             else:

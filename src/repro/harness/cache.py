@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 from ..obs import metrics
 from ..outcomes import OutcomeSet
-from .jobs import Job, JobResult, STATUS_OK, result_from_json, result_to_json
+from .jobs import Job, JobResult, STATUS_OK, rebind, result_from_json, result_to_json
 
 # One shared vocabulary for every cache tier: the disk cache here, the
 # LRU below, and the service's in-flight coalescing all label the same
@@ -70,16 +70,9 @@ class ResultCache:
             self.misses += 1
             CACHE_REQUESTS.inc(layer="disk", outcome="miss")
             return None
-        # Name and expected verdict are deliberately outside the
-        # fingerprint (they don't affect the computed outcome set), so a
-        # recalled result must reflect the *incoming* job's annotations —
-        # not the ones stored when the entry was written.
-        result.name = job.test.name
-        result.expected = job.test.expected_verdict(job.arch)
-        result.cached = True
         self.hits += 1
         CACHE_REQUESTS.inc(layer="disk", outcome="hit")
-        return result
+        return rebind(result, job, cached=True)
 
     # -- store ---------------------------------------------------------------
     def put(self, job: Job, result: JobResult) -> bool:
@@ -145,9 +138,9 @@ class LruResultCache:
     disk cache's policy that errors and timeouts are not reusable.
 
     Like :meth:`ResultCache.get`, a recalled result is rebound to the
-    *incoming* job's annotations (name, expected verdict), which live
-    outside the fingerprint.  The returned object is a fresh copy, so
-    callers may mutate it without corrupting the cached entry.
+    *incoming* job (:func:`~repro.harness.jobs.rebind`).  The returned
+    object is a fresh copy, so callers may mutate it without corrupting
+    the cached entry.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
@@ -170,10 +163,9 @@ class LruResultCache:
         self._entries.move_to_end(fingerprint)
         self.hits += 1
         CACHE_REQUESTS.inc(layer="lru", outcome="hit")
-        return dataclasses.replace(
+        return rebind(
             entry,
-            name=job.test.name,
-            expected=job.test.expected_verdict(job.arch),
+            job,
             outcomes=None if entry.outcomes is None else OutcomeSet(entry.outcomes),
             stats=dict(entry.stats),
             cached=True,

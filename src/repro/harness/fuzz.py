@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # litmus imports harness (runner); keep ours lazy.
     from ..litmus.test import LitmusTest
 from .cache import ResultCache, open_cache
 from .jobs import Job, JobResult
-from .report import build_report, describe_dedup, write_report
+from .report import build_report, describe_dedup, distinct_computations, write_report
 from .scheduler import BatchStats, run_jobs
 
 #: Default model line-up of the differential battery.
@@ -346,7 +346,7 @@ def run_fuzz(
 
     counterexamples, explained = differential_mismatches(jobs, results)
     model_seconds: dict[str, float] = {}
-    for result in results:
+    for result in distinct_computations(results):
         model_seconds[result.model] = (
             model_seconds.get(result.model, 0.0) + result.elapsed_seconds
         )

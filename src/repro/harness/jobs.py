@@ -17,6 +17,7 @@ are bit-identical by construction.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import signal
 import threading
@@ -61,7 +62,9 @@ if TYPE_CHECKING:
 #: always memoised), which changes every promising-model config repr; the
 #: bump makes the break explicit so old entries miss and recompute
 #: instead of ever being served wrong.
-FINGERPRINT_VERSION = 3
+#: v4: ``arch`` is keyed only for a program with an exclusive access, so
+#: the ARM and RISC-V jobs of an exclusive-free program share one key.
+FINGERPRINT_VERSION = 4
 
 #: The config fields only the ``sample`` strategy reads, at their
 #: defaults.  A ``dfs`` job is fingerprinted with these values, so a seed
@@ -102,6 +105,15 @@ def _deadline(seconds: Optional[float]) -> Iterator[None]:
     Uses ``SIGALRM``, so it only engages on the main thread of a process —
     which is where both the serial runner and the pool workers execute
     jobs.  Elsewhere (or with no timeout) it is a no-op.
+
+    While the deadline is armed the objects the process already holds are
+    frozen out of the cyclic collector (:func:`gc.freeze`), so a full
+    collection during the job scans only what the job allocated.  Without
+    that, a host with a large heap (a test session, the service, or a
+    pool worker forked from either) charges a full collection of its own
+    heap to whichever job is running: over a million host objects that is
+    about 0.1 s, and a millisecond job under a 0.05 s deadline times out.
+    A host that froze its heap itself is left to manage its own.
     """
     usable = (
         seconds is not None
@@ -117,11 +129,16 @@ def _deadline(seconds: Optional[float]) -> Iterator[None]:
         raise JobTimeout(f"job exceeded {seconds}s")
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
+        if freeze:
+            gc.unfreeze()
         signal.signal(signal.SIGALRM, previous)
 
 
@@ -234,12 +251,35 @@ class Job:
         """Content hash identifying this job's semantics.
 
         Covers the program text (threads + initial memory), the condition,
-        the projection, the model/arch, and every field of the effective
+        the projection, the model, and every field of the effective
         configuration — so any change that could change the outcome set
-        (or its projection) yields a fresh key.  The one exception is the
-        sampling fields of a ``dfs`` run, which key at their defaults
-        because an exhaustive search never reads them.  Memoized: the
-        scheduler, the cache, and the executor each consult it.
+        (or its projection) yields a fresh key.  The exceptions are fields
+        the run never reads.  The sampling fields of a ``dfs`` run key at
+        their defaults: an exhaustive search never reads them.  And
+        ``arch`` (its ``parts`` entry and the config field) keys only a
+        program with an exclusive load or store
+        (:attr:`~repro.lang.program.Program.has_exclusive`), because every
+        read of it in the models is dead without one:
+
+        * ``isa/compile.py`` ``_read_kernel``: ``forwards_xcl`` is read
+          only for a forwarding entry written by a store exclusive;
+        * ``_store_kernel``: ``riscv`` is read only for a store exclusive
+          (its view, and the value of its success register);
+        * ``promising/steps.py`` ``_read_view``: ``arch`` is read only
+          when ``fwd.xcl``, which only a store exclusive sets;
+        * ``fulfil_steps``: both reads sit in a conjunction with, or a
+          branch on, ``stmt.exclusive``;
+        * ``axiomatic/model.py`` ``aob`` and ``bob | rmw``: both range
+          over ``rmw``, which pairs a load exclusive with a store
+          exclusive, so it is empty without them;
+        * Flat reads ``arch`` nowhere.
+
+        So the ARM and RISC-V jobs of an exclusive-free program compute
+        the same outcomes and stats and share one key; a shared result
+        takes its name, arch and expected verdict from the job that asks
+        (:func:`rebind`).  ``tests/test_cache.py`` holds the law over the
+        catalogue and the cycle corpus.  Memoized: the scheduler, the
+        cache, and the executor each consult it.
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is not None:
@@ -252,12 +292,17 @@ class Job:
             cfg = self.effective_flat_config()
         if getattr(cfg, "strategy", None) == "dfs":
             cfg = dataclasses.replace(cfg, **_SAMPLING_DEFAULTS)
-        cfg_items = sorted((f.name, repr(getattr(cfg, f.name))) for f in dataclasses.fields(cfg))
+        keys_arch = self.test.program.has_exclusive
+        cfg_items = sorted(
+            (f.name, repr(getattr(cfg, f.name)))
+            for f in dataclasses.fields(cfg)
+            if keys_arch or f.name != "arch"
+        )
         regs, locs = self.observables()
         parts = [
             f"v{FINGERPRINT_VERSION}",
             self.model,
-            self.arch.value,
+            self.arch.value if keys_arch else "",
             repr(self.test.program.threads),
             repr(sorted(self.test.program.initial.items())),
             self.test.condition.canonical(),
@@ -371,6 +416,25 @@ class JobResult:
             f"{' [TRUNCATED]' if self.truncated else ''}"
             f"{' [SAMPLED]' if self.sampled else ''}"
         )
+
+
+def rebind(result: JobResult, job: Job, **changes) -> JobResult:
+    """A copy of ``result`` that answers ``job``.
+
+    A result's name, arch and expected verdict belong to the job that
+    asks, not to the fingerprint: a same-content test under another name,
+    or the other architecture of an exclusive-free program, shares the
+    key.  Every place that hands one job's result to another comes
+    through here: an in-batch duplicate, a disk or LRU hit, a coalesced
+    join and a ledger row.  ``changes`` sets further fields of the copy.
+    """
+    return dataclasses.replace(
+        result,
+        name=job.test.name,
+        arch=job.arch,
+        expected=job.test.expected_verdict(job.arch),
+        **changes,
+    )
 
 
 def _stats_dict(stats: object) -> dict:
@@ -558,6 +622,7 @@ __all__ = [
     "JobResult",
     "JobTimeout",
     "execute_job",
+    "rebind",
     "timeouts_enforceable",
     "outcome_to_json",
     "outcome_from_json",

@@ -74,6 +74,21 @@ def describe_dedup(report: Mapping) -> str:
     )
 
 
+def distinct_computations(results: Sequence[JobResult]) -> list[JobResult]:
+    """The first result of each fingerprint, in order.
+
+    Rows sharing a fingerprint (an in-batch duplicate, or the other
+    architecture of an exclusive-free program) were computed once and
+    fanned out, so a sum of seconds or memo counters reads each
+    computation from here once.  A row without a fingerprint counts on
+    its own.
+    """
+    first: dict = {}
+    for result in results:
+        first.setdefault(result.fingerprint or id(result), result)
+    return list(first.values())
+
+
 def job_entry(result: JobResult) -> dict:
     """The per-job row of a report (no outcome payload: summaries)."""
     return {
@@ -118,7 +133,8 @@ def build_report(
     (:func:`repro.harness.fuzz.differential_mismatches`).  The report is
     ``ok`` only when at least one job ran, every job is ``ok`` and there
     is no counterexample: a battery that timed out, crashed or checked
-    nothing proved nothing.
+    nothing proved nothing.  Seconds and the ``dedup`` counters count
+    each computation once (:func:`distinct_computations`).
 
     ``cache`` (a :class:`~repro.harness.cache.ResultCache`, optional) adds
     persistence accounting — in particular ``store_failures``, so a run
@@ -130,10 +146,11 @@ def build_report(
     for result in results:
         statuses[result.status] = statuses.get(result.status, 0) + 1
     cache_hits = sum(1 for r in results if r.cached)
-    compute_seconds = sum(r.elapsed_seconds for r in results if not r.cached)
-    saved_seconds = sum(r.elapsed_seconds for r in results if r.cached)
+    computations = distinct_computations(results)
+    compute_seconds = sum(r.elapsed_seconds for r in computations if not r.cached)
+    saved_seconds = sum(r.elapsed_seconds for r in computations if r.cached)
     dedup = {
-        counter: sum(int(r.stats.get(counter) or 0) for r in results)
+        counter: sum(int(r.stats.get(counter) or 0) for r in computations)
         for counter in DEDUP_COUNTERS
     }
     report = {
@@ -179,6 +196,7 @@ __all__ = [
     "REPORT_SCHEMA_VERSION",
     "build_report",
     "describe_dedup",
+    "distinct_computations",
     "job_entry",
     "outcome_set_digest",
     "write_report",

@@ -12,7 +12,6 @@ instead of tearing down the batch.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 import signal
@@ -26,7 +25,7 @@ from ..obs import metrics
 from ..obs.logging import bind_global, get_logger, log_event
 from ..obs.metrics import diff_snapshots
 from .cache import ResultCache, open_cache
-from .jobs import Job, JobResult, execute_job, timeouts_enforceable
+from .jobs import Job, JobResult, execute_job, rebind, timeouts_enforceable
 
 _log = get_logger("harness.scheduler")
 
@@ -274,9 +273,10 @@ def plan_batch(
     """
     results: list[Optional[JobResult]] = [None] * len(jobs)
     pending: list[int] = []
-    # In-batch dedup: content-identical jobs (e.g. a generated test that
-    # also appears in the catalogue) are executed once and fanned back
-    # out, with per-job annotations rebound like a cache hit.
+    # In-batch dedup: jobs sharing a fingerprint (a generated test that
+    # also appears in the catalogue, or the two architectures of an
+    # exclusive-free program) are executed once and fanned back out,
+    # rebound to each job like a cache hit.
     first_with: dict[str, int] = {}
     duplicate_of: dict[int, int] = {}
     for index, job in enumerate(jobs):
@@ -300,13 +300,7 @@ def rebind_duplicates(
 ) -> None:
     """Fan computed results back out to their in-batch duplicates."""
     for index, source in duplicate_of.items():
-        # Same fingerprint → same computed outcome; only the per-job
-        # annotations (name, expected verdict) differ.
-        results[index] = dataclasses.replace(
-            results[source],
-            name=jobs[index].test.name,
-            expected=jobs[index].test.expected_verdict(jobs[index].arch),
-        )
+        results[index] = rebind(results[source], jobs[index])
 
 
 def run_jobs(

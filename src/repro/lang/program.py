@@ -10,9 +10,10 @@ used by the explorer's local-location optimisation (§7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .ast import Stmt, count_memory_accesses, statement_constants
+from .ast import Load, Stmt, Store, count_memory_accesses, iter_statements, statement_constants
 from .expr import Value
 
 Loc = int
@@ -63,6 +64,19 @@ class Program:
         for stmt in self.threads:
             consts |= statement_constants(stmt)
         return frozenset(consts)
+
+    @cached_property
+    def has_exclusive(self) -> bool:
+        """Whether some thread has an exclusive load or store.
+
+        Computed once per program: a job fingerprint asks on every
+        lookup (see :meth:`repro.harness.jobs.Job.fingerprint`).
+        """
+        return any(
+            isinstance(node, (Load, Store)) and node.exclusive
+            for stmt in self.threads
+            for node in iter_statements(stmt)
+        )
 
     def memory_access_count(self) -> int:
         """Static count of loads and stores across all threads."""

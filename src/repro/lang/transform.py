@@ -27,6 +27,7 @@ from .ast import (
     Stmt,
     Store,
     While,
+    iter_statements,
     seq,
 )
 from .expr import Const, Expr, RegE, eval_expr, expr_registers, rename_registers
@@ -115,25 +116,13 @@ def accessed_locations(
     """
     locs: set[Loc] = set()
     all_static = True
-
-    def visit(node: Stmt) -> None:
-        nonlocal all_static
-        if isinstance(node, Seq):
-            visit(node.first)
-            visit(node.second)
-        elif isinstance(node, If):
-            visit(node.then)
-            visit(node.orelse)
-        elif isinstance(node, While):
-            visit(node.body)
-        elif isinstance(node, (Load, Store)) and counts(node):
+    for node in iter_statements(stmt):
+        if isinstance(node, (Load, Store)) and counts(node):
             addr = _static_address(node.addr)
             if addr is None:
                 all_static = False
             else:
                 locs.add(addr)
-
-    visit(stmt)
     return frozenset(locs), all_static
 
 

@@ -19,6 +19,11 @@ layer that can:
    :class:`~repro.harness.scheduler.WorkerPool`, whose workers stay warm
    across requests so imports and interner pools amortize.
 
+Every answer from the first three is rebound to the asking job
+(:func:`~repro.harness.jobs.rebind`): an exclusive-free test asked for on
+the other architecture shares the fingerprint, so its rows carry the
+asked-for ``arch``.
+
 Per-job deadlines and truncation warnings flow through the standard
 :class:`~repro.harness.jobs.JobResult` schema: a budget-capped
 exploration is served with ``"truncated": true`` and its warning string,
@@ -28,7 +33,6 @@ never as a silently verified verdict.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import math
 import platform
 import time
@@ -47,6 +51,7 @@ from ..harness.jobs import (
     Job,
     JobResult,
     execute_job,
+    rebind,
     result_to_json,
 )
 from ..harness.report import job_entry
@@ -726,7 +731,7 @@ class ExplorationService:
             self.stats.coalesced += 1
             CACHE_REQUESTS.inc(layer="coalesced", outcome="hit")
             result, _label = await asyncio.shield(inflight)
-            return self._rebind(result, job), "coalesced"
+            return rebind(result, job), "coalesced"
         if not self._running or self._draining:
             # New arrivals only: cache hits and coalesced joins above were
             # already served, and pending work keeps running to completion
@@ -750,16 +755,6 @@ class ExplorationService:
         else:
             self.stats.lru_hits += 1
         return result, label
-
-    @staticmethod
-    def _rebind(result: JobResult, job: Job) -> JobResult:
-        """A coalesced waiter's copy, carrying its own job's annotations."""
-        return dataclasses.replace(
-            result,
-            name=job.test.name,
-            expected=job.test.expected_verdict(job.arch),
-            stats=dict(result.stats),
-        )
 
     # -- compute -------------------------------------------------------------
     async def _compute(self, job: Job, timeout: Optional[float], future: asyncio.Future) -> None:

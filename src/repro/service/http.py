@@ -348,6 +348,8 @@ class ServiceServer:
         method, path = parts[0].upper(), parts[1].split("?", 1)[0]
         headers = {}
         header_bytes = len(request_line)
+        if header_bytes > MAX_HEADER_BYTES:
+            return 431, _TOO_LARGE
         while True:
             try:
                 line = await reader.readline()

@@ -15,9 +15,11 @@ import pytest
 
 from repro.flat import FlatConfig
 from repro.harness.cache import LruResultCache, ResultCache
-from repro.harness.jobs import Job, execute_job
+from repro.harness.jobs import MODELS, Job, execute_job
+from repro.harness.scheduler import BatchStats, run_jobs
 from repro.lang.kinds import Arch
-from repro.litmus import get_test
+from repro.litmus import all_tests, generate_cycle_battery, get_test
+from repro.litmus.test import Verdict
 from repro.promising import ExploreConfig
 
 
@@ -194,15 +196,19 @@ class TestResultCacheRecovery:
         assert recalled.expected == get_test("SB").expected_verdict(Arch.ARM)
 
 
-#: Default ``MP`` fingerprints, recorded before the sampling fields
-#: stopped keying ``dfs`` jobs: a default config must key exactly as it
-#: did, so no cache entry is invalidated.
+#: Default ``MP`` fingerprints (``FINGERPRINT_VERSION`` 4, ARM or
+#: RISC-V alike): a seed or walk budget a ``dfs`` job never reads must
+#: key exactly as the defaults do.
 MP_FINGERPRINTS = {
-    "promising": "adf9a09b3dd5aa362193dd338a278930696de9e48751d93b05de018f9d8e7d35",
-    "promising-naive": "ecd6d6481f934b553abff421b21c683c739b28314e005f507916b95faa1046a2",
-    "axiomatic": "a88ba750775f6e6b0b62f86e222f0c99bf7ba88cc8061842e432de702672c9ae",
-    "flat": "0789b56d14643a5dd2bc44c514a2b3e7a3df6ee1386a0466b2b849f8f82b19b2",
+    "promising": "17295e7bdc697b0e36cc1479c3e2bcfdaad8f8d08f3348f26ee9a46a2fa66eda",
+    "promising-naive": "24671bf22efd8c6844f0caba9eedea1c8b6b281ab4c88bd1cdb9b23ccc91c1a4",
+    "axiomatic": "737f0e5ad58a832eb0a34e7ffd588a21284ebaa6853c32005eb807c3a959e26c",
+    "flat": "ee54055c2f6bc3bb92fe1e4063a2429769f4e5d3826b9cb4c6b3d682afe5b1f1",
 }
+
+#: The catalogue tests with an exclusive access, the only ones whose
+#: fingerprint keys the architecture.
+LSE_TESTS = ("LSE-atomicity", "LSE-inc-inc", "LSE-fwd-acq")
 
 
 def mp_job(model, **fields):
@@ -234,3 +240,82 @@ class TestFingerprints:
         capsys.readouterr()
         assert main(["--seed", "7"] + argv) == 0
         assert "cache hit rate 100%" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("name", LSE_TESTS)
+    def test_exclusive_accesses_key_the_architecture(self, name, model):
+        test = get_test(name)
+        assert test.program.has_exclusive
+        arm = Job(test=test, model=model, arch=Arch.ARM)
+        assert arm.fingerprint() != Job(test=test, model=model, arch=Arch.RISCV).fingerprint()
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_architecture_neutral_jobs_compute_alike(self, model):
+        # The law behind an exclusive-free program keying no ``arch``: its
+        # ARM and RISC-V runs, computed apart, agree on everything a
+        # result carries from the computation.
+        tests = [t for t in all_tests() if not t.program.has_exclusive]
+        tests += generate_cycle_battery(max_per_family=1)
+        for test in tests:
+            arm = execute_job(Job(test=test, model=model, arch=Arch.ARM))
+            riscv = execute_job(Job(test=test, model=model, arch=Arch.RISCV))
+            assert arm.ok and riscv.ok, test.name
+            assert arm.outcomes == riscv.outcomes, test.name
+            assert arm.verdict is riscv.verdict, test.name
+            assert arm.stats == riscv.stats, test.name
+            assert arm.fingerprint == riscv.fingerprint, test.name
+
+
+def twin_of(test, arch):
+    """``test`` under another name, expected (allowed) on ``arch`` only:
+    the same fingerprint, other annotations."""
+    return dataclasses.replace(test, name=test.name + "-twin", expected={arch: Verdict.ALLOWED})
+
+
+class TestServedToTheOtherArchitecture:
+    """A result computed on ARM answers a RISC-V job of the same content
+    under that job's name, arch and expected verdict."""
+
+    @pytest.fixture(scope="class")
+    def arm_mp(self):
+        job = Job(test=get_test("MP"), model="promising", arch=Arch.ARM)
+        return job, execute_job(job)
+
+    @staticmethod
+    def riscv_twin():
+        return Job(test=twin_of(get_test("MP"), Arch.RISCV), model="promising", arch=Arch.RISCV)
+
+    @staticmethod
+    def assert_answers(result, job):
+        assert result.name == "MP-twin"
+        assert result.arch is Arch.RISCV
+        assert result.expected is Verdict.ALLOWED
+        assert result.fingerprint == job.fingerprint()
+
+    def test_batch_duplicate(self):
+        arm = Job(test=get_test("MP"), model="promising", arch=Arch.ARM)
+        riscv = self.riscv_twin()
+        stats = BatchStats()
+        results = run_jobs([arm, riscv], stats=stats)
+        assert stats.executed == 1
+        assert (results[0].name, results[0].arch) == ("MP", Arch.ARM)
+        assert results[0].expected is get_test("MP").expected_verdict(Arch.ARM)
+        self.assert_answers(results[1], riscv)
+        assert results[1].outcomes == results[0].outcomes
+
+    def test_disk_hit(self, tmp_path, arm_mp):
+        cache = ResultCache(tmp_path)
+        cache.put(*arm_mp)
+        riscv = self.riscv_twin()
+        recalled = cache.get(riscv)
+        assert recalled is not None and recalled.cached
+        self.assert_answers(recalled, riscv)
+
+    def test_lru_hit(self, arm_mp):
+        lru = LruResultCache(capacity=4)
+        lru.put(*arm_mp)
+        riscv = self.riscv_twin()
+        recalled = lru.get(riscv)
+        assert recalled is not None and recalled.cached
+        self.assert_answers(recalled, riscv)
+        assert lru.get(arm_mp[0]).arch is Arch.ARM

@@ -10,6 +10,7 @@ of the same corpus.  The coordinator starts no worker, so every batch
 here is served by :func:`fleet`: :func:`run_worker` processes.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -43,6 +44,7 @@ from repro.harness.jobs import Job, STATUS_ERROR
 from repro.harness.report import build_report, outcome_set_digest
 from repro.lang.kinds import Arch
 from repro.litmus import generate_cycle_battery, get_test
+from repro.litmus.test import Verdict
 from repro.obs.metrics import diff_snapshots, get_registry
 from repro.service import ServiceClientError
 from repro.tools.cli import main
@@ -697,7 +699,33 @@ class TestDistributedParity:
                 distrib=DistribConfig(backend_url=queue),
             )
         assert fuzz.ok
-        assert fuzz.report["extra"]["distrib"]["jobs_computed"] == fuzz.report["n_jobs"]
+        # The corpus is exclusive-free: each RISC-V job shares its ARM
+        # job's fingerprint and is fanned out, never enqueued.
+        distinct = {job.fingerprint() for job in fuzz.jobs}
+        assert (len(distinct), fuzz.report["n_jobs"]) == (4, 8)
+        assert fuzz.report["extra"]["distrib"]["jobs_computed"] == len(distinct)
+
+    def test_ledger_rows_answer_the_job_that_asked(self, tmp_path):
+        # A persistent ledger answers a fingerprint it already holds with
+        # the row of whichever job enqueued it first; the coordinator must
+        # hand it back under the asking job's name, arch and expectation.
+        mp = get_test("MP")
+        twin = dataclasses.replace(mp, name="MP-twin", expected={Arch.RISCV: Verdict.ALLOWED})
+        config = DistribConfig(backend_url=str(tmp_path / "q.db"), stall_timeout=30)
+        with fleet(config.backend_url, 1):
+            first = run_distributed([Job(test=mp, model="promising")], config=config)
+            renamed = run_distributed([Job(test=twin, model="promising")], config=config)
+            riscv = run_distributed(
+                [Job(test=twin, model="promising", arch=Arch.RISCV)], config=config
+            )
+        assert first.results[0].name == "MP"
+        row = renamed.results[0]
+        assert (row.name, row.arch, row.expected) == ("MP-twin", Arch.ARM, None)
+        row = riscv.results[0]
+        assert (row.name, row.arch, row.expected) == ("MP-twin", Arch.RISCV, Verdict.ALLOWED)
+        for run in (renamed, riscv):
+            assert run.info["jobs_enqueued"] == 0
+            assert run.results[0].fingerprint == first.results[0].fingerprint
 
     def test_cli_distributed_sweep(self, tmp_path, capsys):
         report = tmp_path / "report.json"

@@ -81,8 +81,15 @@ class TestJobs:
                 explore_config=ExploreConfig(loop_bound=3)).fingerprint()
             != base.fingerprint()
         )
-        assert Job(test=test, model="promising", arch=Arch.RISCV).fingerprint() != base.fingerprint()
         assert Job(test=test, model="axiomatic").fingerprint() != base.fingerprint()
+        # The architecture keys a program with an exclusive access only:
+        # without one no rule reads it, so MP's two jobs share a key.
+        assert Job(test=test, model="promising", arch=Arch.RISCV).fingerprint() == base.fingerprint()
+        lse = get_test("LSE-atomicity")
+        assert (
+            Job(test=lse, model="promising", arch=Arch.RISCV).fingerprint()
+            != Job(test=lse, model="promising").fingerprint()
+        )
         assert Job(test=get_test("SB"), model="promising").fingerprint() != base.fingerprint()
 
     def test_fingerprint_distinguishes_same_named_locations(self):
@@ -166,6 +173,48 @@ class TestScheduler:
         assert statuses[1] == STATUS_TIMEOUT
         assert results[1].outcomes is None
         assert statuses[0] == STATUS_OK and statuses[2] == STATUS_OK
+
+    def test_host_garbage_waits_out_the_deadline(self, monkeypatch):
+        # A collection during a job must not run the host's finalizers:
+        # the alarm raised inside one is swallowed ("Exception ignored
+        # in") and the job runs on unbounded.  Nor may it scan the host's
+        # heap on the job's clock.  The garbage here is collected after
+        # the job instead, and the job still times out.
+        import gc
+        import time
+
+        import repro.harness.jobs as jobs_module
+
+        finalized = []
+
+        class Slow:
+            def __del__(self):
+                finalized.append(True)
+                end = time.perf_counter() + 0.2
+                while time.perf_counter() < end:
+                    pass
+
+        def busy(program, cfg):
+            gc.collect()  # as a full collection triggered mid-job would
+            end = time.perf_counter() + 2
+            while time.perf_counter() < end:
+                pass
+            raise AssertionError("the deadline never fired")
+
+        monkeypatch.setattr(jobs_module, "explore", busy)
+        gc.disable()  # no automatic collection before the job starts
+        try:
+            garbage = Slow()
+            garbage.cycle = garbage
+            del garbage
+            result = execute_job(Job(test=get_test("MP"), model="promising"), timeout=0.05)
+            assert result.status == STATUS_TIMEOUT, result.error
+            assert finalized == []
+            assert gc.get_freeze_count() == 0
+            gc.collect()
+            assert finalized == [True]
+        finally:
+            gc.enable()
 
     def test_content_identical_jobs_execute_once(self, monkeypatch):
         import repro.harness.scheduler as scheduler_module
@@ -481,6 +530,21 @@ class TestReport:
         assert "cert memo" in text and "interning" in text
         hits, misses = dedup["step_memo_hits"], dedup["step_memo_misses"]
         assert f"step memo: {hits}/{hits + misses} hits" in text
+
+    def test_reports_count_each_computation_once(self):
+        # MP's RISC-V jobs share the ARM jobs' fingerprints: computed once
+        # and fanned out, so their seconds and memo counters count once.
+        test = get_test("MP")
+        models = ("promising", "flat")
+        jobs = [Job(test=test, model=m, arch=a) for a in (Arch.ARM, Arch.RISCV) for m in models]
+        results = run_jobs(jobs)
+        arm = results[: len(models)]
+        report = build_report(results, [])
+        assert report["n_jobs"] == 4
+        assert report["compute_seconds"] == sum(r.elapsed_seconds for r in arm)
+        for counter, total in report["dedup"].items():
+            assert total == sum(int(r.stats.get(counter) or 0) for r in arm), counter
+        assert report["dedup"]["cert_calls"] > 0
 
     def test_outcome_digest_tracks_outcome_sets(self):
         from repro.harness import outcome_set_digest

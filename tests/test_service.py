@@ -387,6 +387,50 @@ class TestServiceCore:
 
         run_async(scenario())
 
+    def test_other_architecture_is_answered_as_itself(self):
+        async def scenario():
+            # LB has no exclusive access, so a RISC-V job of it shares the
+            # ARM job's fingerprint: it joins the ARM computation in
+            # flight, and later hits the LRU, each time under its own
+            # name, arch and expected verdict.
+            import dataclasses
+
+            from repro.litmus.test import Verdict
+
+            service = make_service()
+            release = hold_compute(service)
+            await service.start()
+            try:
+                lb = get_test("LB")
+                twin = dataclasses.replace(
+                    lb, name="LB-twin", expected={Arch.RISCV: Verdict.ALLOWED}
+                )
+                arm = Job(test=lb, model="promising", arch=Arch.ARM)
+                riscv = Job(test=twin, model="promising", arch=Arch.RISCV)
+                gathered = asyncio.gather(
+                    service._resolve(arm, None, None), service._resolve(riscv, None, None)
+                )
+                await asyncio.sleep(0.05)
+                release.set()
+                (first, first_from), (joined, joined_from) = await gathered
+                assert (first_from, joined_from) == ("computed", "coalesced")
+                assert (first.name, first.arch) == ("LB", Arch.ARM)
+                assert first.expected is lb.expected_verdict(Arch.ARM)
+                assert (joined.name, joined.arch) == ("LB-twin", Arch.RISCV)
+                assert joined.expected is Verdict.ALLOWED
+                status, response = await service.handle_explore(
+                    {"test": "LB", "models": ["promising"], "arch": "riscv"}
+                )
+                assert status == 200 and response["arch"] == "RISC-V"
+                row = response["results"][0]
+                assert (row["served_from"], row["arch"]) == ("lru", "RISC-V")
+                assert service.stats_snapshot()["served"]["computed"] == 1
+            finally:
+                release.set()
+                await service.stop()
+
+        run_async(scenario())
+
     def test_disk_cache_survives_restart(self, tmp_path):
         async def scenario():
             first = make_service(cache_dir=str(tmp_path))
@@ -1072,17 +1116,24 @@ class TestKeepAliveProtocol:
             status, headers, _body = http.read_response()
             assert status == 200 and headers["connection"] == "keep-alive"
 
-    @pytest.mark.parametrize("where", ["request-line", "header-line"])
+    @pytest.mark.parametrize("where", ["request-line", "header-line", "capped-request-line"])
     def test_oversized_line_is_a_431(self, live_service, where):
         # Beyond the stream's 64 KiB line limit readline raises ValueError;
         # it used to escape the handler and drop the connection unanswered.
+        # A request line under that limit counts against MAX_HEADER_BYTES
+        # on its own, with no header line after it.
         import socket
 
         big = b"a" * 70_000
         if where == "request-line":
             wire = b"GET /v1/" + big + b" HTTP/1.1\r\n\r\n"
-        else:
+        elif where == "header-line":
             wire = b"GET /v1/healthz HTTP/1.1\r\nX-Padding: " + big + b"\r\n\r\n"
+        else:
+            frame = b"GET /v1/healthz? HTTP/1.1\r\n"
+            line = frame.replace(b"?", b"?" + b"a" * (20_000 - len(frame)))
+            assert len(line) == 20_000
+            wire = line + b"\r\n"
         address = (live_service.host, live_service.port)
         with socket.create_connection(address, timeout=30) as sock:
             sock.sendall(wire)
