@@ -98,18 +98,21 @@ def run_distributed(
     results, pending, duplicate_of = plan_batch(jobs, cache)
     item_of: dict[int, str] = {index: jobs[index].fingerprint() for index in pending}
     reclaims: list[str] = []
-    enqueued_new = 0
+    # The items this batch put on the ledger.  Any other pending item was
+    # already there (an earlier batch's row, or another coordinator's
+    # work): the ledger serves it, and whoever enqueued it counts it.
+    enqueued: set[int] = set()
     try:
         with span("distrib", jobs=len(jobs), pending=len(pending)):
             for index in pending:
                 if backend.enqueue(item_of[index], encode_work(jobs[index], timeout)):
-                    enqueued_new += 1
+                    enqueued.add(index)
             log_event(
                 _log,
                 "batch enqueued",
                 n_jobs=len(jobs),
                 pending=len(pending),
-                enqueued=enqueued_new,
+                enqueued=len(enqueued),
                 cache_hits=len(jobs) - len(pending) - len(duplicate_of),
                 duplicates=len(duplicate_of),
             )
@@ -151,11 +154,13 @@ def run_distributed(
         if view.status == STATUS_DONE:
             # The ledger holds a fingerprint's first result: another name,
             # or the other architecture, may have enqueued it.
-            result = rebind(decode_result(view.result), jobs[index])
-            if view.served_from == MODE_COMPUTED:
+            result = decode_result(view.result)
+            if index in enqueued and view.served_from == MODE_COMPUTED:
                 computed += 1
+                result = rebind(result, jobs[index])
             else:
                 cache_served += 1
+                result = rebind(result, jobs[index], cached=True, metrics_delta=None)
         else:
             failed += 1
             result = _error_result(
@@ -166,7 +171,8 @@ def run_distributed(
     # Fold worker metrics deltas in submission order — one deterministic
     # merge regardless of which worker ran what, mirroring the pool path
     # (which folds in completion order but over commutative counter adds;
-    # here the order is pinned outright).
+    # here the order is pinned outright).  A served row's delta was
+    # dropped above: its enqueuer folds it.
     registry = metrics.get_registry()
     for index in pending:
         result = results[index]
@@ -185,7 +191,7 @@ def run_distributed(
 
     info = {
         "backend": config.backend_url,
-        "jobs_enqueued": enqueued_new,
+        "jobs_enqueued": len(enqueued),
         "jobs_computed": computed,
         "jobs_cache_served": cache_served,
         "jobs_failed": failed,

@@ -24,6 +24,7 @@ from typing import Optional, Union
 from ..obs import metrics
 from ..outcomes import OutcomeSet
 from .jobs import Job, JobResult, STATUS_OK, rebind, result_from_json, result_to_json
+from .report import outcome_set_digest
 
 # One shared vocabulary for every cache tier: the disk cache here, the
 # LRU below, and the service's in-flight coalescing all label the same
@@ -140,7 +141,8 @@ class LruResultCache:
     Like :meth:`ResultCache.get`, a recalled result is rebound to the
     *incoming* job (:func:`~repro.harness.jobs.rebind`).  The returned
     object is a fresh copy, so callers may mutate it without corrupting
-    the cached entry.
+    the cached entry.  Each entry's outcome digest is computed once, when
+    it is stored, and every copy carries it.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
@@ -173,10 +175,16 @@ class LruResultCache:
 
     def put(self, job: Job, result: JobResult) -> bool:
         """Admit an ``ok`` result, evicting the least-recently-used entry
-        beyond capacity; returns whether the result was stored."""
+        beyond capacity; returns whether the result was stored.
+
+        The stored result's outcome digest is also recorded on ``result``,
+        so the answer that filled the entry is not hashed a second time.
+        """
         if result.status != STATUS_OK:
             CACHE_STORES.inc(layer="lru", outcome="rejected")
             return False
+        if result.outcome_digest is None:
+            result.outcome_digest = outcome_set_digest(result.outcomes)
         fingerprint = result.fingerprint or job.fingerprint()
         # Defensive copy, including the mutable outcome set: callers
         # routinely rebind name/expected (and could grow outcomes) on the

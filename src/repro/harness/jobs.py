@@ -340,6 +340,10 @@ class JobResult:
     #: Metrics-registry delta accumulated while executing this job in a
     #: worker process; the parent merges it and clears the field.
     metrics_delta: Optional[dict] = None
+    #: ``outcome_set_digest(outcomes)``, once something has computed it:
+    #: the service's LRU does when the result enters it, and a copy made
+    #: by :func:`rebind` carries it, so a served row is hashed once.
+    outcome_digest: Optional[str] = field(default=None, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -567,6 +571,16 @@ def outcome_from_json(data: Mapping) -> Outcome:
     )
 
 
+def outcomes_to_json(outcomes: Optional[OutcomeSet]) -> Optional[list[dict]]:
+    """An outcome set as JSON rows in a stable order (``None`` stays ``None``)."""
+    if outcomes is None:
+        return None
+    return sorted(
+        (outcome_to_json(o) for o in outcomes),
+        key=lambda d: (d["registers"], d["memory"]),
+    )
+
+
 def result_to_json(result: JobResult) -> dict:
     return {
         "name": result.name,
@@ -579,14 +593,7 @@ def result_to_json(result: JobResult) -> dict:
         "stats": result.stats,
         "error": result.error,
         "fingerprint": result.fingerprint,
-        "outcomes": (
-            None
-            if result.outcomes is None
-            else sorted(
-                (outcome_to_json(o) for o in result.outcomes),
-                key=lambda d: (d["registers"], d["memory"]),
-            )
-        ),
+        "outcomes": outcomes_to_json(result.outcomes),
     }
 
 
@@ -626,6 +633,7 @@ __all__ = [
     "timeouts_enforceable",
     "outcome_to_json",
     "outcome_from_json",
+    "outcomes_to_json",
     "result_to_json",
     "result_from_json",
 ]

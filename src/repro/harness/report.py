@@ -90,7 +90,13 @@ def distinct_computations(results: Sequence[JobResult]) -> list[JobResult]:
 
 
 def job_entry(result: JobResult) -> dict:
-    """The per-job row of a report (no outcome payload: summaries)."""
+    """The per-job row of a report (no outcome payload: summaries).
+
+    The outcome digest is the one ``result`` carries, if it has one.
+    """
+    digest = result.outcome_digest
+    if digest is None:
+        digest = outcome_set_digest(result.outcomes)
     return {
         "name": result.name,
         "model": result.model,
@@ -100,7 +106,7 @@ def job_entry(result: JobResult) -> dict:
         "expected": result.expected.value if result.expected else None,
         "matches_expectation": result.matches_expectation,
         "n_outcomes": None if result.outcomes is None else len(result.outcomes),
-        "outcome_digest": outcome_set_digest(result.outcomes),
+        "outcome_digest": digest,
         "elapsed_seconds": result.elapsed_seconds,
         "cached": result.cached,
         "truncated": result.truncated,

@@ -22,7 +22,9 @@ layer that can:
 Every answer from the first three is rebound to the asking job
 (:func:`~repro.harness.jobs.rebind`): an exclusive-free test asked for on
 the other architecture shares the fingerprint, so its rows carry the
-asked-for ``arch``.
+asked-for ``arch``.  A repeated catalogue request is not normalised
+again: its jobs come from a memo keyed on the raw request body
+(:meth:`ExplorationService._normalized`).
 
 Per-job deadlines and truncation warnings flow through the standard
 :class:`~repro.harness.jobs.JobResult` schema: a budget-capped
@@ -36,7 +38,7 @@ import asyncio
 import math
 import platform
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -51,8 +53,8 @@ from ..harness.jobs import (
     Job,
     JobResult,
     execute_job,
+    outcomes_to_json,
     rebind,
-    result_to_json,
 )
 from ..harness.report import job_entry
 from ..harness.scheduler import WorkerPool
@@ -103,6 +105,10 @@ DRAIN_RETRY_AFTER = 2.0
 #: Longest a graceful drain waits for in-flight work before the server
 #: hard-stops whatever is left.
 DRAIN_TIMEOUT = 30.0
+#: Longest request body the normalisation memo keys on.  A catalogue
+#: request is a few hundred bytes; the bound keeps a padded one from
+#: pinning up to a megabyte per entry.
+MEMO_MAX_BODY_BYTES = 1024
 
 _log = get_logger("service.core")
 
@@ -183,6 +189,13 @@ class TokenBuckets:
     per job it expands into; an empty bucket yields the exact time until
     enough tokens exist, which becomes the 429's ``Retry-After``.
 
+    A bucket that has refilled to capacity answers exactly as an absent
+    one, so a sweep drops those once per refill period (``capacity /
+    refill_per_second``) and the ledger holds only clients seen within
+    about two periods.  A bucket touched at ``t`` is full by ``t +
+    period``, so each touch is scanned by at most two sweeps: amortised
+    constant work per request.
+
     Only touched from the event loop, so no lock is needed.
     """
 
@@ -201,10 +214,13 @@ class TokenBuckets:
         self.refill_per_second = float(refill_per_second)
         self.clock = clock
         self._buckets: dict[str, tuple[float, float]] = {}
+        self._swept = clock()
 
     def take(self, client_id: str, cost: float = 1.0) -> Optional[float]:
         """Spend ``cost`` tokens; ``None`` on success, else retry-after seconds."""
         now = self.clock()
+        if (now - self._swept) * self.refill_per_second >= self.capacity:
+            self._sweep(now)
         tokens, stamp = self._buckets.get(client_id, (self.capacity, now))
         tokens = min(self.capacity, tokens + (now - stamp) * self.refill_per_second)
         # A request costing more than the whole bucket drains a full bucket
@@ -216,6 +232,21 @@ class TokenBuckets:
             return None
         self._buckets[client_id] = (tokens, now)
         return (cost - tokens) / self.refill_per_second
+
+    def _sweep(self, now: float) -> None:
+        """Drop every bucket that ``take`` would find full at ``now``.
+
+        The test is ``take``'s own arithmetic, and it only grows with the
+        clock, so a dropped bucket would have answered every later
+        ``take`` as a full one.
+        """
+        refill = self.refill_per_second
+        self._buckets = {
+            client: (tokens, stamp)
+            for client, (tokens, stamp) in self._buckets.items()
+            if tokens + (now - stamp) * refill < self.capacity
+        }
+        self._swept = now
 
 
 @dataclass
@@ -279,6 +310,9 @@ class ServiceStats:
     admission_rejections: int = 0
     quota_rejections: int = 0
     drain_rejections: int = 0
+    #: Normalisation memo lookups (see ExplorationService.handle_explore).
+    memo_hits: int = 0
+    memo_misses: int = 0
     #: HTTP front-end accounting (requests ≫ connections under keep-alive).
     connections: int = 0
     http_requests: int = 0
@@ -303,14 +337,17 @@ def percentile(values: Sequence[float], q: float) -> Optional[float]:
     return ordered[rank - 1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalizedRequest:
-    """A validated request: jobs plus the options that shaped them."""
+    """A validated request: jobs plus the options that shaped them.
+
+    Frozen: the normalisation memo hands one instance to every repeat.
+    """
 
     name: str
     arch: Arch
     models: tuple[str, ...]
-    jobs: list[Job]
+    jobs: tuple[Job, ...]
     timeout: Optional[float]
     include_outcomes: bool
     #: Deadline-tier budget baked into the job configs (None = unbounded).
@@ -338,6 +375,9 @@ class ExplorationService:
         self._waiting = 0
         self._running = False
         self._draining = False
+        #: The normalisation memo: raw request body → its normalised
+        #: catalogue request, least recently used first.
+        self._requests: OrderedDict[bytes, NormalizedRequest] = OrderedDict()
         self.quotas: Optional[TokenBuckets] = (
             TokenBuckets(self.config.quota_tokens, self.config.quota_refill_per_second)
             if self.config.quota_tokens
@@ -547,7 +587,7 @@ class ExplorationService:
         # at their defaults, since it never reads them.
         explore_config = ExploreConfig(**search_kwargs)
         flat_config = FlatConfig(**search_kwargs)
-        jobs = [
+        jobs = tuple(
             Job(
                 test=test,
                 model=model,
@@ -557,7 +597,7 @@ class ExplorationService:
                 flat_config=flat_config,
             )
             for model in models
-        ]
+        )
         return NormalizedRequest(
             name=test.name,
             arch=arch,
@@ -606,13 +646,45 @@ class ExplorationService:
                 )
         _SERVICE_ADMISSION.inc(outcome="accepted")
 
+    def _normalized(self, payload: object, body: Optional[bytes]) -> NormalizedRequest:
+        """:meth:`normalize`, memoised on the raw JSON ``body`` of a catalogue request.
+
+        ``normalize`` is a pure function of the payload, this service's
+        fixed config and the static catalogue, and the body fixes the
+        payload, so a repeat reuses the first answer: its jobs, and the
+        fingerprints they keep.  Only the body is an exact key (a Python
+        caller's tuple serialises like a list, and ``normalize`` refuses
+        the tuple), so a call without one is never memoised.  Neither is
+        a request that ``normalize`` refuses, nor an inline ``source``:
+        its entry would keep the parsed program.  The memo holds at most
+        ``lru_capacity`` requests and drops the least recently used.
+        """
+        memoisable = body is not None and len(body) <= MEMO_MAX_BODY_BYTES
+        if memoisable:
+            request = self._requests.get(body)
+            if request is not None:
+                self._requests.move_to_end(body)
+                self.stats.memo_hits += 1
+                return request
+            self.stats.memo_misses += 1
+        request = self.normalize(payload)
+        if memoisable and payload.get("source") is None:
+            self._requests[body] = request
+            if len(self._requests) > self.config.lru_capacity:
+                self._requests.popitem(last=False)
+        return request
+
     async def handle_explore(
-        self, payload: object, client_id: Optional[str] = None
+        self, payload: object, client_id: Optional[str] = None, *, body: Optional[bytes] = None
     ) -> tuple[int, dict]:
-        """The full request path; returns ``(http_status, response_dict)``."""
+        """The full request path; returns ``(http_status, response_dict)``.
+
+        ``body`` is the JSON text ``payload`` was decoded from, when there
+        is one: it keys the normalisation memo (:meth:`_normalized`).
+        """
         start = time.perf_counter()
         try:
-            request = self.normalize(payload)
+            request = self._normalized(payload, body)
         except ServiceError as exc:
             self.stats.bad_requests += 1
             _SERVICE_REQUESTS.inc(outcome="bad_request")
@@ -674,7 +746,7 @@ class ExplorationService:
             total_cost["queue_ms"] += cost["queue_ms"]
             total_cost["compute_ms"] += cost["compute_ms"]
             if request.include_outcomes:
-                row["outcomes"] = result_to_json(result)["outcomes"]
+                row["outcomes"] = outcomes_to_json(result.outcomes)
             rows.append(row)
         total_cost["queue_ms"] = round(total_cost["queue_ms"], 3)
         total_cost["compute_ms"] = round(total_cost["compute_ms"], 3)
@@ -911,6 +983,12 @@ class ExplorationService:
                 "evictions": self.lru.evictions,
                 "hit_rate": self.lru.hit_rate,
             },
+            "request_memo": {
+                "size": len(self._requests),
+                "capacity": self.config.lru_capacity,
+                "hits": stats.memo_hits,
+                "misses": stats.memo_misses,
+            },
             "disk_cache": (
                 None
                 if self.disk is None
@@ -968,6 +1046,7 @@ __all__ = [
     "MAX_SAMPLES_LIMIT",
     "MAX_STATES_LIMIT",
     "MAX_TIMEOUT",
+    "MEMO_MAX_BODY_BYTES",
     "OPTION_KEYS",
     "SERVICE_SCHEMA_VERSION",
     "ExplorationService",

@@ -401,7 +401,9 @@ class ServiceServer:
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 return 400, {"ok": False, "error": f"invalid JSON body: {exc}"}
             client_id = sanitize_request_id(headers.get(CLIENT_ID_HEADER))
-            status, response = await self.service.handle_explore(payload, client_id=client_id)
+            status, response = await self.service.handle_explore(
+                payload, client_id=client_id, body=body
+            )
             if isinstance(response, dict):
                 response.setdefault("request_id", request_id)
             return status, response

@@ -727,6 +727,35 @@ class TestDistributedParity:
             assert run.info["jobs_enqueued"] == 0
             assert run.results[0].fingerprint == first.results[0].fingerprint
 
+    def test_ledger_rows_are_served_not_computed_again(self, tmp_path):
+        # A row an earlier batch left on a persistent ledger answers a later
+        # batch without running: that batch must neither count it as
+        # computed nor fold the row's metrics delta a second time.
+        from repro.harness.jobs import _JOBS_EXECUTED
+
+        config = DistribConfig(backend_url=str(tmp_path / "q.db"), stall_timeout=30)
+        job = Job(test=get_test("MP"), model="promising")
+
+        def executed():
+            return _JOBS_EXECUTED.value(model="promising", status="ok")
+
+        with fleet(config.backend_url, 1):
+            before = executed()
+            first_stats, second_stats = BatchStats(), BatchStats()
+            first = run_distributed([job], config=config, stats=first_stats)
+            after_first = executed()
+            second = run_distributed([job], config=config, stats=second_stats)
+            after_second = executed()
+        assert (first.info["jobs_enqueued"], first.info["jobs_computed"]) == (1, 1)
+        assert (after_first - before, first_stats.executed) == (1, 1)
+        assert (second.info["jobs_enqueued"], second.info["jobs_computed"]) == (0, 0)
+        assert second.info["jobs_cache_served"] == 1
+        assert (second_stats.executed, second_stats.cache_hits) == (0, 1)
+        assert after_second == after_first
+        row = second.results[0]
+        assert row.cached and row.metrics_delta is None
+        assert set(row.outcomes) == set(first.results[0].outcomes)
+
     def test_cli_distributed_sweep(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         queue = str(tmp_path / "queue.db")

@@ -9,9 +9,13 @@ client — the same path the CI smoke job drives.
 """
 
 import asyncio
+import collections
 import contextlib
+import hashlib
+import json
 import os
 import queue
+import random
 import signal
 import subprocess
 import sys
@@ -21,10 +25,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.jobs import Job, execute_job
+import repro.harness.cache
+import repro.harness.jobs
+import repro.harness.report
+from repro.harness.jobs import MODELS, Job, execute_job
 from repro.harness.scheduler import WorkerPool
 from repro.lang.kinds import Arch
-from repro.litmus import get_test
+from repro.litmus import all_tests, get_test
 from repro.service import (
     ExplorationService,
     ServiceClient,
@@ -38,6 +45,7 @@ from repro.service.core import (
     ADMISSION_RETRY_AFTER,
     DRAIN_RETRY_AFTER,
     DRAIN_TIMEOUT,
+    MEMO_MAX_BODY_BYTES,
     OPTION_KEYS,
 )
 from repro.service.http import ServiceServer, run_server
@@ -94,6 +102,28 @@ def hold_compute(service: ExplorationService) -> threading.Event:
 
 def run_async(coroutine):
     return asyncio.run(coroutine)
+
+
+async def explore_json(service: ExplorationService, payload, **kwargs):
+    """``handle_explore`` as the HTTP front-end calls it: payload and its body."""
+    body = json.dumps(payload).encode()
+    return await service.handle_explore(json.loads(body), body=body, **kwargs)
+
+
+#: What may differ between two answers to one request: where each row
+#: came from, what it cost now, the wall time and the request id.
+PER_ANSWER_ROW_KEYS = ("served_from", "cost", "cached", "elapsed_seconds")
+PER_ANSWER_KEYS = ("elapsed_seconds", "cost", "request_id")
+
+
+def answer_content(response: dict) -> dict:
+    """``response`` without the fields that describe one answer, not the request."""
+    content = {k: v for k, v in response.items() if k not in PER_ANSWER_KEYS}
+    content["results"] = [
+        {k: v for k, v in row.items() if k not in PER_ANSWER_ROW_KEYS}
+        for row in response["results"]
+    ]
+    return content
 
 
 class TestPercentile:
@@ -242,6 +272,40 @@ class TestTokenBuckets:
         assert buckets.take("alice") is None
         assert buckets.take("alice") is not None
         assert buckets.take("bob") is None
+
+    def test_refilled_buckets_leave_the_ledger(self):
+        clock = [0.0]
+        buckets = TokenBuckets(4, 2.0, clock=lambda: clock[0])
+        for n in range(10_000):
+            assert buckets.take(f"one-shot-{n}") is None
+        assert len(buckets._buckets) == 10_000
+        clock[0] += 4 / 2.0 + 0.001  # past capacity / refill: every bucket is full
+        assert buckets.take("late") is None
+        assert len(buckets._buckets) == 1
+
+    @pytest.mark.parametrize("capacity, refill, seed", [(3, 1.5, 1), (2, 0.3, 2), (7, 10.0, 3)])
+    def test_pruning_changes_no_answer(self, capacity, refill, seed):
+        # Differential: a ledger that never drops a bucket must answer every
+        # take() exactly as the pruned one does.
+        class Unpruned(TokenBuckets):
+            def _sweep(self, now):
+                pass
+
+        clock = [0.0]
+        pruned = TokenBuckets(capacity, refill, clock=lambda: clock[0])
+        unpruned = Unpruned(capacity, refill, clock=lambda: clock[0])
+        rng = random.Random(seed)
+        regulars = [f"client-{n}" for n in range(30)]
+        answers = collections.Counter()
+        for step in range(20_000):
+            clock[0] += rng.choice((0.0, 0.0, 0.01, 0.07, 0.3, 1.1, 4.0))
+            client = rng.choice(regulars) if rng.random() < 0.7 else f"once-{step}"
+            cost = rng.choice((1, 1, 1, 2, 3, 9))
+            answer = pruned.take(client, cost)
+            assert answer == unpruned.take(client, cost), (step, client, cost)
+            answers[answer is None] += 1
+        assert answers[True] and answers[False]  # both answers were exercised
+        assert len(pruned._buckets) < len(unpruned._buckets) // 10
 
 
 class TestWorkerPool:
@@ -551,6 +615,181 @@ class TestServiceCore:
                 assert status == 200
                 assert "deadline_seconds" not in response
                 assert "truncated" not in response
+            finally:
+                await service.stop()
+
+        run_async(scenario())
+
+
+#: Option variants the memo law runs under: the defaults, a smaller loop
+#: bound with no outcomes in the rows, and a seeded sampled run under the
+#: deadline tier.
+MEMO_LAW_OPTIONS = (
+    None,
+    {"loop_bound": 1, "include_outcomes": False},
+    {"strategy": "sample", "samples": 8, "seed": 11, "deadline_seconds": 60},
+)
+
+
+class TestRequestMemo:
+    """The normalisation memo in front of ``ExplorationService.normalize``."""
+
+    def test_memoised_answers_equal_fresh_ones(self):
+        # The law: for every catalogue test, both architectures, all four
+        # models and each option variant, a memoised request has the jobs a
+        # fresh normalisation builds, and answers as the first request did.
+        async def scenario():
+            service = make_service()
+            await service.start()
+            try:
+                for options in MEMO_LAW_OPTIONS:
+                    for test in all_tests():
+                        for arch in ("arm", "riscv"):
+                            payload = {"test": test.name, "arch": arch, "models": list(MODELS)}
+                            if options is not None:
+                                payload["options"] = options
+                            body = json.dumps(payload).encode()
+                            status, fresh = await explore_json(service, payload)
+                            assert status == 200, fresh
+                            hits = service.stats.memo_hits
+                            status, memoised = await explore_json(service, payload)
+                            assert (status, service.stats.memo_hits) == (200, hits + 1)
+                            assert answer_content(memoised) == answer_content(fresh)
+                            assert all(row["served_from"] == "lru" for row in memoised["results"])
+                            recalled = service._requests[body]
+                            renewed = service.normalize(json.loads(body))
+                            assert recalled == renewed
+                            assert [job.fingerprint() for job in recalled.jobs] == [
+                                job.fingerprint() for job in renewed.jobs
+                            ]
+            finally:
+                await service.stop()
+
+        run_async(scenario())
+
+    def test_a_repeat_recomputes_nothing(self, monkeypatch):
+        # Counted: a repeated catalogue request runs normalize, the
+        # fingerprint hash and the outcome digest 0 times; the cold one
+        # runs each no more than its jobs need.
+        counts = collections.Counter()
+
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+
+            return counted
+
+        digest = repro.harness.report.outcome_set_digest
+        monkeypatch.setattr(
+            ExplorationService, "normalize", counting("normalize", ExplorationService.normalize)
+        )
+        sha256 = staticmethod(counting("sha256", hashlib.sha256))
+        monkeypatch.setattr(repro.harness.jobs, "hashlib", type("Hashlib", (), {"sha256": sha256}))
+        for module in (repro.harness.report, repro.harness.cache):
+            monkeypatch.setattr(module, "outcome_set_digest", counting("digest", digest))
+
+        async def scenario():
+            service = make_service()
+            await service.start()
+            try:
+                payload = {"test": "MP", "arch": "riscv", "models": ["promising", "axiomatic"]}
+                status, cold = await explore_json(service, payload)
+                assert status == 200
+                assert [row["served_from"] for row in cold["results"]] == ["computed"] * 2
+                assert counts == {"normalize": 1, "sha256": 2, "digest": 2}
+                counts.clear()
+                for _ in range(3):
+                    status, warm = await explore_json(service, payload)
+                    assert [row["served_from"] for row in warm["results"]] == ["lru"] * 2
+                    assert answer_content(warm) == answer_content(cold)
+                assert counts == {}
+            finally:
+                await service.stop()
+
+        run_async(scenario())
+
+    def test_refused_requests_are_never_memoised(self):
+        async def scenario():
+            service = make_service()
+            await service.start()
+            try:
+                refused = (
+                    {"test": "definitely-not-a-test"},
+                    {"test": "SB", "options": {"loop_bound": 99}},
+                    {"test": "SB", "models": ["quantum"]},
+                    {"test": "SB", "source": MP_SOURCE},
+                )
+                for payload in refused:
+                    for attempt in range(2):
+                        status, _ = await explore_json(service, payload)
+                        assert status == 400, (payload, attempt)
+                assert service.stats.bad_requests == 2 * len(refused)
+                assert len(service._requests) == 0
+                # A list of models is memoised; a Python caller's tuple is
+                # still refused, since only a JSON body keys the memo.
+                listed = {"test": "SB", "models": ["axiomatic"]}
+                status, _ = await explore_json(service, listed)
+                assert status == 200 and len(service._requests) == 1
+                tupled = {"test": "SB", "models": ("axiomatic",)}
+                for _ in range(2):
+                    status, _ = await service.handle_explore(tupled)
+                    assert status == 400
+                assert service.stats.bad_requests == 2 * len(refused) + 2
+            finally:
+                await service.stop()
+
+        run_async(scenario())
+
+    def test_sources_and_long_bodies_are_never_memoised(self):
+        async def scenario():
+            service = make_service()
+            await service.start()
+            try:
+                padded = {"test": "SB", "models": ["axiomatic"], "note": "x" * MEMO_MAX_BODY_BYTES}
+                for payload in ({"source": MP_SOURCE, "models": ["axiomatic"]}, padded):
+                    for _ in range(2):
+                        status, response = await explore_json(service, payload)
+                        assert status == 200 and response["ok"]
+                assert len(service._requests) == 0
+                memo = service.stats_snapshot()["request_memo"]
+                # The padded body is never looked up; the source is, and misses.
+                assert (memo["hits"], memo["misses"]) == (0, 2)
+            finally:
+                await service.stop()
+
+        run_async(scenario())
+
+    def test_memo_is_bounded_and_evicts_least_recently_used(self):
+        async def scenario():
+            service = make_service(lru_capacity=2)
+            await service.start()
+            try:
+                names = ("SB", "MP", "SB", "LB", "MP", "2+2W")
+                for name in names:
+                    status, _ = await explore_json(service, {"test": name, "models": ["axiomatic"]})
+                    assert status == 200
+                    assert len(service._requests) <= 2
+                # SB was refreshed before LB arrived, so MP went first; then
+                # MP's return pushed out SB, and 2+2W pushed out LB.
+                assert [json.loads(body)["test"] for body in service._requests] == ["MP", "2+2W"]
+                memo = service.stats_snapshot()["request_memo"]
+                assert memo == {"size": 2, "capacity": 2, "hits": 1, "misses": 5}
+            finally:
+                await service.stop()
+
+        run_async(scenario())
+
+    def test_admission_charges_memoised_requests(self):
+        async def scenario():
+            service = make_service(quota_tokens=2, quota_refill_per_second=0.001)
+            await service.start()
+            try:
+                payload = {"test": "SB", "models": ["axiomatic"]}
+                answers = [await explore_json(service, payload, client_id="c") for _ in range(3)]
+                assert [status for status, _ in answers] == [200, 200, 429]
+                assert service.stats.memo_hits == 2
+                assert (service.stats.requests, service.stats.quota_rejections) == (2, 1)
             finally:
                 await service.stop()
 
@@ -925,6 +1164,14 @@ class TestHttpRoundTrip:
         assert verdicts == {"promising": "forbidden", "axiomatic": "forbidden"}
         second = live_service.explore(test="MP+dmb+addr", models=["promising", "axiomatic"])
         assert all(row["served_from"] == "lru" for row in second["results"])
+
+    def test_repeat_is_a_memo_hit(self, live_service):
+        before = live_service.stats()["request_memo"]
+        first = live_service.explore(test="2+2W", arch="riscv", models=["flat"])
+        second = live_service.explore(test="2+2W", arch="riscv", models=["flat"])
+        after = live_service.stats()["request_memo"]
+        assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (1, 1)
+        assert answer_content(second) == answer_content(first)
 
     def test_source_round_trip(self, live_service):
         response = live_service.explore(source=MP_SOURCE, models="promising")
